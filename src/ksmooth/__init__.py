@@ -9,8 +9,6 @@ from .fields import (
     FieldElement,
     FieldEmbedding,
     FieldMatrix,
-    RationalScalar,
-    enumerate_field,
     enumerate_projective_points,
     field_from_json,
     field_to_json,
@@ -46,14 +44,12 @@ from .groebner import (
     s_polynomial,
 )
 from .smoothness import (
-    SearchInconclusive,
     Singular,
     SingularWitness,
     Smooth,
     VerifyReport,
     is_smooth,
     jacobian_generators,
-    oracle_verdict,
     search_singular_point,
     singular_member_at_base_point,
     verify_system_K_smooth,

@@ -6,7 +6,9 @@ the rationals and spot-check random members, run the characteristic-2 quadric
 refutation, and reproduce the built-in GF(3) cubic example.
 
 Exit codes: 0 = success / K-smooth, 1 = singular member found (witness
-emitted), 2 = usage or hypothesis error.
+emitted), 2 = usage, input or hypothesis error, 3 = internal error (a failed
+invariant check, an exhausted step budget, or a certificate that no witness
+search confirms).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import (
@@ -33,57 +34,14 @@ from .multipoly import (
     system_to_json,
 )
 from .smoothness import (
-    Singular,
     Smooth,
     is_smooth,
-    oracle_verdict,
+    search_singular_point,
     verify_system_K_smooth,
     witness_to_json,
 )
 
 DEFAULT_ORACLE_EXT = 4
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    p: int = 0
-    e: int = 1
-    n: int = 0
-    d: int = 0
-    r: int = 0
-    k: int = 1
-    input_path: str | None = None
-    output_path: str | None = None
-    oracle: bool = False
-    max_ext: int = DEFAULT_ORACLE_EXT
-    seed: int = 0
-    samples: int = 0
-    count: int = 0
-    as_json: bool = False
-    verify: bool = False
-    name: str | None = None
-
-    def validate(self):
-        if self.command == "construct":
-            if self.e < 1:
-                raise ValueError("extension degree e must be >= 1")
-            if self.n < 1 or self.d < 2 or self.r < 1:
-                raise ValueError("need n >= 1, d >= 2, r >= 1")
-        if self.command == "quadrics":
-            if self.k < 1:
-                raise ValueError("k must be >= 1")
-            if self.input_path is None:
-                if self.count < 1:
-                    raise ValueError("--random must request at least one system")
-                if self.n < 1 or self.n % 2 == 0:
-                    raise ValueError("quadric refutation needs odd n >= 1")
-        if self.command == "lift" and self.samples < 1:
-            raise ValueError("--samples must be >= 1")
-        if self.command == "verify" and self.max_ext < 1:
-            raise ValueError("--max-ext must be >= 1")
 
 
 def _load(path):
@@ -106,41 +64,40 @@ def _witness_line(witness):
     return line
 
 
-def _cmd_construct(cfg):
-    system, result = construct_system_with_details(cfg.p, cfg.e, cfg.n, cfg.d, cfg.r)
-    obj = construction_to_json(result, cfg.r)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+def _cmd_construct(args):
+    system, result = construct_system_with_details(args.p, args.e, args.n, args.d, args.r)
+    obj = construction_to_json(result, args.r)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2)
             fh.write("\n")
-    if cfg.as_json:
+    if args.json:
         _emit_json(obj)
     else:
-        q = cfg.p ** cfg.e
+        q = args.p ** args.e
         print(f"constructed case {result.case} system over GF({q}): "
-              f"n={cfg.n} d={cfg.d} r={cfg.r}")
+              f"n={args.n} d={args.d} r={args.r}")
         for i, g in enumerate(system.generators):
             print(f"  G{i} = {g}")
-        if cfg.output_path:
-            print(f"wrote {cfg.output_path}")
+        if args.output:
+            print(f"wrote {args.output}")
     return 0
 
 
-def _cmd_verify(cfg):
-    system = system_from_json(_load(cfg.input_path))
+def _cmd_verify(args):
+    system = system_from_json(_load(args.file))
     report = verify_system_K_smooth(system)
-    if cfg.oracle:
+    if args.oracle:
         for coeffs, verdict in zip(
                 enumerate_projective_points(system.field, system.dim),
                 report.verdicts):
-            check = oracle_verdict(system.member(coeffs), cfg.max_ext)
-            agree = (verdict == "singular") == isinstance(check, Singular)
-            if not agree:
-                raise RuntimeError(
+            found = search_singular_point(system.member(coeffs), args.max_ext) is not None
+            if found != (verdict == "singular"):
+                raise AssertionError(
                     f"certificate and search oracle disagree on member {_point_str(coeffs)}")
-    if cfg.as_json:
+    if args.json:
         obj = report.to_json()
-        if cfg.oracle:
+        if args.oracle:
             obj["oracle_checked"] = True
         _emit_json(obj)
     else:
@@ -152,18 +109,18 @@ def _cmd_verify(cfg):
     return 0 if report.k_smooth else 1
 
 
-def _cmd_check(cfg):
-    form = form_from_json(_load(cfg.input_path))
+def _cmd_check(args):
+    form = form_from_json(_load(args.file))
     verdict = is_smooth(form)
     if isinstance(verdict, Smooth):
-        if cfg.as_json:
+        if args.json:
             _emit_json({"smooth": True,
                         "certificate_size": len(verdict.certificate.elements)})
         else:
             print(f"smooth (certificate with {len(verdict.certificate.elements)} "
                   "basis elements)")
         return 0
-    if cfg.as_json:
+    if args.json:
         _emit_json({"smooth": False,
                     "witness": witness_to_json(verdict.witness)
                     if verdict.witness else None})
@@ -174,13 +131,13 @@ def _cmd_check(cfg):
     return 1
 
 
-def _cmd_lift(cfg):
-    system = system_from_json(_load(cfg.input_path))
+def _cmd_lift(args):
+    system = system_from_json(_load(args.file))
     lifted = lift_to_char_zero(system)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     count = len(lifted.generators)
     outcomes = []
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         while True:
             coeffs = tuple(Fraction(rng.randint(-5, 5)) for _ in range(count))
             if any(coeffs):
@@ -188,29 +145,29 @@ def _cmd_lift(cfg):
         verdict = is_smooth(lifted.member(coeffs))
         outcomes.append((coeffs, isinstance(verdict, Smooth)))
     good = sum(1 for _, ok in outcomes if ok)
-    if cfg.as_json:
-        _emit_json({"samples": cfg.samples, "smooth": good,
+    if args.json:
+        _emit_json({"samples": args.samples, "smooth": good,
                     "members": [{"coeffs": [str(c) for c in cs], "smooth": ok}
                                 for cs, ok in outcomes]})
     else:
         print(f"lifted {count} generators to the rationals")
-        print(f"{good}/{cfg.samples} sampled members smooth")
-    return 0 if good == cfg.samples else 1
+        print(f"{good}/{args.samples} sampled members smooth")
+    return 0 if good == args.samples else 1
 
 
-def _cmd_quadrics(cfg):
+def _cmd_quadrics(args):
     systems = []
-    if cfg.input_path:
-        systems.append(system_from_json(_load(cfg.input_path)))
+    if args.system:
+        systems.append(system_from_json(_load(args.system)))
     else:
-        field = get_descriptor(2, cfg.k)
-        rng = random.Random(cfg.seed)
-        for _ in range(cfg.count):
-            systems.append(random_system(field, cfg.n + 1, 2, cfg.n + 1, rng))
+        field = get_descriptor(2, args.k)
+        rng = random.Random(args.seed)
+        for _ in range(args.random):
+            systems.append(random_system(field, args.n + 1, 2, args.n + 1, rng))
     results = []
     for system in systems:
         results.append(char2_find_singular_member(system))
-    if cfg.as_json:
+    if args.json:
         _emit_json({"systems": len(results),
                     "results": [{"branch": res.branch,
                                  "member": [str(c) for c in res.coefficients],
@@ -224,12 +181,10 @@ def _cmd_quadrics(cfg):
     return 1 if results else 0
 
 
-def _cmd_example(cfg):
-    if cfg.name != "f3":
-        raise ValueError(f"unknown example {cfg.name!r}; available: f3")
+def _cmd_example(args):
     system = builtin_example_f3()
-    report = verify_system_K_smooth(system) if cfg.verify else None
-    if cfg.as_json:
+    report = verify_system_K_smooth(system) if args.verify else None
+    if args.json:
         obj = {"system": system_to_json(system)}
         if report is not None:
             obj["report"] = report.to_json()
@@ -244,6 +199,13 @@ def _cmd_example(cfg):
     if report is not None and not report.k_smooth:
         return 1
     return 0
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -265,7 +227,7 @@ def build_parser():
     v.add_argument("file", help="system JSON file")
     v.add_argument("--oracle", action="store_true",
                    help="cross-check each verdict with the extension point search")
-    v.add_argument("--max-ext", type=int, default=DEFAULT_ORACLE_EXT,
+    v.add_argument("--max-ext", type=_positive_int, default=DEFAULT_ORACLE_EXT,
                    help="extension-degree bound for the oracle search")
     v.add_argument("--json", action="store_true", help="print the machine report")
 
@@ -275,7 +237,7 @@ def build_parser():
 
     l = sub.add_parser("lift", help="lift a prime-field system to the rationals")
     l.add_argument("file", help="system JSON file")
-    l.add_argument("--samples", type=int, default=20,
+    l.add_argument("--samples", type=_positive_int, default=20,
                    help="number of random integer members to check")
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--json", action="store_true")
@@ -284,7 +246,7 @@ def build_parser():
                        help="produce singular members of odd-dimensional quadric systems in characteristic 2")
     grp = q.add_mutually_exclusive_group(required=True)
     grp.add_argument("--system", help="system JSON file")
-    grp.add_argument("--random", type=int, metavar="N",
+    grp.add_argument("--random", type=_positive_int, metavar="N",
                      help="refute N random systems")
     q.add_argument("--k", type=int, default=1, help="field is GF(2^k)")
     q.add_argument("--n", type=int, default=3, help="odd ambient dimension")
@@ -299,34 +261,6 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    cfg.as_json = getattr(args, "json", False)
-    if args.command == "construct":
-        cfg.p, cfg.e, cfg.n, cfg.d, cfg.r = args.p, args.e, args.n, args.d, args.r
-        cfg.output_path = args.output
-    elif args.command == "verify":
-        cfg.input_path = args.file
-        cfg.oracle = args.oracle
-        cfg.max_ext = args.max_ext
-    elif args.command == "check":
-        cfg.input_path = args.file
-    elif args.command == "lift":
-        cfg.input_path = args.file
-        cfg.samples = args.samples
-        cfg.seed = args.seed
-    elif args.command == "quadrics":
-        cfg.input_path = args.system
-        cfg.count = args.random or 0
-        cfg.k = args.k
-        cfg.n = args.n
-        cfg.seed = args.seed
-    elif args.command == "example":
-        cfg.name = args.name
-        cfg.verify = args.verify
-    return cfg
-
-
 _HANDLERS = {
     "construct": _cmd_construct,
     "verify": _cmd_verify,
@@ -338,15 +272,15 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        cfg.validate()
-        return _HANDLERS[cfg.command](cfg)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+        return _HANDLERS[args.command](args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .multipoly import (
     monomial_key,
     system_to_json,
 )
-from .smoothness import SingularWitness, witness_verifies
+from .smoothness import SingularWitness, truncation_matrix, witness_verifies
 
 
 def fermat_form(coefficients, degree):
@@ -250,6 +250,7 @@ def construct_system_with_details(p, e, n, d, r):
             "exists for any degree; the maximum is r = n")
     if d < 2:
         raise ValueError("degree must be >= 2")
+    get_descriptor(p, e)  # rejects a non-prime p and e < 1
     g = gcd(d, n + 1)
     if g % p == 0:
         if p == 2 and d == 2:
@@ -366,15 +367,7 @@ def char2_find_singular_member(system):
             "projective dimension of the system must equal n")
     zero = field.zero()
     one = field.one()
-    monos = []
-    for j in range(nv):
-        exps = [0] * nv
-        exps[0] = 2 if j == 0 else 1
-        if j:
-            exps[j] += 1
-        monos.append(tuple(exps))
-    matrix = FieldMatrix(field, [[g.terms.get(m, zero) for g in system.generators]
-                                 for m in monos])
+    matrix = truncation_matrix(system)
     kernel = matrix.kernel()
     if kernel:
         coeffs = kernel[0]
@@ -412,14 +405,10 @@ def builtin_example_f3():
     return LinearSystemOfForms([f0, f1, f2])
 
 
-def construction_to_json(result, r=None):
-    """System JSON of the (optionally truncated) descended generators plus the
+def construction_to_json(result, r):
+    """System JSON of the first r+1 descended generators plus the
     construction extras: case tag, normal element and Moore determinant."""
-    if r is None:
-        system = result.system
-    else:
-        system = LinearSystemOfForms(result.generators[:r + 1])
-    obj = system_to_json(system)
+    obj = system_to_json(LinearSystemOfForms(result.generators[:r + 1]))
     obj["case"] = result.case
     obj["alpha"] = element_to_json(result.moore.alpha)
     obj["moore_det"] = element_to_json(result.moore.det)

@@ -19,10 +19,6 @@ from .errors import (
     WrongCharacteristic,
 )
 
-# Exact rational coefficients for characteristic-zero lifts.  Fraction already
-# maintains the invariant gcd(|num|, den) = 1 with den > 0.
-RationalScalar = Fraction
-
 _TABLE_LIMIT = 256
 
 
@@ -325,15 +321,6 @@ class FieldDescriptor:
             self._build_elements()
         return list(self._elements)
 
-    def __call__(self, value):
-        if isinstance(value, FieldElement):
-            if value.field.key != self.key:
-                raise DescriptorMismatch(f"{value.field!r} element in {self!r}")
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        return self.element(value)
-
     def __eq__(self, other):
         if isinstance(other, FieldDescriptor):
             return self.key == other.key
@@ -365,9 +352,6 @@ class RationalField:
 
     def from_int(self, n):
         return Fraction(n)
-
-    def __call__(self, value):
-        return Fraction(value)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -505,11 +489,6 @@ def sqrt_char2(x):
     for _ in range(x.field.e - 1):
         out = out * out
     return out
-
-
-def enumerate_field(field):
-    """All q elements in canonical order (base-p integer encodings)."""
-    return field.elements()
 
 
 def enumerate_projective_points(field, r):
@@ -653,7 +632,7 @@ class FieldEmbedding:
     image and raises NoSolution off it.
     """
 
-    __slots__ = ("small", "big", "root", "_solver")
+    __slots__ = ("small", "big", "root", "_preimage")
 
     def __init__(self, small, big):
         if small.p != big.p:
@@ -662,28 +641,19 @@ class FieldEmbedding:
             raise ValueError(f"GF({small.p}^{small.e}) does not embed in GF({big.p}^{big.e})")
         self.small = small
         self.big = big
-        if small.e == 1:
-            self.root = None
-            self._solver = None
-            return
-        zero = big.zero()
-        root = None
-        for cand in big.elements():
-            acc = zero
-            for c in reversed(small.modulus):
-                acc = acc * cand + big.from_int(c)
-            if not acc:
-                root = cand
-                break
-        if root is None:
-            raise AssertionError("unreachable: the modulus splits in the big field")
-        self.root = root
-        powers = [big.one()]
-        for _ in range(small.e - 1):
-            powers.append(powers[-1] * root)
-        prime = get_descriptor(big.p)
-        rows = [[prime.from_int(pw.coeffs[j]) for pw in powers] for j in range(big.e)]
-        self._solver = FieldMatrix(prime, rows)
+        self.root = None
+        if small.e > 1:
+            zero = big.zero()
+            for cand in big.elements():
+                acc = zero
+                for c in reversed(small.modulus):
+                    acc = acc * cand + big.from_int(c)
+                if not acc:
+                    self.root = cand
+                    break
+            if self.root is None:
+                raise AssertionError("unreachable: the modulus splits in the big field")
+        self._preimage = {self.up(x): x for x in small.elements()}
 
     def up(self, x):
         if x.field.key != self.small.key:
@@ -698,13 +668,10 @@ class FieldEmbedding:
     def down(self, y):
         if y.field.key != self.big.key:
             raise DescriptorMismatch("element is not in the big field")
-        if self.small.e == 1:
-            if any(y.coeffs[1:]):
-                raise NoSolution("element lies outside the prime subfield")
-            return self.small.from_int(y.coeffs[0])
-        prime = self._solver.field
-        sol = self._solver.solve([prime.from_int(c) for c in y.coeffs])
-        return self.small.element([s.coeffs[0] for s in sol])
+        x = self._preimage.get(y)
+        if x is None:
+            raise NoSolution(f"{y!r} lies outside the image of {self.small!r}")
+        return x
 
 
 _DESCRIPTOR_CACHE = {}
@@ -739,16 +706,46 @@ def field_to_json(field):
             "modulus": list(field.modulus) if field.modulus else None}
 
 
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def json_get(obj, key, kind, default=None):
+    """obj[key] after checking that obj is a JSON object and that the value
+    has the JSON type `kind` (int, list or dict; a boolean is no integer).
+    An absent key gives `default` when one is set.  Every failure is a
+    ValueError that names the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f'expected an object with key "{key}", got {type(obj).__name__}')
+    if key not in obj:
+        if default is None:
+            raise ValueError(f'missing key "{key}"')
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f'"{key}" must be {_JSON_KINDS[kind]}, got {type(value).__name__}')
+    return value
+
+
+def json_ints(value, key):
+    """The value itself if it is a JSON list of integers, else a ValueError
+    that names the key."""
+    if not (isinstance(value, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f'"{key}" must be a list of integers, got {value!r}')
+    return value
+
+
 def field_from_json(obj):
-    p = int(obj["p"])
+    p = json_get(obj, "p", int)
     if p == 0:
         return QQ
-    e = int(obj.get("e", 1))
+    e = json_get(obj, "e", int, default=1)
     modulus = obj.get("modulus")
     if modulus is None:
         return get_descriptor(p, e)
+    modulus = json_ints(modulus, "modulus")
     canonical = get_descriptor(p, e)
-    if canonical.modulus == tuple(int(c) for c in modulus):
+    if canonical.modulus == tuple(modulus):
         return canonical
     return FieldDescriptor(p, e, modulus)
 
@@ -760,6 +757,15 @@ def element_to_json(x):
 
 
 def element_from_json(field, data):
+    """Coefficient from its wire form; a malformed one is a ValueError that
+    names the "coeff" key."""
     if isinstance(field, RationalField):
-        return Fraction(data)
+        if isinstance(data, str) or (isinstance(data, int) and not isinstance(data, bool)):
+            try:
+                return Fraction(data)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValueError(f'"coeff" must be a rational number, got {data!r}')
+    if len(json_ints(data, "coeff")) != field.e:
+        raise ValueError(f'"coeff" over {field!r} needs {field.e} entries, got {data!r}')
     return field.element(data)

@@ -162,12 +162,6 @@ class GroebnerBasis:
     def leading_monomials(self):
         return tuple(_lead(t) for t in self.elements)
 
-    def normal_form(self, f):
-        return normal_form(f, self)
-
-    def reduces_to_zero(self, f):
-        return not self.normal_form(f)
-
 
 def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):
     """Reduced Groebner basis of the ideal generated by the inputs.

@@ -22,6 +22,8 @@ from .fields import (
     field_from_json,
     field_to_json,
     frobenius,
+    json_get,
+    json_ints,
 )
 
 
@@ -103,9 +105,6 @@ class HomogeneousForm:
             return NotImplemented
         return (self.field == other.field and self.nvars == other.nvars
                 and self.degree == other.degree and self.terms == other.terms)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -194,14 +193,14 @@ class HomogeneousForm:
         point = tuple(point)
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
-        total = self.field.zero()
+        total = None
         for exps, c in self.terms.items():
             v = c
             for x, e in zip(point, exps):
                 if e:
                     v = v * x if e == 1 else v * x ** e
-            total = total + v
-        return total
+            total = v if total is None else total + v
+        return self.field.zero() if total is None else total
 
     def substitute_linear(self, matrix):
         """Replace x_i by the linear form given by row i of the matrix."""
@@ -388,10 +387,13 @@ def form_to_json(form):
 
 
 def form_from_json(obj):
-    field = field_from_json(obj["field"])
-    terms = [(tuple(t["exps"]), element_from_json(field, t["coeff"]))
-             for t in obj["terms"]]
-    return HomogeneousForm(field, int(obj["nvars"]), int(obj["degree"]), terms)
+    field = field_from_json(json_get(obj, "field", dict))
+    terms = []
+    for t in json_get(obj, "terms", list):
+        exps = json_ints(json_get(t, "exps", list), "exps")
+        terms.append((tuple(exps), element_from_json(field, t.get("coeff"))))
+    return HomogeneousForm(field, json_get(obj, "nvars", int),
+                           json_get(obj, "degree", int), terms)
 
 
 def system_to_json(system):
@@ -401,9 +403,10 @@ def system_to_json(system):
 
 
 def system_from_json(obj):
-    gens = [form_from_json(g) for g in obj["generators"]]
+    gens = [form_from_json(g) for g in json_get(obj, "generators", list)]
     system = LinearSystemOfForms(gens)
-    if (system.nvars != int(obj["nvars"]) or system.degree != int(obj["degree"])
-            or field_to_json(system.field) != obj["field"]):
+    if (system.nvars != json_get(obj, "nvars", int)
+            or system.degree != json_get(obj, "degree", int)
+            or field_to_json(system.field) != json_get(obj, "field", dict)):
         raise ValueError("system header disagrees with its generators")
     return system

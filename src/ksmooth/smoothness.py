@@ -51,13 +51,6 @@ class Singular:
     witness: SingularWitness | None
 
 
-@dataclass(frozen=True)
-class SearchInconclusive:
-    """A point search exhausted its extension-degree budget; not a proof."""
-
-    max_degree: int
-
-
 def jacobian_generators(form):
     """[F, dF/dx0, ..., dF/dxn] with identically-zero partials pruned."""
     if not form:
@@ -68,21 +61,6 @@ def jacobian_generators(form):
         if g:
             gens.append(g)
     return gens
-
-
-def _term_list(form):
-    return [(c, exps) for exps, c in form.terms.items()]
-
-
-def _eval_terms(terms, point):
-    total = None
-    for c, exps in terms:
-        v = c
-        for x, e in zip(point, exps):
-            if e:
-                v = v * x if e == 1 else v * x ** e
-        total = v if total is None else total + v
-    return total
 
 
 def search_singular_point(form, max_ext_degree):
@@ -104,20 +82,12 @@ def search_singular_point(form, max_ext_degree):
             emb = get_embedding(field, desc)
             fk = form.embed(emb)
             pk = [g.embed(emb) for g in partials]
-        tf = _term_list(fk)
-        tps = [_term_list(g) for g in pk]
         for point in enumerate_projective_points(desc, n):
-            if _eval_terms(tf, point):
+            if fk.evaluate(point):
                 continue
-            if all(not _eval_terms(tp, point) for tp in tps):
+            if all(not g.evaluate(point) for g in pk):
                 return SingularWitness(point=tuple(point), field=desc)
     return None
-
-
-def oracle_verdict(form, max_ext_degree):
-    """Search-only verdict: Singular with a witness, or SearchInconclusive."""
-    w = search_singular_point(form, max_ext_degree)
-    return Singular(w) if w is not None else SearchInconclusive(max_ext_degree)
 
 
 def witness_verifies(form, witness):
@@ -169,15 +139,21 @@ def x0_truncation(form):
     return HomogeneousForm(form.field, form.nvars, form.degree, kept)
 
 
-def _truncation_monomials(nvars, degree):
-    monos = []
-    for j in range(nvars):
-        exps = [0] * nvars
-        exps[0] = degree if j == 0 else degree - 1
-        if j:
-            exps[j] += 1
-        monos.append(tuple(exps))
-    return monos
+def truncation_matrix(system):
+    """Matrix of the base-point truncation on the system's coefficients.
+
+    Row j holds the generators' coefficients of x0^(d-1)*x_j (j = 0..n), so
+    the kernel is the set of members singular at [1:0:...:0].
+    """
+    nv = system.nvars
+    zero = system.field.zero()
+    rows = []
+    for j in range(nv):
+        exps = [0] * nv
+        exps[0] = system.degree - 1
+        exps[j] += 1
+        rows.append([g.terms.get(tuple(exps), zero) for g in system.generators])
+    return FieldMatrix(system.field, rows)
 
 
 def singular_member_at_base_point(system):
@@ -188,11 +164,8 @@ def singular_member_at_base_point(system):
     system exceeds n+1.  Returns (coefficients, member form).
     """
     nv = system.nvars
-    monos = _truncation_monomials(nv, system.degree)
     zero = system.field.zero()
-    matrix = FieldMatrix(system.field,
-                         [[g.terms.get(m, zero) for g in system.generators]
-                          for m in monos])
+    matrix = truncation_matrix(system)
     kernel = matrix.kernel()
     if not kernel:
         raise PreconditionViolated(

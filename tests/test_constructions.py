@@ -235,6 +235,12 @@ class TestDispatcher:
         with pytest.raises(RankViolated):
             construct_smooth_system(2, 1, 2, 3, 3)
 
+    @pytest.mark.parametrize("p,e", [(0, 1), (1, 1), (4, 1), (2, 0)])
+    def test_field_gate_precedes_hypothesis_gate(self, p, e):
+        with pytest.raises(ValueError, match="not prime|extension degree") as info:
+            construct_smooth_system(p, e, 2, 3, 2)
+        assert not isinstance(info.value, HypothesisViolated)
+
     def test_case1_dispatch(self):
         system, res = construct_system_with_details(2, 1, 2, 3, 2)
         assert res.case == 1

@@ -129,6 +129,11 @@ class TestEvaluate:
         pt = (F2.one(), F2.zero(), F2.zero(), F2.one())
         assert not f.evaluate(pt)
 
+    def test_zero_form_evaluates_to_field_zero(self):
+        for field in (F4, QQ):
+            zero_form = HomogeneousForm.zero(field, 2, 3)
+            assert zero_form.evaluate((field.one(), field.one())) == field.zero()
+
 
 class TestSubstituteLinear:
     def test_identity_substitution(self):

@@ -16,12 +16,10 @@ from ksmooth.multipoly import (
     random_system,
 )
 from ksmooth.smoothness import (
-    SearchInconclusive,
     Singular,
     Smooth,
     is_smooth,
     jacobian_generators,
-    oracle_verdict,
     search_singular_point,
     singular_member_at_base_point,
     verify_system_K_smooth,
@@ -160,11 +158,6 @@ class TestSearchSingularPoint:
         u = F4.element([0, 1])
         assert w.point == (F4.one(), u)
         assert witness_verifies(double, w)
-
-    def test_oracle_verdict_wrapper(self):
-        assert isinstance(oracle_verdict(fermat(F2, 3, 3), 2), SearchInconclusive)
-        assert isinstance(oracle_verdict(form(F2, 3, 2, [((1, 1, 0), 1)]), 2),
-                          Singular)
 
 
 class TestOracleAgreement:
