@@ -91,8 +91,15 @@ def _cmd_verify(args):
         for coeffs, verdict in zip(
                 enumerate_projective_points(system.field, system.dim),
                 report.verdicts):
-            found = search_singular_point(system.member(coeffs), args.max_ext) is not None
+            member = system.member(coeffs)
+            found = search_singular_point(member, args.max_ext) is not None
             if found != (verdict == "singular"):
+                if not found:
+                    degree = is_smooth(member).witness.field.e // system.field.e
+                    if degree > args.max_ext:
+                        raise ValueError(
+                            f"member {_point_str(coeffs)} is singular only over an "
+                            f"extension of degree {degree}, above --max-ext {args.max_ext}")
                 raise AssertionError(
                     f"certificate and search oracle disagree on member {_point_str(coeffs)}")
     if args.json:

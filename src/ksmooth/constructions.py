@@ -14,7 +14,6 @@ from .errors import (
     ConstructionMismatch,
     EvenN,
     HypothesisViolated,
-    NoSolution,
     NotFrobeniusCyclic,
     NotPrimeField,
     PreconditionViolated,
@@ -38,9 +37,9 @@ from .fields import (
 from .multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
+    coefficient_matrix,
     coefficients_fixed_by_frobenius,
     frobenius_twist,
-    monomial_key,
     system_to_json,
 )
 from .smoothness import SingularWitness, truncation_matrix, witness_verifies
@@ -152,20 +151,10 @@ def _moore_linear_forms(moore):
 
 
 def _check_equal_span(family_a, family_b):
-    """Certify span equality by expressing each family in terms of the other."""
-    field = family_a[0].field
-    monos = sorted({m for f in list(family_a) + list(family_b) for m in f.terms},
-                   key=monomial_key, reverse=True)
-    zero = field.zero()
-    mat_a = FieldMatrix(field, [[f.terms.get(m, zero) for f in family_a] for m in monos])
-    mat_b = FieldMatrix(field, [[f.terms.get(m, zero) for f in family_b] for m in monos])
-    try:
-        for f in family_b:
-            mat_a.solve([f.terms.get(m, zero) for m in monos])
-        for f in family_a:
-            mat_b.solve([f.terms.get(m, zero) for m in monos])
-    except NoSolution as exc:
-        raise AssertionError("descent changed the span of the family") from exc
+    """Certify span equality: rank A = rank B = rank of both families together."""
+    both = list(family_a) + list(family_b)
+    if len({coefficient_matrix(f).rank() for f in (family_a, family_b, both)}) != 1:
+        raise AssertionError("descent changed the span of the family")
 
 
 def galois_descent(raw_generators, moore):

@@ -2,9 +2,12 @@
 rationals, plus the small dense linear algebra the constructions need.
 
 Extension fields are presented as F_p[u]/(modulus) with elements stored as
-coefficient vectors in the basis 1, u, ..., u^(e-1).  Canonical moduli make
-every derived object bit-reproducible.  Fields up to order 256 precompute
-full operation tables, which keeps the Groebner and search loops fast.
+coefficient vectors in the basis 1, u, ..., u^(e-1); a prime field is
+F_p[u]/(u), so one multiply serves every field and the irreducibility test.
+Canonical moduli make every derived object bit-reproducible.  Fields up to
+order 256 precompute full operation tables, which keeps the Groebner and
+search loops fast; the multiply and inverse tables come from the log table
+of the first generator of the unit group.
 """
 
 from __future__ import annotations
@@ -22,22 +25,98 @@ from .errors import (
 _TABLE_LIMIT = 256
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Deterministic Miller-Rabin; a ValueError for n at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is decided only below {_MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 
-# -- dense univariate polynomials over F_p (coefficient lists, low degree first)
+def _digits(idx, p, k):
+    """The k base-p digits of idx, least significant first."""
+    out = []
+    for _ in range(k):
+        out.append(idx % p)
+        idx //= p
+    return tuple(out)
+
+
+def _index(digits, p):
+    idx = 0
+    for c in reversed(digits):
+        idx = idx * p + c
+    return idx
+
+
+# -- F_p[u]/(m) for a monic m of degree e, as coefficient tuples of length e
+
+def _reduction_rows(modulus, p):
+    """Row k holds the coefficients of u^(e+k) mod the monic modulus."""
+    e = len(modulus) - 1
+    base_row = [(-m) % p for m in modulus[:e]]
+    rows = [tuple(base_row)]
+    for _ in range(e - 2):
+        prev = rows[-1]
+        shifted = [0] + list(prev[: e - 1])
+        c = prev[e - 1]
+        if c:
+            shifted = [(s + c * b) % p for s, b in zip(shifted, base_row)]
+        rows.append(tuple(shifted))
+    return rows
+
+
+def _mulmod(a, b, rows, p):
+    e = len(a)
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    out = prod[:e]
+    for k in range(e, 2 * e - 1):
+        c = prod[k] % p
+        if c:
+            row = rows[k - e]
+            for j in range(e):
+                out[j] += c * row[j]
+    return tuple(v % p for v in out)
+
+
+def _powmod(a, k, rows, p):
+    result = (1,) + (0,) * (len(a) - 1)
+    while k:
+        if k & 1:
+            result = _mulmod(result, a, rows, p)
+        k >>= 1
+        if k:
+            a = _mulmod(a, a, rows, p)
+    return result
+
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -45,44 +124,8 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mod(a, mod, p):
-    """Remainder of a modulo the monic polynomial mod."""
-    a = [c % p for c in a]
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-            a[i] = 0
-    del a[dm:]
-    return _poly_trim(a)
-
-
-def _poly_mulmod(a, b, mod, p):
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _poly_mod(prod, mod, p)
-
-
-def _poly_powmod(base, k, mod, p):
-    result = [1]
-    base = _poly_mod(list(base), mod, p)
-    while k:
-        if k & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        k >>= 1
-        if k:
-            base = _poly_mulmod(base, base, mod, p)
-    return result
-
-
 def _poly_gcd(a, b, p):
+    """Monic gcd of two coefficient lists (low degree first) over F_p."""
     a = _poly_trim([c % p for c in a])
     b = _poly_trim([c % p for c in b])
     while b:
@@ -96,40 +139,26 @@ def _poly_gcd(a, b, p):
                 for j in range(len(bm)):
                     r[off + j] = (r[off + j] - c * bm[j]) % p
         a, b = bm, _poly_trim(r)
-        a = [c for c in a]
     return a
 
 
 def is_irreducible(coeffs, p):
-    """Irreducibility over F_p of a monic polynomial given as a coefficient list.
-
-    Degrees 2 and 3 reduce to a root check; in general the polynomial is
-    irreducible iff it shares no factor with x^(p^k) - x for any k below its
-    degree.
-    """
+    """Irreducibility over F_p of a monic polynomial given as a coefficient list:
+    it is irreducible iff it shares no factor with x^(p^k) - x for any k below
+    its degree."""
     coeffs = [c % p for c in coeffs]
     k = len(coeffs) - 1
     if k < 1 or coeffs[-1] != 1:
         return False
     if k == 1:
         return True
-    if k <= 3:
-        for x in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
-        return True
-    t = [0, 1]
+    rows = _reduction_rows(coeffs, p)
+    t = (0, 1) + (0,) * (k - 2)
     for _ in range(1, k):
-        t = _poly_powmod(t, p, coeffs, p)
+        t = _powmod(t, p, rows, p)
         diff = list(t)
-        while len(diff) < 2:
-            diff.append(0)
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(coeffs, diff, p)
-        if len(g) - 1 > 0:
+        if len(_poly_gcd(coeffs, diff, p)) > 1:
             return False
     return True
 
@@ -146,12 +175,7 @@ def find_irreducible(p, k):
     if k == 1:
         return None
     for m in range(p ** k):
-        digits = []
-        v = m
-        for _ in range(k):
-            digits.append(v % p)
-            v //= p
-        cand = digits + [1]
+        cand = list(_digits(m, p, k)) + [1]
         if is_irreducible(cand, p):
             return cand
     raise AssertionError("unreachable: an irreducible of every degree exists")
@@ -188,37 +212,13 @@ class FieldDescriptor:
         self.e = e
         self.order = p ** e
         self.key = (p, e, self.modulus)
-        self._red = None
-        if e >= 2:
-            base_row = [(-m) % p for m in self.modulus[:e]]
-            red = [tuple(base_row)]
-            for _ in range(e - 2):
-                prev = red[-1]
-                shifted = [0] + list(prev[: e - 1])
-                c = prev[e - 1]
-                if c:
-                    shifted = [(s + c * b) % p for s, b in zip(shifted, base_row)]
-                red.append(tuple(shifted))
-            self._red = red
+        self._red = _reduction_rows(self.modulus or (0, 1), p)
         self._elements = None
         self._add = self._sub = self._mul = self._neg = self._inv = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
     # -- raw coefficient arithmetic -------------------------------------
-
-    def _coeffs_to_idx(self, coeffs):
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + c
-        return idx
-
-    def _idx_to_coeffs(self, idx):
-        out = []
-        for _ in range(self.e):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
 
     def _add_coeffs(self, a, b):
         p = self.p
@@ -232,61 +232,44 @@ class FieldDescriptor:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def _mul_coeffs(self, a, b):
-        p = self.p
-        e = self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = prod[:e]
-        for k in range(e, 2 * e - 1):
-            c = prod[k] % p
-            if c:
-                row = self._red[k - e]
-                for j in range(e):
-                    out[j] += c * row[j]
-        return tuple(v % p for v in out)
-
     def _build_elements(self):
-        self._elements = [FieldElement(self, self._idx_to_coeffs(i), i)
+        self._elements = [FieldElement(self, _digits(i, self.p, self.e), i)
                           for i in range(self.order)]
 
     def _build_tables(self):
         self._build_elements()
         els = self._elements
         n = self.order
-        negidx = [self._coeffs_to_idx(self._neg_coeffs(els[i].coeffs)) for i in range(n)]
+        p = self.p
+        negidx = [_index(self._neg_coeffs(els[i].coeffs), p) for i in range(n)]
         add = []
         sub = []
-        mul = []
         for i in range(n):
             a = els[i].coeffs
-            arow = [els[self._coeffs_to_idx(self._add_coeffs(a, els[j].coeffs))]
-                    for j in range(n)]
-            mrow = [els[self._coeffs_to_idx(self._mul_coeffs(a, els[j].coeffs))]
-                    for j in range(n)]
+            arow = [els[_index(self._add_coeffs(a, els[j].coeffs), p)] for j in range(n)]
             add.append(arow)
-            mul.append(mrow)
             sub.append([arow[negidx[j]] for j in range(n)])
-        one = els[1]
-        inv = [None] * n
-        for i in range(1, n):
-            if inv[i] is None:
-                row = mul[i]
-                for j in range(1, n):
-                    if row[j] is one:
-                        inv[i] = els[j]
-                        inv[j] = els[i]
-                        break
+        # exp[i] = g^i for the first generator g of the unit group
+        for g in els[1:]:
+            exp, x = [1], g.coeffs
+            while x != els[1].coeffs and len(exp) < n:
+                exp.append(_index(x, p))
+                x = _mulmod(x, g.coeffs, self._red, p)
+            if len(exp) == n - 1:
+                break
+        else:
+            raise AssertionError("unreachable: the unit group of a field is cyclic")
+        log = [0] * n
+        for i, j in enumerate(exp):
+            log[j] = i
+        zero = els[0]
+        self._mul = [[zero] * n] + [
+            [zero] + [els[exp[(log[i] + log[j]) % (n - 1)]] for j in range(1, n)]
+            for i in range(1, n)]
+        self._inv = [None] + [els[exp[-log[i] % (n - 1)]] for i in range(1, n)]
         self._neg = [els[negidx[i]] for i in range(n)]
-        self._inv = inv
         self._add = add
         self._sub = sub
-        self._mul = mul
 
     # -- public element constructors -------------------------------------
 
@@ -295,7 +278,7 @@ class FieldDescriptor:
         if len(cs) != self.e:
             raise ValueError(f"expected {self.e} coefficients, got {len(cs)}")
         if self._elements is not None:
-            return self._elements[self._coeffs_to_idx(cs)]
+            return self._elements[_index(cs, self.p)]
         return FieldElement(self, cs)
 
     def element_from_index(self, idx):
@@ -303,7 +286,7 @@ class FieldDescriptor:
             raise ValueError("index out of range")
         if self._elements is not None:
             return self._elements[idx]
-        return FieldElement(self, self._idx_to_coeffs(idx), idx)
+        return FieldElement(self, _digits(idx, self.p, self.e), idx)
 
     def from_int(self, n):
         return self.element_from_index(int(n) % self.p)
@@ -374,7 +357,7 @@ class FieldElement:
     def __init__(self, field, coeffs, idx=None):
         self.field = field
         self.coeffs = tuple(coeffs)
-        self.idx = field._coeffs_to_idx(self.coeffs) if idx is None else idx
+        self.idx = _index(self.coeffs, field.p) if idx is None else idx
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -405,7 +388,7 @@ class FieldElement:
         t = f._mul
         if t is not None:
             return t[self.idx][other.idx]
-        return FieldElement(f, f._mul_coeffs(self.coeffs, other.coeffs))
+        return FieldElement(f, _mulmod(self.coeffs, other.coeffs, f._red, f.p))
 
     def __neg__(self):
         f = self.field
@@ -474,21 +457,14 @@ def frobenius(x, power=1):
     """Apply the p-power Frobenius `power` times: x -> x^(p^power)."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    p = x.field.p
-    out = x
-    for _ in range(power):
-        out = out ** p
-    return out
+    return x ** (x.field.p ** power)
 
 
 def sqrt_char2(x):
     """Square root in characteristic 2 via x -> x^(2^(e-1))."""
     if not isinstance(x, FieldElement) or x.field.p != 2:
         raise WrongCharacteristic("square roots this way exist only in characteristic 2")
-    out = x
-    for _ in range(x.field.e - 1):
-        out = out * out
-    return out
+    return x ** (2 ** (x.field.e - 1))
 
 
 def enumerate_projective_points(field, r):
@@ -543,30 +519,15 @@ class FieldMatrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        det = self.field.one()
-        if n == 0:
-            return det
-        a = [list(r) for r in self.rows]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c]), None)
-            if piv is None:
-                return self.field.zero()
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            pv = a[c][c]
-            det = det * pv
-            for i in range(c + 1, n):
-                if a[i][c]:
-                    f = a[i][c] / pv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return det
+        _, pivots, det = self.rref()
+        return det if len(pivots) == self.nrows else self.field.zero()
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
+        """Reduced row echelon form; returns (rows, pivot column indices, the
+        product of the pivots signed by the row swaps)."""
         a = [list(r) for r in self.rows]
         one = self.field.one()
+        det = one
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -575,9 +536,12 @@ class FieldMatrix:
             piv = next((i for i in range(r, self.nrows) if a[i][c]), None)
             if piv is None:
                 continue
-            a[r], a[piv] = a[piv], a[r]
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                det = -det
             pv = a[r][c]
             if pv != one:
+                det = det * pv
                 a[r] = [x / pv for x in a[r]]
             for i in range(self.nrows):
                 if i != r and a[i][c]:
@@ -585,7 +549,7 @@ class FieldMatrix:
                     a[i] = [x - f * y for x, y in zip(a[i], a[r])]
             pivots.append(c)
             r += 1
-        return a, pivots
+        return a, pivots, det
 
     def rank(self):
         return len(self.rref()[1])
@@ -593,7 +557,7 @@ class FieldMatrix:
     def kernel(self):
         """Basis of the right kernel in reduced echelon form, one vector per
         free column, ordered by free column index."""
-        a, pivots = self.rref()
+        a, pivots, _ = self.rref()
         zero = self.field.zero()
         one = self.field.one()
         pivset = set(pivots)
@@ -614,7 +578,7 @@ class FieldMatrix:
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has the wrong length")
         aug = FieldMatrix(self.field, [row + [b] for row, b in zip(self.rows, rhs)])
-        a, pivots = aug.rref()
+        a, pivots, _ = aug.rref()
         if pivots and pivots[-1] == self.ncols:
             raise NoSolution("inconsistent linear system")
         zero = self.field.zero()

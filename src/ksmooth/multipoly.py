@@ -121,15 +121,11 @@ class HomogeneousForm:
                     out[m] = v
                 else:
                     del out[m]
-        f = HomogeneousForm.__new__(HomogeneousForm)
-        f.field, f.nvars, f.degree, f.terms = self.field, self.nvars, self.degree, out
-        return f
+        return _raw_form(self.field, self.nvars, self.degree, out)
 
     def __neg__(self):
-        out = {m: -c for m, c in self.terms.items()}
-        f = HomogeneousForm.__new__(HomogeneousForm)
-        f.field, f.nvars, f.degree, f.terms = self.field, self.nvars, self.degree, out
-        return f
+        return _raw_form(self.field, self.nvars, self.degree,
+                         {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -137,10 +133,8 @@ class HomogeneousForm:
     def scale(self, s):
         if not s:
             return HomogeneousForm.zero(self.field, self.nvars, self.degree)
-        out = {m: c * s for m, c in self.terms.items()}
-        f = HomogeneousForm.__new__(HomogeneousForm)
-        f.field, f.nvars, f.degree, f.terms = self.field, self.nvars, self.degree, out
-        return f
+        return _raw_form(self.field, self.nvars, self.degree,
+                         {m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -156,10 +150,7 @@ class HomogeneousForm:
                     out[m] = v
                 elif cur is not None:
                     del out[m]
-        f = HomogeneousForm.__new__(HomogeneousForm)
-        f.field, f.nvars, f.terms = self.field, self.nvars, out
-        f.degree = self.degree + other.degree
-        return f
+        return _raw_form(self.field, self.nvars, self.degree + other.degree, out)
 
     def __pow__(self, k):
         if k < 0:
@@ -183,10 +174,7 @@ class HomogeneousForm:
                 v = c * from_int(e)
                 if v:
                     out[exps[:i] + (e - 1,) + exps[i + 1:]] = v
-        f = HomogeneousForm.__new__(HomogeneousForm)
-        f.field, f.nvars, f.terms = self.field, self.nvars, out
-        f.degree = max(self.degree - 1, 0)
-        return f
+        return _raw_form(self.field, self.nvars, max(self.degree - 1, 0), out)
 
     def evaluate(self, point):
         """Exact value at a coordinate tuple over the form's own field."""
@@ -269,6 +257,13 @@ class HomogeneousForm:
         return f"<form deg {self.degree} over {self.field!r}: {self}>"
 
 
+def _raw_form(field, nvars, degree, terms):
+    """Form over an already clean term map, without checks or copying."""
+    f = HomogeneousForm.__new__(HomogeneousForm)
+    f.field, f.nvars, f.degree, f.terms = field, nvars, degree, terms
+    return f
+
+
 def coefficients_fixed_by_frobenius(form, k):
     """True iff every coefficient satisfies c^(p^k) = c, i.e. lies in the
     subfield GF(p^k)."""
@@ -316,8 +311,7 @@ class LinearSystemOfForms:
         self.nvars = first.nvars
         self.degree = first.degree
         self.generators = gens
-        mat, _ = self.coefficient_matrix()
-        if mat.rank() != len(gens):
+        if coefficient_matrix(gens).rank() != len(gens):
             raise DependentGenerators("generators are linearly dependent")
 
     @property
@@ -335,17 +329,18 @@ class LinearSystemOfForms:
                 out = out + g.scale(a)
         return out
 
-    def coefficient_matrix(self, monomials=None):
-        """Matrix whose rows are the generators' coefficient vectors."""
-        monos = monomials if monomials is not None else monomials_of_degree(
-            self.nvars, self.degree)
-        zero = self.field.zero()
-        rows = [[g.terms.get(m, zero) for m in monos] for g in self.generators]
-        return FieldMatrix(self.field, rows), monos
-
     def __repr__(self):
         return (f"<system of {len(self.generators)} forms, deg {self.degree}, "
                 f"P^{self.nvars - 1} over {self.field!r}>")
+
+
+def coefficient_matrix(forms):
+    """Matrix whose rows are the forms' coefficient vectors over the
+    monomials they use."""
+    field = forms[0].field
+    monos = sorted({m for f in forms for m in f.terms})
+    zero = field.zero()
+    return FieldMatrix(field, [[f.terms.get(m, zero) for m in monos] for f in forms])
 
 
 def random_element(field, rng):

@@ -1,8 +1,12 @@
 """Command-line driver tests: subcommands, exit codes, JSON round trips,
 byte-level determinism, and malformed or fuzzed wire input."""
 
+import hashlib
+import itertools
 import json
 import random
+import time
+from math import gcd
 
 import pytest
 
@@ -17,6 +21,9 @@ from ksmooth.multipoly import HomogeneousForm, LinearSystemOfForms
 
 
 F2 = get_descriptor(2)
+# (x0^2 + x0x1 + x1^2)^2 over GF(2): its singular points lie in GF(4)
+GF4_WITNESS_FORM = HomogeneousForm(F2, 2, 4, {(4, 0): F2.one(), (2, 2): F2.one(),
+                                              (0, 4): F2.one()})
 
 
 def run(capsys, argv):
@@ -117,6 +124,43 @@ class TestCheck:
         obj = json.loads(out)
         assert obj["smooth"] is False
         assert obj["witness"]["point"] == [[0], [0], [1]]
+
+
+    def test_check_over_a_61_bit_prime(self, capsys, tmp_path):
+        field = get_descriptor(2 ** 61 - 1)
+        f = HomogeneousForm(field, 2, 2, {(2, 0): field.one(), (0, 2): field.one()})
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(form_to_json(f)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["check", str(path)])
+        assert code == 0 and out.startswith("smooth")
+        assert time.perf_counter() - start < 1
+
+
+class TestOracleExtensionBound:
+    def _system_file(self, tmp_path):
+        path = tmp_path / "gf4.json"
+        path.write_text(json.dumps(system_to_json(LinearSystemOfForms([GF4_WITNESS_FORM]))))
+        return str(path)
+
+    def test_bound_below_the_witness_degree_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["verify", self._system_file(tmp_path), "--oracle",
+                                    "--max-ext", "1"])
+        assert code == 2
+        assert err.startswith("error: member [1]") and "degree 2" in err
+
+    def test_bound_at_the_witness_degree_agrees(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["verify", self._system_file(tmp_path), "--oracle",
+                                    "--max-ext", "2"])
+        assert code == 1
+        assert "K-smooth: no" in out
+
+    def test_missed_witness_within_the_bound_exits_3(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "search_singular_point", lambda form, k: None)
+        code, _, err = run(capsys, ["verify", self._system_file(tmp_path), "--oracle",
+                                    "--max-ext", "2"])
+        assert code == 3
+        assert err.startswith("internal error: certificate and search oracle disagree")
 
 
 class TestLift:
@@ -231,6 +275,9 @@ MALFORMED = {
                                 '"coeff"'),
     "field as a string": ("check", _form_json(field="GF2"), '"field"'),
     "overflowing p": ("check", _form_json().replace('"p": 2', '"p": 1e400'), '"p"'),
+    # the message names the bound below which primality is decided exactly
+    "p above the primality bound": ("check", _form_json(field={"p": 2 ** 89 - 1}),
+                                    "3317044064679887385961981"),
     "string generator": ("verify", _system_json(generators=["x0^2"]), '"field"'),
     "no generators": ("verify", json.dumps({"field": {"p": 2}, "nvars": 3,
                                             "degree": 2}), '"generators"'),
@@ -333,3 +380,72 @@ class TestInternalErrors:
         monkeypatch.setattr(cli, "char2_find_singular_member", stub)
         code, _, err = run(capsys, ["quadrics", "--random", "1"])
         assert (code, err) == (3, "internal error: kernel member failed re-verification\n")
+
+
+def _criterion_2_grid():
+    for p, e, n, d in itertools.product((2, 3), (1, 2), (1, 2, 3), (2, 3, 4)):
+        if gcd(d, n + 1) % p and (p ** e) ** (n + 1) <= 4096:
+            yield p, e, n, d
+
+
+# label -> (exit code, sha256 of stdout); recorded before the algebra core
+# was merged, so any change in the printed bytes shows up here
+PINNED_STDOUT = {
+    "construct 2 1 1 3": (0, "d53e24368f439b05d758349eef8c768370f335ee72649619c70fad8fe6bc7df3"),
+    "construct 2 1 2 2": (0, "0444142307914845ec7b358e63af3a1a7ba4c2943becb854822fe61c28558128"),
+    "construct 2 1 2 3": (0, "bc1c56750436827fc14f6bd462fab8901f701091087a96687c1b285a4a47d7f1"),
+    "construct 2 1 2 4": (0, "56f5bdf7792a164848729754358c218eec23713c50665ce48fae51664e040ac0"),
+    "construct 2 1 3 3": (0, "aba50df76b71ab7500b05964fd3b05346dd87f3a9d7a2b5ac3c0c31698194b95"),
+    "construct 2 2 1 3": (0, "96996c44558d3c5e2b80787805a56f61498829fd350767e19d0c4fbac55d05c1"),
+    "construct 2 2 2 2": (0, "d7b7191e473d9afaa57592cce53288f1854f2b9b05059d1ffcabd58399505a86"),
+    "construct 2 2 2 3": (0, "528526fcff9cec8c95adcd39a6ba198d298cb57b29f5b8999d9f992deac8ec12"),
+    "construct 2 2 2 4": (0, "9300660a31cde2f10ceb81be2879ad398ae9bc26ac20a6b55dd7f04609c96ea9"),
+    "construct 2 2 3 3": (0, "919ec809a527627d0851093df42e97c81e651fd2f745ffb97b40d5ca76c35ca3"),
+    "construct 3 1 1 2": (0, "52bd53719c242563bc66eea562afef3be4520cfc00cecf14f8d4986734528bfb"),
+    "construct 3 1 1 3": (0, "b1801a97ceaebeea685b96156c4a2a261bb139b2f6e538005299bf281e72c117"),
+    "construct 3 1 1 4": (0, "8962d5875b9a4be1c13791017d21057274de611cb43ac1d510378b8a23883683"),
+    "construct 3 1 2 2": (0, "80eeae6049c291769816fcef5a85ebc1640e6903b5751f4e919cd02d6894ae11"),
+    "construct 3 1 2 4": (0, "548b6c20ae79a98faac7d8f0ae49a0119d0a2091ed8099b9cd3044d077f0f5d4"),
+    "construct 3 1 3 2": (0, "c6bc15bdfdadeda49a550fbb417eeb181053993f3e029c72423ed21f30c64cd4"),
+    "construct 3 1 3 3": (0, "400ba489a13a5fd46dbeb05dc4e7c8163ade9dafc96db956ebdcb1a853fb9cc0"),
+    "construct 3 1 3 4": (0, "e701ab52ddca87285663643dd55f2891e00fe1bf72f24ebb7485bf37c9c6a53d"),
+    "construct 3 2 1 2": (0, "f10608d26d704540d246457052afe3bf395b97e85eeff550faa17b9ddb434b02"),
+    "construct 3 2 1 3": (0, "bebe92826be127c97275e33b473ae7b0f9468b54d0d50be719c95b8ee1f6094f"),
+    "construct 3 2 1 4": (0, "633065527755ea303e7fe7a3d9c7d615c47e8795a486dad2156c6147d61a53fe"),
+    "construct 3 2 2 2": (0, "07e78313919a27e07b49ce4fa7c9a0c49ec9abf3521bfb3b29230a9112c6fbaf"),
+    "construct 3 2 2 4": (0, "8fa3f9e2326019a1cefd0602c43c0090c69e2b69162f7941b383688ca1d05af0"),
+    "example f3": (0, "6de1d5f88c51ec78cc00efa08b0e231b96ae4c58768c7bb1f2a9d930075f23f3"),
+    "quadrics": (1, "bec3df1dedf1c9d5494571073eadf1658380466e5f40d862490b3d0fe9b0b01b"),
+    "check gf4": (1, "8753c0f3726767eb748465560b96d9da7fecec814e6ab73dd681121b74d1170d"),
+    "verify gf4": (1, "02e13cb397da099853b4b2b86d91a8816fec2a374e17c41a4101697ef19b9b6a"),
+    "lift 3 1 1 2": (0, "e1f3a67ab770426d91046661fcf60bdff8be70905da4acf5b007fbf81bc4362d"),
+}
+
+
+class TestPinnedOutput:
+    def test_stdout_digests(self, capsys, tmp_path):
+        form_path = tmp_path / "gf4.json"
+        form_path.write_text(json.dumps(form_to_json(GF4_WITNESS_FORM)))
+        system_path = tmp_path / "gf4_system.json"
+        system_path.write_text(json.dumps(system_to_json(
+            LinearSystemOfForms([GF4_WITNESS_FORM]))))
+        lift_path = tmp_path / "lift.json"
+        lift_path.write_text(json.dumps(system_to_json(
+            construct_smooth_system(3, 1, 1, 2, 1))))
+        commands = {}
+        for p, e, n, d in _criterion_2_grid():
+            commands[f"construct {p} {e} {n} {d}"] = [
+                "construct", "--p", str(p), "--e", str(e), "--n", str(n),
+                "--d", str(d), "--r", str(n), "--json"]
+        commands["example f3"] = ["example", "f3", "--verify", "--json"]
+        commands["quadrics"] = ["quadrics", "--random", "5", "--k", "2", "--n", "3",
+                                "--seed", "0", "--json"]
+        commands["check gf4"] = ["check", str(form_path), "--json"]
+        commands["verify gf4"] = ["verify", str(system_path), "--oracle",
+                                  "--max-ext", "2", "--json"]
+        commands["lift 3 1 1 2"] = ["lift", str(lift_path), "--samples", "3", "--json"]
+        got = {}
+        for label, argv in commands.items():
+            code, out, _ = run(capsys, argv)
+            got[label] = (code, hashlib.sha256(out.encode()).hexdigest())
+        assert got == PINNED_STDOUT

@@ -24,6 +24,7 @@ from ksmooth.fields import (
     get_descriptor,
     get_embedding,
     is_irreducible,
+    is_prime,
     normalize_projective,
     sqrt_char2,
 )
@@ -99,6 +100,25 @@ class TestDescriptor:
             assert field_from_json(field_to_json(field)) == field
 
 
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if trial(n)]
+
+    def test_mersenne_61_is_prime(self):
+        assert is_prime(2 ** 61 - 1)
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            is_prime(3317044064679887385961981)
+
+
 class TestFindIrreducible:
     def test_degree_one_has_no_modulus(self):
         assert find_irreducible(3, 1) is None
@@ -113,7 +133,7 @@ class TestFindIrreducible:
         assert min(encodings) == 11
         assert find_irreducible(2, 3) == list(encodings[11]) == [1, 1, 0, 1]
 
-    @pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2)])
     def test_matches_brute_force_oracle(self, p, k):
         cands = brute_force_irreducibles(p, k)
         best = min(cands, key=lambda f: sum(c * p ** i for i, c in enumerate(f)))
@@ -233,8 +253,9 @@ class TestMatrices:
         assert m.kernel() == [(F2.zero(), F2.zero(), F2.one())]
 
     def test_det_of_swap_matrix(self):
-        m = FieldMatrix(F2, [[F2.zero(), F2.one()], [F2.one(), F2.zero()]])
-        assert m.det() == F2.one()
+        for field in (F2, F3, QQ):
+            zero, one = field.zero(), field.one()
+            assert FieldMatrix(field, [[zero, one], [one, zero]]).det() == -one
 
     def test_det_of_identity(self):
         for field in (F3, F9):
@@ -339,15 +360,22 @@ class TestEmbedding:
             up = emb.up(x)
             assert emb.down(up) == x
 
-    def test_embedding_is_a_homomorphism(self):
-        big = get_descriptor(3, 4)
-        emb = get_embedding(F9, big)
-        els = F9.elements()
-        rng = random.Random(2)
-        for _ in range(30):
-            a, b = els[rng.randrange(9)], els[rng.randrange(9)]
-            assert emb.up(a * b) == emb.up(a) * emb.up(b)
-            assert emb.up(a + b) == emb.up(a) + emb.up(b)
+    # tabled small fields into untabled big ones: table arithmetic against
+    # the polynomial multiply
+    @pytest.mark.parametrize("small,big", [((5, 1), (5, 4)), ((2, 3), (2, 9)),
+                                           ((3, 2), (3, 6)), ((2, 4), (2, 12))],
+                             ids=lambda pe: f"{pe[0]}^{pe[1]}")
+    def test_embedding_is_a_homomorphism(self, small, big):
+        small, big = get_descriptor(*small), get_descriptor(*big)
+        assert big.order > 256
+        emb = get_embedding(small, big)
+        els = small.elements()
+        for a in els:
+            for b in els:
+                assert emb.up(a * b) == emb.up(a) * emb.up(b)
+                assert emb.up(a + b) == emb.up(a) + emb.up(b)
+            if a:
+                assert emb.up(a.inv()) == emb.up(a).inv()
 
     def test_down_rejects_outside_subfield(self):
         big = get_descriptor(2, 4)
