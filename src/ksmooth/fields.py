@@ -73,6 +73,18 @@ def _index(digits, p):
     return idx
 
 
+def _digitwise_table(p, k, sign):
+    """Index table of (a, b) -> a + sign*b on k-digit base-p indices, digit by
+    digit mod p (no carry): addition (sign 1) and subtraction (sign -1) in
+    GF(p^k) on the coefficient indices; for p = 2 both are XOR."""
+    table = [[0]]
+    for i in range(k):
+        w = p ** i
+        table = [[t + w * ((a + sign * b) % p) for b in range(p) for t in row]
+                 for a in range(p) for row in table]
+    return table
+
+
 # -- F_p[u]/(m) for a monic m of degree e, as coefficient tuples of length e
 
 def _reduction_rows(modulus, p):
@@ -241,14 +253,10 @@ class FieldDescriptor:
         els = self._elements
         n = self.order
         p = self.p
-        negidx = [_index(self._neg_coeffs(els[i].coeffs), p) for i in range(n)]
-        add = []
-        sub = []
-        for i in range(n):
-            a = els[i].coeffs
-            arow = [els[_index(self._add_coeffs(a, els[j].coeffs), p)] for j in range(n)]
-            add.append(arow)
-            sub.append([arow[negidx[j]] for j in range(n)])
+        self._add = [[els[k] for k in row] for row in _digitwise_table(p, self.e, 1)]
+        self._sub = self._add if p == 2 else [
+            [els[k] for k in row] for row in _digitwise_table(p, self.e, -1)]
+        self._neg = self._sub[0]
         # exp[i] = g^i for the first generator g of the unit group
         for g in els[1:]:
             exp, x = [1], g.coeffs
@@ -267,9 +275,6 @@ class FieldDescriptor:
             [zero] + [els[exp[(log[i] + log[j]) % (n - 1)]] for j in range(1, n)]
             for i in range(1, n)]
         self._inv = [None] + [els[exp[-log[i] % (n - 1)]] for i in range(1, n)]
-        self._neg = [els[negidx[i]] for i in range(n)]
-        self._add = add
-        self._sub = sub
 
     # -- public element constructors -------------------------------------
 

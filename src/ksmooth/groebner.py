@@ -2,9 +2,24 @@
 emptiness certificate used to prove smoothness.
 
 The order is fixed to degrevlex with x0 > ... > xn (shared with multipoly);
-there is deliberately no order parameter.  A homogeneous ideal cuts out the
-empty set in P^n exactly when every variable contributes a pure-power leading
-monomial to the reduced basis, which is the cheapest correct certificate.
+there is deliberately no order parameter.  A homogeneous ideal I cuts out the
+empty set in P^n exactly when LT(I) holds a pure power of every variable:
+then k[x]/I is finite-dimensional and the only affine zero is the origin.
+
+`buchberger` runs the loop to the end and returns the reduced basis.
+`certificate_basis` runs the same loop but returns the elements built so far
+as soon as every variable has a pure-power leading monomial among them, which
+is usually a small fraction of the full run; when that never happens it
+finishes and returns the reduced basis, which then decides emptiness.
+
+Inside a run a monomial is one int: the exponent of x_i sits in slot i (x_n
+in the top slot), and each slot has a guard bit above the exponent.  A product
+is `+` and "a divides b" is `(b - a) & guard == 0`.  A run takes homogeneous
+input, so every polynomial in it is homogeneous, and the degrevlex leader of
+a polynomial is its smallest key, `min(terms)`.  No degree in a run may reach
+a guard bit: a pair whose S-polynomial would is caught before it is formed,
+and the run starts over with twice the slot width.  Public functions take and
+return exponent tuples.
 """
 
 from __future__ import annotations
@@ -21,6 +36,55 @@ from .multipoly import HomogeneousForm, monomial_key
 DEFAULT_STEP_BUDGET = 1_000_000
 
 
+class _Slots:
+    """Exponent tuples of `nvars` entries packed into ints with slots of
+    `width` bits; exponents up to `cap` leave the top bit of a slot clear."""
+
+    def __init__(self, nvars, width):
+        self.nvars = nvars
+        self.width = width
+        self.cap = (1 << (width - 1)) - 1
+        self.mask = (1 << width) - 1
+        self.ones = sum(1 << (width * i) for i in range(nvars))
+        self.guard = self.ones << (width - 1)
+        self.top = width * (nvars - 1)
+
+    @classmethod
+    def for_degree(cls, nvars, degree):
+        """Slots with room for twice the given degree."""
+        return cls(nvars, (2 * degree).bit_length() + 1)
+
+    def pack(self, terms):
+        out = {}
+        for exps, c in terms.items():
+            key = 0
+            for e in reversed(exps):
+                key = key << self.width | e
+            out[key] = c
+        return out
+
+    def exponents(self, key):
+        w, mask = self.width, self.mask
+        return tuple(key >> (w * i) & mask for i in range(self.nvars))
+
+    def unpack(self, terms):
+        return {self.exponents(key): c for key, c in terms.items()}
+
+    def degree(self, key):
+        """Sum of the slots, read from the top slot of key * ones; exact
+        while it is below 2^width, so for the lcm of two keys of degree
+        <= cap."""
+        return key * self.ones >> self.top & self.mask
+
+    def lcm(self, a, b):
+        ge = ((a | self.guard) - b) & self.guard      # guard bit where a_i >= b_i
+        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+
+class _SlotOverflow(Exception):
+    """A pair's S-polynomial would have degree above the slot cap."""
+
+
 def _terms_of(f):
     if isinstance(f, HomogeneousForm):
         return dict(f.terms)
@@ -31,24 +95,16 @@ def _lead(terms):
     return max(terms, key=monomial_key)
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_quot(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _degree(terms):
+    """The common degree of a nonzero term dict; NotHomogeneous otherwise."""
+    degrees = {sum(m) for m in terms}
+    if len(degrees) > 1:
+        raise NotHomogeneous("Groebner computations require homogeneous polynomials")
+    return degrees.pop()
 
 
 def _make_monic(terms, field):
-    lc = terms[_lead(terms)]
+    lc = terms[min(terms)]
     if lc == field.one():
         return terms
     inv = 1 / lc if isinstance(lc, Fraction) else lc.inv()
@@ -66,7 +122,7 @@ def _content_one(terms):
         num = gcd(num, abs(c.numerator) * (den // c.denominator))
     scale = Fraction(den, num)
     out = {m: c * scale for m, c in terms.items()}
-    if out[_lead(out)] < 0:
+    if out[min(out)] < 0:
         out = {m: -c for m, c in out.items()}
     return out
 
@@ -77,37 +133,57 @@ def _normalize(terms, field):
     return _make_monic(terms, field)
 
 
-def _reduce_full(work, gens, lms, field):
-    """Full remainder of multivariate division of `work` by `gens`."""
+def _reduce_full(work, gens, lms, guard):
+    """Full remainder of multivariate division of packed `work` by `gens`
+    (packed, homogeneous, with leading keys `lms`); consumes `work`."""
     rem = {}
     while work:
-        lm = _lead(work)
+        lm = min(work)
         c = work.pop(lm)
         for g, glm in zip(gens, lms):
-            if _mono_divides(glm, lm):
-                shift = _mono_quot(lm, glm)
-                factor = c / g[glm]
-                for m, gc in g.items():
-                    if m == glm:
-                        continue
-                    mm = _mono_mul(m, shift)
-                    cur = work.get(mm)
-                    v = -(factor * gc) if cur is None else cur - factor * gc
-                    if v:
-                        work[mm] = v
-                    elif cur is not None:
-                        del work[mm]
-                break
+            shift = lm - glm
+            if shift & guard:
+                continue
+            factor = c / g[glm]
+            for m, gc in g.items():
+                if m == glm:
+                    continue
+                mm = m + shift
+                cur = work.get(mm)
+                v = -(factor * gc) if cur is None else cur - factor * gc
+                if v:
+                    work[mm] = v
+                elif cur is not None:
+                    del work[mm]
+            break
         else:
             rem[lm] = c
     return rem
+
+
+def _s_poly(f, lf, g, lg, l):
+    cf, cg = f[lf], g[lg]
+    shift = l - lf
+    out = {m + shift: c / cf for m, c in f.items()}
+    shift = l - lg
+    for m, c in g.items():
+        mm = m + shift
+        cur = out.get(mm)
+        v = -(c / cg) if cur is None else cur - c / cg
+        if v:
+            out[mm] = v
+        elif cur is not None:
+            del out[mm]
+    return out
 
 
 def normal_form(f, basis, field=None):
     """Remainder of f under multivariate division by the basis.
 
     No monomial of the result is divisible by a leading monomial of the
-    basis, and f minus the result lies in the generated ideal.
+    basis, and f minus the result lies in the generated ideal.  The basis
+    must be homogeneous; f need not be, and each of its homogeneous
+    components is reduced on its own.
     """
     if isinstance(basis, GroebnerBasis):
         gens = [dict(t) for t in basis.elements]
@@ -124,34 +200,41 @@ def normal_form(f, basis, field=None):
         field = f.field
     if field is None:
         raise ValueError("coefficient field could not be inferred")
-    lms = [_lead(g) for g in gens]
-    return _reduce_full(_terms_of(f), gens, lms, field)
+    terms = _terms_of(f)
+    if not terms:
+        return {}
+    components = {}
+    for m, c in terms.items():
+        components.setdefault(sum(m), {})[m] = c
+    slots = _Slots.for_degree(len(next(iter(terms))),
+                              max([*components, *(_degree(g) for g in gens)]))
+    gens = [slots.pack(g) for g in gens]
+    lms = [min(g) for g in gens]
+    rem = {}
+    for d in sorted(components, reverse=True):
+        rem.update(_reduce_full(slots.pack(components[d]), gens, lms, slots.guard))
+    return slots.unpack(rem)
 
 
 def s_polynomial(f, g, field):
-    lf, lg = _lead(f), _lead(g)
-    l = _mono_lcm(lf, lg)
-    cf, cg = f[lf], g[lg]
-    out = {}
-    shift = _mono_quot(l, lf)
-    for m, c in f.items():
-        out[_mono_mul(m, shift)] = c / cf
-    shift = _mono_quot(l, lg)
-    for m, c in g.items():
-        mm = _mono_mul(m, shift)
-        cur = out.get(mm)
-        v = -(c / cg) if cur is None else cur - c / cg
-        if v:
-            out[mm] = v
-        elif cur is not None:
-            del out[mm]
-    return out
+    """S-polynomial of two homogeneous term dicts, each scaled by the
+    inverse of its leading coefficient."""
+    slots = _Slots.for_degree(len(next(iter(f))), _degree(f) + _degree(g))
+    f, g = slots.pack(f), slots.pack(g)
+    lf, lg = min(f), min(g)
+    return slots.unpack(_s_poly(f, lf, g, lg, slots.lcm(lf, lg)))
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic elements, no leading monomial dividing
-    any monomial of another element, fixed degrevlex order."""
+    """Elements of a homogeneous ideal under the fixed degrevlex order.
+
+    From `buchberger` this is the reduced Groebner basis: monic elements, no
+    leading monomial dividing any monomial of another element.  From
+    `certificate_basis` it may instead be the elements built up to the
+    pure-power stop, which generate the ideal and hold a pure-power leading
+    monomial for every variable, but are neither reduced nor a Groebner basis.
+    """
 
     field: object
     nvars: int
@@ -163,14 +246,75 @@ class GroebnerBasis:
         return tuple(_lead(t) for t in self.elements)
 
 
-def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):
-    """Reduced Groebner basis of the ideal generated by the inputs.
+def _run(basis, field, slots, step_budget, stop):
+    """The Buchberger loop on packed, normalized, homogeneous generators.
 
     Pairs are processed by normal selection (minimal lcm degree first, ties
-    by index); the product criterion prunes coprime-lead pairs.  Output is
-    deterministic for a given input sequence, and in fact canonical: the
-    reduced basis is unique for the fixed order.
+    by index); the product criterion prunes coprime-lead pairs.  With `stop`
+    the elements built so far are returned as soon as every variable has a
+    pure-power leading monomial among them (or a constant turns up);
+    otherwise, and when that never happens, the reduced basis is returned.
     """
+    guard, cap, lcm, degree = slots.guard, slots.cap, slots.lcm, slots.degree
+    lms = [min(g) for g in basis]
+    covered = set()
+
+    def covers_all(lm):
+        nz = [i for i, e in enumerate(slots.exponents(lm)) if e]
+        if len(nz) <= 1:        # a pure power, or a constant: covers every variable
+            covered.update(nz or range(slots.nvars))
+        return len(covered) == slots.nvars
+
+    if stop and any([covers_all(lm) for lm in lms]):
+        return basis
+    heap = []
+    for j in range(len(basis)):
+        for i in range(j):
+            heapq.heappush(heap, (degree(lcm(lms[i], lms[j])), i, j))
+
+    steps = 0
+    while heap:
+        d, i, j = heapq.heappop(heap)
+        steps += 1
+        if steps > step_budget:
+            raise BudgetExceeded(f"pair budget {step_budget} exhausted")
+        li, lj = lms[i], lms[j]
+        l = lcm(li, lj)
+        if l == li + lj:
+            continue
+        if d > cap:
+            raise _SlotOverflow
+        r = _reduce_full(_s_poly(basis[i], li, basis[j], lj, l), basis, lms, guard)
+        if r:
+            r = _normalize(r, field)
+            lm = min(r)
+            basis.append(r)
+            lms.append(lm)
+            if stop and covers_all(lm):
+                return basis
+            k = len(basis) - 1
+            for t in range(k):
+                heapq.heappush(heap, (degree(lcm(lms[t], lm)), t, k))
+
+    # minimal basis: keep elements whose leading monomial no other kept
+    # element's leading monomial divides (ascending degrevlex, ties by index)
+    keep = []
+    for k in sorted(range(len(basis)), key=lambda k: (degree(lms[k]), -lms[k])):
+        if all((lms[k] - lms[m]) & guard for m in keep):
+            keep.append(k)
+    kept = [basis[k] for k in keep]
+    klms = [lms[k] for k in keep]
+
+    # tail reduction: leads are stable, so one pass over the current set
+    # yields the unique reduced basis
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1:]
+        olms = klms[:i] + klms[i + 1:]
+        kept[i] = _make_monic(_reduce_full(dict(kept[i]), others, olms, guard), field)
+    return kept
+
+
+def _groebner(generators, field, nvars, step_budget, stop):
     gens = []
     for g in generators:
         if isinstance(g, HomogeneousForm):
@@ -187,64 +331,49 @@ def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDG
         raise ValueError("coefficient field could not be inferred")
     if nvars is None:
         nvars = len(next(iter(gens[0])))
+    slots = _Slots.for_degree(nvars, max(_degree(g) for g in gens))
+    while True:
+        try:
+            basis = [_normalize(slots.pack(g), field) for g in gens]
+            elements = _run(basis, field, slots, step_budget, stop)
+            break
+        except _SlotOverflow:
+            slots = _Slots(nvars, 2 * slots.width)
+    return GroebnerBasis(field=field, nvars=nvars,
+                         elements=tuple(slots.unpack(t) for t in elements))
 
-    basis = [_normalize(g, field) for g in gens]
-    lms = [_lead(g) for g in basis]
-    heap = []
-    for j in range(len(basis)):
-        for i in range(j):
-            heapq.heappush(heap, (sum(_mono_lcm(lms[i], lms[j])), i, j))
 
-    steps = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        steps += 1
-        if steps > step_budget:
-            raise BudgetExceeded(f"pair budget {step_budget} exhausted")
-        li, lj = lms[i], lms[j]
-        if _mono_lcm(li, lj) == _mono_mul(li, lj):
-            continue
-        s = s_polynomial(basis[i], basis[j], field)
-        r = _reduce_full(s, basis, lms, field)
-        if r:
-            r = _normalize(r, field)
-            basis.append(r)
-            lm = _lead(r)
-            lms.append(lm)
-            k = len(basis) - 1
-            for t in range(k):
-                heapq.heappush(heap, (sum(_mono_lcm(lms[t], lm)), t, k))
+def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):
+    """Reduced Groebner basis of the ideal generated by homogeneous inputs.
 
-    # minimal basis: keep elements whose leading monomial no other kept
-    # element's leading monomial divides
-    order_idx = sorted(range(len(basis)), key=lambda k: monomial_key(lms[k]))
-    keep = []
-    for k in order_idx:
-        if not any(_mono_divides(lms[m], lms[k]) for m in keep):
-            keep.append(k)
-    kept = [dict(basis[k]) for k in keep]
+    Output is deterministic for a given input sequence, and in fact
+    canonical: the reduced basis is unique for the fixed order.
+    `step_budget` bounds the number of pairs popped.
+    """
+    return _groebner(generators, field, nvars, step_budget, False)
 
-    # tail reduction: leads are stable, so one pass over the current set
-    # yields the unique reduced basis
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        olms = [_lead(o) for o in others]
-        kept[i] = _make_monic(_reduce_full(dict(kept[i]), others, olms, field), field)
-    kept.sort(key=lambda t: monomial_key(_lead(t)))
-    return GroebnerBasis(field=field, nvars=nvars, elements=tuple(kept))
+
+def certificate_basis(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):
+    """The elements that decide projective emptiness of the ideal.
+
+    Runs the loop of `buchberger` and returns the elements built so far as
+    soon as every variable has a pure-power leading monomial among them
+    (then the ideal is projectively empty), or else the reduced basis.
+    Either way `is_projectively_empty` reads the answer off the result.
+    """
+    return _groebner(generators, field, nvars, step_budget, True)
 
 
 def is_projectively_empty(basis):
     """Whether the homogeneous ideal of the basis has empty zero set in P^n.
 
-    True iff every variable contributes a pure-power leading monomial
-    (equivalently the affine zero set is the origin alone).
+    True when every variable contributes a pure-power leading monomial
+    (equivalently the affine zero set is the origin alone); for the reduced
+    basis this is also necessary.
     """
     covered = [False] * basis.nvars
     for terms in basis.elements:
-        degrees = {sum(m) for m in terms}
-        if len(degrees) > 1:
-            raise NotHomogeneous("certificate requires homogeneous basis elements")
+        _degree(terms)
         lm = _lead(terms)
         nz = [i for i, e in enumerate(lm) if e]
         if not nz:

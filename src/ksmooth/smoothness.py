@@ -2,12 +2,13 @@
 and constructive singular-member extraction.
 
 A hypersurface {F = 0} is singular at P exactly when F and all its partial
-derivatives vanish at P.  The decision procedure computes a Groebner basis
-of [F, dF/dx0, ..., dF/dxn]; an empty projective zero set certifies
-smoothness, otherwise an exhaustive search over extension fields produces a
-concrete witness point.  F itself always stays among the generators: the
-Euler identity makes it redundant only when the characteristic does not
-divide the degree.
+derivatives vanish at P.  The decision procedure runs Buchberger on
+[F, dF/dx0, ..., dF/dxn] until every variable has a pure-power leading
+monomial, which certifies an empty projective zero set and so smoothness;
+when that never happens the reduced basis shows a zero, and an exhaustive
+search over extension fields produces a concrete witness point.  F itself
+always stays among the generators: the Euler identity makes it redundant
+only when the characteristic does not divide the degree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .fields import (
     get_descriptor,
     get_embedding,
 )
-from .groebner import GroebnerBasis, buchberger, is_projectively_empty
+from .groebner import GroebnerBasis, certificate_basis, is_projectively_empty
 from .multipoly import HomogeneousForm
 
 DEFAULT_WITNESS_CAP = 6
@@ -43,6 +44,12 @@ class SingularWitness:
 
 @dataclass(frozen=True)
 class Smooth:
+    """A smoothness verdict.  `certificate` holds the elements of the
+    Jacobian ideal that Buchberger had built when every variable first had a
+    pure-power leading monomial among them (see `certificate_basis`); they
+    put a power of every variable in the leading-term ideal, so the Jacobian
+    ideal has no zero in P^n."""
+
     certificate: GroebnerBasis
 
 
@@ -106,7 +113,7 @@ def witness_verifies(form, witness):
 def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
     """Decide smoothness of the hypersurface cut out by the form.
 
-    Smooth verdicts carry the Groebner certificate; Singular verdicts carry a
+    Smooth verdicts carry the pure-power certificate; Singular verdicts carry a
     witness found by the extension search (raising the bound up to the cap).
     Disagreement between certificate and search fails loudly instead of
     trusting either side.  Over the rationals a singular verdict carries no
@@ -115,7 +122,7 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
     """
     if not form:
         raise ValueError("zero form has no smoothness question")
-    basis = buchberger(jacobian_generators(form))
+    basis = certificate_basis(jacobian_generators(form))
     if is_projectively_empty(basis):
         return Smooth(basis)
     if not isinstance(form.field, FieldDescriptor):

@@ -164,6 +164,25 @@ class TestElementOps:
         with pytest.raises(DescriptorMismatch):
             F2.one() + F3.one()
 
+    def test_additive_tables_match_coefficient_arithmetic(self):
+        # every tabled field: the 70 prime powers up to 256
+        orders = [(p, e) for p in range(2, 257) if is_prime(p)
+                  for e in range(1, 9) if p ** e <= 256]
+        assert len(orders) == 70
+        for p, e in orders:
+            field = get_descriptor(p, e)
+            coeffs = [x.coeffs for x in field.elements()]
+            columns = list(zip(*coeffs))
+
+            def table_row(a, sign):
+                return list(zip(*[[(u + sign * v) % p for v in col]
+                                  for u, col in zip(a, columns)]))
+
+            for a, add_row, sub_row in zip(coeffs, field._add, field._sub):
+                assert [x.coeffs for x in add_row] == table_row(a, 1)
+                assert [x.coeffs for x in sub_row] == table_row(a, -1)
+            assert [x.coeffs for x in field._neg] == table_row((0,) * e, -1)
+
     @pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
     def test_field_axioms_on_random_triples(self, field):
         rng = random.Random(7)

@@ -1,6 +1,9 @@
 """Buchberger engine tests: division, reduced bases, the Buchberger
-criterion, determinism, budgets and the projective emptiness certificate."""
+criterion, determinism, budgets, the packed-monomial kernel and the projective
+emptiness certificate."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,14 +15,17 @@ from ksmooth.groebner import (
     GroebnerBasis,
     basis_to_json,
     buchberger,
+    certificate_basis,
     is_projectively_empty,
     normal_form,
     s_polynomial,
 )
-from ksmooth.multipoly import HomogeneousForm, random_form
+from ksmooth.multipoly import HomogeneousForm, monomials_of_degree, random_form
+from ksmooth.smoothness import jacobian_generators
 
 F2 = get_descriptor(2)
 F3 = get_descriptor(3)
+F4 = get_descriptor(2, 2)
 F5 = get_descriptor(5)
 
 
@@ -198,3 +204,107 @@ class TestSerialization:
         obj = basis_to_json(basis)
         assert obj["order"] == "degrevlex"
         assert obj["elements"] == [[{"exps": [1, 0], "coeff": [1]}]]
+
+
+def _rational_form(nvars, degree, rng, den):
+    terms = {m: Fraction(rng.randint(-3, 3), rng.randint(1, den))
+             for m in monomials_of_degree(nvars, degree)}
+    return HomogeneousForm(QQ, nvars, degree, {m: c for m, c in terms.items() if c})
+
+
+def _mora(field, n):
+    """x^(n+1) - y z^(n-1) w, x y^(n-1) - z^n, x^n z - y^n w: inputs of
+    degree n+1 whose reduced basis reaches degree n^2+1."""
+    def binomial(a, b):
+        return HomogeneousForm(field, 4, sum(a), {a: field.one(), b: -field.one()})
+    return [binomial((n + 1, 0, 0, 0), (0, 1, n - 1, 1)),
+            binomial((1, n - 1, 0, 0), (0, 0, n, 0)),
+            binomial((n, 0, 1, 0), (0, n, 0, 1))]
+
+
+def _pinned_inputs():
+    rng = random.Random(2024)
+    return [
+        ("gf2-jacobian", jacobian_generators(random_form(F2, 4, 3, rng))),
+        ("gf2-quadrics", [random_form(F2, 3, 2, rng) for _ in range(3)]),
+        ("gf3-jacobian", jacobian_generators(random_form(F3, 4, 3, rng))),
+        ("gf3-mixed", [random_form(F3, 3, 2, rng), random_form(F3, 3, 3, rng)]),
+        ("gf3-singular", jacobian_generators(random_form(F3, 3, 1, rng) ** 2
+                                             * random_form(F3, 3, 1, rng))),
+        ("gf4-jacobian", jacobian_generators(random_form(F4, 3, 3, rng))),
+        ("gf4-quadrics", [random_form(F4, 4, 2, rng) for _ in range(2)]),
+        ("qq-jacobian", jacobian_generators(_rational_form(3, 3, rng, 1))),
+        ("qq-fractions", [_rational_form(3, 2, rng, 5) for _ in range(2)]),
+        ("gf3-mora4", _mora(F3, 4)),
+        ("gf2-mora5", _mora(F2, 5)),
+    ]
+
+
+# sha256 of json.dumps(basis_to_json(...), sort_keys=True), recorded with
+# the tuple-monomial engine that preceded the packed kernel
+PINNED_BASES = {
+    "gf2-jacobian": "6cb1003717c33f55434a72d14d2d82984e5668580a8a0a1278dc2f341dd2edc8",
+    "gf2-quadrics": "e120d5710bd3f5e30bea1db2301c4ff636dc5c8a67809fe3acb79161a29c923d",
+    "gf3-jacobian": "146dc672dfa6237e1727883059f4fccc9d960df9af72529479468e2b5200dfd2",
+    "gf3-mixed": "1ac5f9c721dae7af7a02ed6099c1ae493edf966789bab3182a4a08d75ebb12d9",
+    "gf3-singular": "a6b870ae55f1367a98400edb3a5f0e0aa5fe262ea4ed6cc73d455b18db787179",
+    "gf4-jacobian": "2bdca2defe48fa83995c39c88c65a0a99df780a78addf42b3d7e28c349bf7442",
+    "gf4-quadrics": "f0d677271d67977abb50b9f4160acbe8e2dc34def7ee356f70c84c5126b17393",
+    "qq-jacobian": "13c92f5f8a3ef3162da5fd4ff34b33ea309daff706e0e3cb8099a3766dde68e2",
+    "qq-fractions": "5e098a987b5b11bb310871a0c4633934f81bc394447dfb9014c365ec5afb8358",
+    "gf3-mora4": "7dadacc984994d4a99db21614ac2c13af16b82bcd45f06ec96c47a8fb7e7f212",
+    "gf2-mora5": "a3c7d41eef2b3531ea6a25ca3ee67d8a2acf089d3e0fd6cf2a4c7fb1c1141e8e",
+}
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("name", list(PINNED_BASES))
+    def test_reduced_basis_bytes_are_pinned(self, name):
+        basis = buchberger(dict(_pinned_inputs())[name])
+        text = json.dumps(basis_to_json(basis), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_BASES[name]
+
+    def test_degree_growth_past_the_first_slot_width(self):
+        # inputs of degree 6 get slots for degree 15; the basis reaches 26
+        basis = buchberger(_mora(F2, 5))
+        assert max(sum(m) for terms in basis.elements for m in terms) == 26
+        for terms in basis.elements:
+            assert not normal_form(dict(terms), basis)
+
+    @pytest.mark.parametrize("n", [255, 256, 1000, 70000])
+    def test_single_pure_power_of_any_degree(self, n):
+        x0n = poly(F3, {(n, 0, 0): 1})
+        basis = buchberger([x0n, poly(F3, {(0, 1, 0): 1})], field=F3, nvars=3)
+        assert [dict(t) for t in basis.elements] == [poly(F3, {(0, 1, 0): 1}), x0n]
+        assert not is_projectively_empty(basis)
+        assert normal_form(poly(F3, {(n, 1, 1): 2, (n - 1, 0, 3): 1}), [x0n], F3) == \
+            poly(F3, {(n - 1, 0, 3): 1})
+
+    def test_rejects_inhomogeneous_generators(self):
+        with pytest.raises(NotHomogeneous):
+            buchberger([poly(F2, {(2, 0): 1, (0, 1): 1})], field=F2, nvars=2)
+
+
+class TestCertificateBasis:
+    def test_stops_before_the_full_run(self):
+        gens = jacobian_generators(random_form(F3, 3, 3, random.Random(11)))
+        cert = certificate_basis(gens)
+        full = buchberger(gens)
+        assert is_projectively_empty(cert) and is_projectively_empty(full)
+        assert cert != full
+        for terms in cert.elements:
+            assert not normal_form(dict(terms), full)
+
+    def test_returns_the_reduced_basis_when_no_stop(self):
+        rng = random.Random(5)
+        for field in (F2, F3, F4):
+            for _ in range(5):
+                f = random_form(field, 3, 1, rng) ** 2 * random_form(field, 3, 1, rng)
+                gens = jacobian_generators(f)
+                assert certificate_basis(gens) == buchberger(gens)
+
+    def test_step_budget_counts_popped_pairs(self):
+        rng = random.Random(2)
+        gens = [random_form(F3, 3, 3, rng) for _ in range(3)]
+        with pytest.raises(BudgetExceeded):
+            certificate_basis(gens, step_budget=1)

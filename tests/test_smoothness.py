@@ -4,14 +4,19 @@ extraction and full system verification."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from ksmooth.constructions import construct_smooth_system
 from ksmooth.errors import PreconditionViolated
-from ksmooth.fields import enumerate_projective_points, get_descriptor
+from ksmooth.fields import QQ, enumerate_projective_points, get_descriptor
+from ksmooth.groebner import buchberger, is_projectively_empty, normal_form
 from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
+    monomial_key,
+    monomials_of_degree,
     random_form,
     random_system,
 )
@@ -30,6 +35,7 @@ from ksmooth.smoothness import (
 F2 = get_descriptor(2)
 F3 = get_descriptor(3)
 F4 = get_descriptor(2, 2)
+F5 = get_descriptor(5)
 FIELDS = {2: F2, 3: F3, 4: F4}
 
 
@@ -125,6 +131,57 @@ class TestIsSmooth:
             if isinstance(v, Singular):
                 assert witness_verifies(f, v.witness)
             checked += 1
+
+
+class TestCertificateStop:
+    """is_smooth stops Buchberger once every variable has a pure-power
+    leading monomial; the stop must never change a verdict."""
+
+    @staticmethod
+    def _forms():
+        rng = random.Random(17)
+        out = []
+        for field in (F2, F3, F4, F5):
+            for nvars, degree in ((2, 3), (3, 2), (3, 3), (4, 2)):
+                out.append(random_form(field, nvars, degree, rng))
+            linear = random_form(field, 3, 1, rng)
+            out.append(linear ** 2 * random_form(field, 3, 1, rng))
+        for nvars, degree in ((2, 3), (3, 2), (3, 3), (4, 2)):
+            terms = {m: Fraction(rng.randint(-2, 2))
+                     for m in monomials_of_degree(nvars, degree)}
+            out.append(HomogeneousForm(QQ, nvars, degree,
+                                       {m: c for m, c in terms.items() if c}))
+        out.append(HomogeneousForm(QQ, 3, 2, {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(-3)}))
+        return out
+
+    def test_verdicts_agree_with_the_full_reduced_basis(self):
+        verdicts = []
+        for f in self._forms():
+            empty = is_projectively_empty(buchberger(jacobian_generators(f)))
+            verdicts.append(isinstance(is_smooth(f), Smooth))
+            assert verdicts[-1] == empty, str(f)
+        assert True in verdicts and False in verdicts
+
+    def test_certificate_lies_in_the_ideal_and_covers_every_variable(self):
+        for f in self._forms():
+            verdict = is_smooth(f)
+            if not isinstance(verdict, Smooth):
+                continue
+            full = buchberger(jacobian_generators(f))
+            covered = set()
+            for terms in verdict.certificate.elements:
+                assert not normal_form(dict(terms), full)
+                lead = max(terms, key=monomial_key)
+                if sum(1 for e in lead if e) == 1:
+                    covered.add(next(i for i, e in enumerate(lead) if e))
+            assert covered == set(range(f.nvars)), str(f)
+
+    def test_member_of_the_2_1_4_4_system_is_certified(self):
+        system = construct_smooth_system(2, 1, 4, 4, 4)
+        member = system.member(next(iter(enumerate_projective_points(F2, system.dim))))
+        verdict = is_smooth(member)
+        assert isinstance(verdict, Smooth)
+        assert is_projectively_empty(verdict.certificate)
 
 
 class TestSearchSingularPoint:
