@@ -270,7 +270,7 @@ def lift_to_char_zero(system):
     field = system.field
     if not isinstance(field, FieldDescriptor) or field.e != 1:
         raise NotPrimeField("the characteristic-zero lift is implemented for prime fields")
-    gens = [g.map_coefficients(lambda c: Fraction(c.coeffs[0]), QQ)
+    gens = [g.map_coefficients(lambda c: Fraction(c.idx), QQ)
             for g in system.generators]
     return LinearSystemOfForms(gens)
 

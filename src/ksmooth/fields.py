@@ -1,13 +1,14 @@
 """Exact arithmetic in prime fields, extension fields GF(p^e) and the
 rationals, plus the small dense linear algebra the constructions need.
 
-Extension fields are presented as F_p[u]/(modulus) with elements stored as
-coefficient vectors in the basis 1, u, ..., u^(e-1); a prime field is
+Extension fields are presented as F_p[u]/(modulus); a prime field is
 F_p[u]/(u), so one multiply serves every field and the irreducibility test.
-Canonical moduli make every derived object bit-reproducible.  Fields up to
-order 256 precompute full operation tables, which keeps the Groebner and
-search loops fast; the multiply and inverse tables come from the log table
-of the first generator of the unit group.
+An element is its index, the coefficient vector in the basis 1, u, ...,
+u^(e-1) read as a base-p integer.  Fields up to order 2^16 intern their
+elements and build an antilog and a Zech list (O(q) entries each) from the
+log to the first generator of the unit group, so every operation is one or
+two lookups; larger fields compute on the digits.  Canonical moduli make
+every derived object bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     WrongCharacteristic,
 )
 
-_TABLE_LIMIT = 256
+_TABLE_LIMIT = 1 << 16
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -73,16 +74,12 @@ def _index(digits, p):
     return idx
 
 
-def _digitwise_table(p, k, sign):
-    """Index table of (a, b) -> a + sign*b on k-digit base-p indices, digit by
-    digit mod p (no carry): addition (sign 1) and subtraction (sign -1) in
-    GF(p^k) on the coefficient indices; for p = 2 both are XOR."""
-    table = [[0]]
-    for i in range(k):
-        w = p ** i
-        table = [[t + w * ((a + sign * b) % p) for b in range(p) for t in row]
-                 for a in range(p) for row in table]
-    return table
+def _digitwise(a, b, sign, p, e):
+    """a + sign*b on e-digit base-p indices, digit by digit mod p (no carry):
+    the sum (sign 1) or difference (sign -1) in GF(p^e); XOR for p = 2."""
+    if p == 2:
+        return a ^ b
+    return _index([(x + sign * y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
 
 
 # -- F_p[u]/(m) for a monic m of degree e, as coefficient tuples of length e
@@ -197,7 +194,7 @@ class FieldDescriptor:
     """Finite field GF(p^e), presented as F_p[u]/(modulus) for e >= 2."""
 
     __slots__ = ("p", "e", "modulus", "order", "key", "_red", "_elements",
-                 "_add", "_sub", "_mul", "_neg", "_inv")
+                 "_exp", "_zech", "_neg_log")
 
     def __init__(self, p, e=1, modulus=None):
         p = int(p)
@@ -225,56 +222,36 @@ class FieldDescriptor:
         self.order = p ** e
         self.key = (p, e, self.modulus)
         self._red = _reduction_rows(self.modulus or (0, 1), p)
-        self._elements = None
-        self._add = self._sub = self._mul = self._neg = self._inv = None
+        self._elements = self._exp = self._zech = self._neg_log = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
-    # -- raw coefficient arithmetic -------------------------------------
-
-    def _add_coeffs(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub_coeffs(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg_coeffs(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def _build_elements(self):
-        self._elements = [FieldElement(self, _digits(i, self.p, self.e), i)
-                          for i in range(self.order)]
-
     def _build_tables(self):
-        self._build_elements()
-        els = self._elements
-        n = self.order
-        p = self.p
-        self._add = [[els[k] for k in row] for row in _digitwise_table(p, self.e, 1)]
-        self._sub = self._add if p == 2 else [
-            [els[k] for k in row] for row in _digitwise_table(p, self.e, -1)]
-        self._neg = self._sub[0]
-        # exp[i] = g^i for the first generator g of the unit group
-        for g in els[1:]:
-            exp, x = [1], g.coeffs
-            while x != els[1].coeffs and len(exp) < n:
-                exp.append(_index(x, p))
-                x = _mulmod(x, g.coeffs, self._red, p)
-            if len(exp) == n - 1:
+        """Intern every element with its log to the first generator g of the
+        unit group, and build the antilog list `_exp` (doubled, then padded
+        with zeros so that the log 2(q-1) of zero absorbs any sum or
+        difference of logs) and the Zech list `_zech[k] = log(1 + g^k)`
+        (doubled, so that a negative index wraps mod q-1)."""
+        p, e, red = self.p, self.e, self._red
+        n = self.order - 1
+        one = _digits(1, p, e)
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        for g in range(1, n + 1):
+            gd = _digits(g, p, e)
+            if all(_powmod(gd, n // r, red, p) != one for r in primes):
                 break
-        else:
-            raise AssertionError("unreachable: the unit group of a field is cyclic")
-        log = [0] * n
+        exp, x = [], one
+        for _ in range(n):
+            exp.append(_index(x, p))
+            x = _mulmod(gd, x, red, p)
+        log = [2 * n] * (n + 1)
         for i, j in enumerate(exp):
             log[j] = i
-        zero = els[0]
-        self._mul = [[zero] * n] + [
-            [zero] + [els[exp[(log[i] + log[j]) % (n - 1)]] for j in range(1, n)]
-            for i in range(1, n)]
-        self._inv = [None] + [els[exp[-log[i] % (n - 1)]] for i in range(1, n)]
+        # 1 + g^k adds 1 to the constant digit of the index of g^k
+        self._zech = [log[j - j % p + (j + 1) % p] for j in exp] * 2
+        self._neg_log = log[p - 1]
+        els = self._elements = [FieldElement(self, i, log[i]) for i in range(n + 1)]
+        self._exp = [els[j] for j in exp] * 2 + [els[0]] * (2 * n + 1)
 
     # -- public element constructors -------------------------------------
 
@@ -282,16 +259,14 @@ class FieldDescriptor:
         cs = tuple(int(c) % self.p for c in coeffs)
         if len(cs) != self.e:
             raise ValueError(f"expected {self.e} coefficients, got {len(cs)}")
-        if self._elements is not None:
-            return self._elements[_index(cs, self.p)]
-        return FieldElement(self, cs)
+        return self.element_from_index(_index(cs, self.p))
 
     def element_from_index(self, idx):
         if not 0 <= idx < self.order:
             raise ValueError("index out of range")
         if self._elements is not None:
             return self._elements[idx]
-        return FieldElement(self, _digits(idx, self.p, self.e), idx)
+        return FieldElement(self, idx)
 
     def from_int(self, n):
         return self.element_from_index(int(n) % self.p)
@@ -306,7 +281,7 @@ class FieldDescriptor:
         """All field elements, ordered by coefficient vector read as a base-p
         integer with the constant term least significant."""
         if self._elements is None:
-            self._build_elements()
+            self._elements = [FieldElement(self, i) for i in range(self.order)]
         return list(self._elements)
 
     def __eq__(self, other):
@@ -355,16 +330,26 @@ QQ = RationalField()
 
 
 class FieldElement:
-    """Element of a FieldDescriptor: coefficients of 1, u, ..., u^(e-1)."""
+    """Element of a FieldDescriptor, stored as its index (the coefficients of
+    1, u, ..., u^(e-1) as base-p digits, constant term least significant).
+    In a field of order up to _TABLE_LIMIT elements are interned with their
+    discrete `log`: `*`, `/`, `inv` and unary `-` are one antilog lookup and
+    `+`/`-` one Zech lookup, a + b = a * (1 + b/a).  Larger fields compute
+    on the digits."""
 
-    __slots__ = ("field", "coeffs", "idx")
+    __slots__ = ("field", "idx", "log")
 
-    def __init__(self, field, coeffs, idx=None):
+    def __init__(self, field, idx, log=None):
         self.field = field
-        self.coeffs = tuple(coeffs)
-        self.idx = _index(self.coeffs, field.p) if idx is None else idx
+        self.idx = idx
+        self.log = log
+
+    @property
+    def coeffs(self):
+        return _digits(self.idx, self.field.p, self.field.e)
 
     def _check(self, other):
+        # the operators call this only when other is not from self's descriptor
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
         f = self.field
@@ -372,61 +357,78 @@ class FieldElement:
             raise DescriptorMismatch(f"{f!r} vs {other.field!r}")
 
     def __add__(self, other):
-        self._check(other)
         f = self.field
-        t = f._add
-        if t is not None:
-            return t[self.idx][other.idx]
-        return FieldElement(f, f._add_coeffs(self.coeffs, other.coeffs))
+        if other.__class__ is not FieldElement or other.field is not f:
+            self._check(other)
+        exp = f._exp
+        if exp is None:
+            return FieldElement(f, _digitwise(self.idx, other.idx, 1, f.p, f.e))
+        if not other.idx:
+            return self
+        if not self.idx:
+            return exp[other.log]
+        a = self.log
+        return exp[a + f._zech[other.log - a]]
 
     def __sub__(self, other):
-        self._check(other)
         f = self.field
-        t = f._sub
-        if t is not None:
-            return t[self.idx][other.idx]
-        return FieldElement(f, f._sub_coeffs(self.coeffs, other.coeffs))
+        if other.__class__ is not FieldElement or other.field is not f:
+            self._check(other)
+        exp = f._exp
+        if exp is None:
+            return FieldElement(f, _digitwise(self.idx, other.idx, -1, f.p, f.e))
+        if not other.idx:
+            return self
+        b = other.log + f._neg_log
+        if not self.idx:
+            return exp[b]
+        a = self.log
+        return exp[a + f._zech[b - a]]
 
     def __mul__(self, other):
-        self._check(other)
         f = self.field
-        t = f._mul
-        if t is not None:
-            return t[self.idx][other.idx]
-        return FieldElement(f, _mulmod(self.coeffs, other.coeffs, f._red, f.p))
+        if other.__class__ is not FieldElement or other.field is not f:
+            self._check(other)
+        exp = f._exp
+        if exp is None:
+            return FieldElement(f, _index(_mulmod(self.coeffs, other.coeffs, f._red, f.p), f.p))
+        return exp[self.log + other.log]
 
     def __neg__(self):
         f = self.field
-        t = f._neg
-        if t is not None:
-            return t[self.idx]
-        return FieldElement(f, f._neg_coeffs(self.coeffs))
+        exp = f._exp
+        if exp is None:
+            return FieldElement(f, _digitwise(0, self.idx, -1, f.p, f.e))
+        return exp[self.log + f._neg_log]
 
     def inv(self):
-        if not self:
+        if not self.idx:
             raise DivisionByZero("inverse of zero")
-        t = self.field._inv
-        if t is not None:
-            return t[self.idx]
-        return self ** (self.field.order - 2)
+        f = self.field
+        if f._exp is None:
+            return self ** (f.order - 2)
+        return f._exp[f.order - 1 - self.log]
 
     def __truediv__(self, other):
-        self._check(other)
-        if not other:
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            self._check(other)
+        if not other.idx:
             raise DivisionByZero("division by zero")
-        return self * other.inv()
+        exp = f._exp
+        if exp is None:
+            return self * other.inv()
+        return exp[self.log - other.log + f.order - 1]
 
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        result = self.field.one()
-        base = self
+        result, base = self.field.one(), self
         while n:
             if n & 1:
                 result = result * base
+            base = base * base
             n >>= 1
-            if n:
-                base = base * base
         return result
 
     def __bool__(self):
@@ -610,25 +612,22 @@ class FieldEmbedding:
             raise ValueError(f"GF({small.p}^{small.e}) does not embed in GF({big.p}^{big.e})")
         self.small = small
         self.big = big
-        self.root = None
-        if small.e > 1:
-            zero = big.zero()
-            for cand in big.elements():
-                acc = zero
-                for c in reversed(small.modulus):
-                    acc = acc * cand + big.from_int(c)
-                if not acc:
-                    self.root = cand
-                    break
-            if self.root is None:
-                raise AssertionError("unreachable: the modulus splits in the big field")
+        zero = big.zero()
+        # a prime field is F_p[u]/(u), so its root is 0
+        for cand in map(big.element_from_index, range(big.order)):
+            acc = zero
+            for c in reversed(small.modulus or (0, 1)):
+                acc = acc * cand + big.from_int(c)
+            if not acc:
+                self.root = cand
+                break
+        else:
+            raise AssertionError("unreachable: the modulus splits in the big field")
         self._preimage = {self.up(x): x for x in small.elements()}
 
     def up(self, x):
         if x.field.key != self.small.key:
             raise DescriptorMismatch("element is not in the small field")
-        if self.small.e == 1:
-            return self.big.from_int(x.coeffs[0])
         acc = self.big.zero()
         for c in reversed(x.coeffs):
             acc = acc * self.root + self.big.from_int(c)

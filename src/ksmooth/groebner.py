@@ -107,7 +107,7 @@ def _make_monic(terms, field):
     lc = terms[min(terms)]
     if lc == field.one():
         return terms
-    inv = 1 / lc if isinstance(lc, Fraction) else lc.inv()
+    inv = field.one() / lc
     return {m: c * inv for m, c in terms.items()}
 
 

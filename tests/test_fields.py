@@ -1,6 +1,7 @@
 """Field arithmetic, linear algebra, enumeration and embedding tests."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,9 @@ from ksmooth.fields import (
     QQ,
     FieldDescriptor,
     FieldMatrix,
+    _digits,
+    _mulmod,
+    element_to_json,
     enumerate_projective_points,
     field_from_json,
     field_to_json,
@@ -164,24 +168,46 @@ class TestElementOps:
         with pytest.raises(DescriptorMismatch):
             F2.one() + F3.one()
 
+    @staticmethod
+    def _check_against_coefficients(field, lefts, rights):
+        """a + b, a - b, a * b and a / b for a in lefts and b in rights, and
+        -a and a.inv(), agree with arithmetic on the coefficient digits."""
+        p, e, red = field.p, field.e, field._red
+        digits = [b.coeffs for b in rights]
+        columns = list(zip(*digits))
+        units = [b for b in rights if b]
+        element = {x.coeffs: x for x in field.elements()}.__getitem__
+
+        def digitwise(ad, sign):
+            return [element(cs) for cs in zip(*[[(x + sign * y) % p for y in col]
+                                                 for x, col in zip(ad, columns)])]
+
+        for a in lefts:
+            ad = a.coeffs
+            assert [a + b for b in rights] == digitwise(ad, 1)
+            assert [a - b for b in rights] == digitwise(ad, -1)
+            assert [a * b for b in rights] == [element(_mulmod(ad, bd, red, p)) for bd in digits]
+            # the product is checked just above, so this pins the quotient
+            assert [(a / b) * b for b in units] == [a] * len(units)
+            assert -a == element(tuple(-x % p for x in ad))
+            if a:
+                assert _mulmod(a.inv().coeffs, ad, red, p) == _digits(1, p, e)
+
     def test_additive_tables_match_coefficient_arithmetic(self):
-        # every tabled field: the 70 prime powers up to 256
+        # every pair in the 70 fields of order <= 256, then seeded pairs in
+        # fields of order between 256 and the table limit
         orders = [(p, e) for p in range(2, 257) if is_prime(p)
                   for e in range(1, 9) if p ** e <= 256]
         assert len(orders) == 70
         for p, e in orders:
             field = get_descriptor(p, e)
-            coeffs = [x.coeffs for x in field.elements()]
-            columns = list(zip(*coeffs))
-
-            def table_row(a, sign):
-                return list(zip(*[[(u + sign * v) % p for v in col]
-                                  for u, col in zip(a, columns)]))
-
-            for a, add_row, sub_row in zip(coeffs, field._add, field._sub):
-                assert [x.coeffs for x in add_row] == table_row(a, 1)
-                assert [x.coeffs for x in sub_row] == table_row(a, -1)
-            assert [x.coeffs for x in field._neg] == table_row((0,) * e, -1)
+            self._check_against_coefficients(field, field.elements(), field.elements())
+        rng = random.Random(11)
+        for p, e in [(5, 4), (3, 6), (2, 12)]:
+            field = get_descriptor(p, e)
+            assert field._exp is not None
+            els = field.elements()
+            self._check_against_coefficients(field, rng.sample(els, 40), rng.sample(els, 200))
 
     @pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
     def test_field_axioms_on_random_triples(self, field):
@@ -207,6 +233,48 @@ class TestElementOps:
             for k in range(6):
                 assert a ** k == acc
                 acc = acc * a
+
+
+class TestUntabledFields:
+    """Fields above the table limit compute on the index digits."""
+
+    @pytest.mark.parametrize("p, e", [(2, 17), (65537, 1), (2 ** 61 - 1, 1)])
+    def test_ops_match_digit_arithmetic(self, p, e):
+        field = get_descriptor(p, e)
+        assert field._exp is None
+        red = field._red
+        one = _digits(1, p, e)
+        rng = random.Random(13)
+        for _ in range(300):
+            a, b, c = (field.element_from_index(rng.randrange(field.order)) for _ in range(3))
+            ad, bd = a.coeffs, b.coeffs
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(ad, bd))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(ad, bd))
+            assert (-a).coeffs == tuple(-x % p for x in ad)
+            assert (a * b).coeffs == _mulmod(ad, bd, red, p)
+            assert _mulmod((a / b).coeffs, bd, red, p) == ad
+            assert _mulmod(b.inv().coeffs, bd, red, p) == one
+            assert a * (b + c) == a * b + a * c
+            assert b * b.inv() == field.one()
+        with pytest.raises(DivisionByZero):
+            field.one() / field.zero()
+        with pytest.raises(DivisionByZero):
+            field.zero().inv()
+
+    def test_largest_tabled_field(self):
+        start = time.perf_counter()
+        field = FieldDescriptor(2, 16)
+        assert time.perf_counter() - start < 2
+        assert field._exp is not None
+        rng = random.Random(17)
+        for x in rng.sample(field.elements(), 300):
+            digits = _digits(x.idx, 2, 16)
+            assert x.coeffs == digits
+            assert field.element(digits) is x
+            assert element_to_json(x) == list(digits)
+            powers = ["1" if i == 0 else "u" if i == 1 else f"u^{i}"
+                      for i in reversed(range(16)) if digits[i]]
+            assert str(x) == ("+".join(powers) or "0")
 
 
 class TestFrobenius:
