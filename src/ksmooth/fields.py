@@ -642,17 +642,18 @@ class FieldEmbedding:
         return x
 
 
+# every descriptor built through this module under its `key`, and the
+# canonical one of GF(p^e) also under (p, e)
 _DESCRIPTOR_CACHE = {}
 _EMBEDDING_CACHE = {}
 
 
 def get_descriptor(p, e=1):
     """Cached descriptor with the canonical modulus."""
-    key = (p, e)
-    d = _DESCRIPTOR_CACHE.get(key)
+    d = _DESCRIPTOR_CACHE.get((p, e))
     if d is None:
         d = FieldDescriptor(p, e)
-        _DESCRIPTOR_CACHE[key] = d
+        d = _DESCRIPTOR_CACHE[(p, e)] = _DESCRIPTOR_CACHE.setdefault(d.key, d)
     return d
 
 
@@ -712,10 +713,11 @@ def field_from_json(obj):
     if modulus is None:
         return get_descriptor(p, e)
     modulus = json_ints(modulus, "modulus")
-    canonical = get_descriptor(p, e)
-    if canonical.modulus == tuple(modulus):
-        return canonical
-    return FieldDescriptor(p, e, modulus)
+    d = _DESCRIPTOR_CACHE.get((p, e, tuple(c % p for c in modulus)))
+    if d is None:
+        d = FieldDescriptor(p, e, modulus)
+        d = _DESCRIPTOR_CACHE.setdefault(d.key, d)
+    return d
 
 
 def element_to_json(x):

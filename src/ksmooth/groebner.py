@@ -20,17 +20,21 @@ a polynomial is its smallest key, `min(terms)`.  No degree in a run may reach
 a guard bit: a pair whose S-polynomial would is caught before it is formed,
 and the run starts over with twice the slot width.  Public functions take and
 return exponent tuples.
+
+Every element of a run is monic, over a finite field and over Q alike: the
+inputs and each new element are scaled once by the inverse of their leading
+coefficient.  An S-polynomial is then the difference of two shifted elements,
+and a reduction step subtracts the divisor times the reducee's coefficient, so
+the loop itself never divides.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .errors import BudgetExceeded, NotHomogeneous
-from .fields import RationalField, element_to_json, field_to_json
+from .fields import element_to_json, field_to_json
 from .multipoly import HomogeneousForm, monomial_key
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -104,6 +108,7 @@ def _degree(terms):
 
 
 def _make_monic(terms, field):
+    """Packed terms scaled so that the leading coefficient is 1."""
     lc = terms[min(terms)]
     if lc == field.one():
         return terms
@@ -111,31 +116,10 @@ def _make_monic(terms, field):
     return {m: c * inv for m, c in terms.items()}
 
 
-def _content_one(terms):
-    """Rescale rational coefficients to integer content 1 with a positive
-    leading coefficient (bounds coefficient growth during the run)."""
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in terms.values():
-        num = gcd(num, abs(c.numerator) * (den // c.denominator))
-    scale = Fraction(den, num)
-    out = {m: c * scale for m, c in terms.items()}
-    if out[min(out)] < 0:
-        out = {m: -c for m, c in out.items()}
-    return out
-
-
-def _normalize(terms, field):
-    if isinstance(field, RationalField):
-        return _content_one(terms)
-    return _make_monic(terms, field)
-
-
 def _reduce_full(work, gens, lms, guard):
     """Full remainder of multivariate division of packed `work` by `gens`
-    (packed, homogeneous, with leading keys `lms`); consumes `work`."""
+    (packed, homogeneous and monic, with leading keys `lms`); consumes
+    `work`."""
     rem = {}
     while work:
         lm = min(work)
@@ -144,13 +128,12 @@ def _reduce_full(work, gens, lms, guard):
             shift = lm - glm
             if shift & guard:
                 continue
-            factor = c / g[glm]
             for m, gc in g.items():
                 if m == glm:
                     continue
                 mm = m + shift
                 cur = work.get(mm)
-                v = -(factor * gc) if cur is None else cur - factor * gc
+                v = -(c * gc) if cur is None else cur - c * gc
                 if v:
                     work[mm] = v
                 elif cur is not None:
@@ -162,14 +145,14 @@ def _reduce_full(work, gens, lms, guard):
 
 
 def _s_poly(f, lf, g, lg, l):
-    cf, cg = f[lf], g[lg]
+    """S-polynomial of two packed monic polynomials."""
     shift = l - lf
-    out = {m + shift: c / cf for m, c in f.items()}
+    out = {m + shift: c for m, c in f.items()}
     shift = l - lg
     for m, c in g.items():
         mm = m + shift
         cur = out.get(mm)
-        v = -(c / cg) if cur is None else cur - c / cg
+        v = -c if cur is None else cur - c
         if v:
             out[mm] = v
         elif cur is not None:
@@ -208,7 +191,7 @@ def normal_form(f, basis, field=None):
         components.setdefault(sum(m), {})[m] = c
     slots = _Slots.for_degree(len(next(iter(terms))),
                               max([*components, *(_degree(g) for g in gens)]))
-    gens = [slots.pack(g) for g in gens]
+    gens = [_make_monic(slots.pack(g), field) for g in gens]
     lms = [min(g) for g in gens]
     rem = {}
     for d in sorted(components, reverse=True):
@@ -220,7 +203,7 @@ def s_polynomial(f, g, field):
     """S-polynomial of two homogeneous term dicts, each scaled by the
     inverse of its leading coefficient."""
     slots = _Slots.for_degree(len(next(iter(f))), _degree(f) + _degree(g))
-    f, g = slots.pack(f), slots.pack(g)
+    f, g = _make_monic(slots.pack(f), field), _make_monic(slots.pack(g), field)
     lf, lg = min(f), min(g)
     return slots.unpack(_s_poly(f, lf, g, lg, slots.lcm(lf, lg)))
 
@@ -229,11 +212,12 @@ def s_polynomial(f, g, field):
 class GroebnerBasis:
     """Elements of a homogeneous ideal under the fixed degrevlex order.
 
-    From `buchberger` this is the reduced Groebner basis: monic elements, no
-    leading monomial dividing any monomial of another element.  From
-    `certificate_basis` it may instead be the elements built up to the
-    pure-power stop, which generate the ideal and hold a pure-power leading
-    monomial for every variable, but are neither reduced nor a Groebner basis.
+    Every element is monic.  From `buchberger` this is the reduced Groebner
+    basis: no leading monomial divides any monomial of another element.
+    From `certificate_basis` it may instead be the monic elements built up to
+    the pure-power stop, which generate the ideal and hold a pure-power
+    leading monomial for every variable, but are neither reduced nor a
+    Groebner basis.
     """
 
     field: object
@@ -247,7 +231,7 @@ class GroebnerBasis:
 
 
 def _run(basis, field, slots, step_budget, stop):
-    """The Buchberger loop on packed, normalized, homogeneous generators.
+    """The Buchberger loop on packed, monic, homogeneous generators.
 
     Pairs are processed by normal selection (minimal lcm degree first, ties
     by index); the product criterion prunes coprime-lead pairs.  With `stop`
@@ -286,7 +270,7 @@ def _run(basis, field, slots, step_budget, stop):
             raise _SlotOverflow
         r = _reduce_full(_s_poly(basis[i], li, basis[j], lj, l), basis, lms, guard)
         if r:
-            r = _normalize(r, field)
+            r = _make_monic(r, field)
             lm = min(r)
             basis.append(r)
             lms.append(lm)
@@ -305,12 +289,13 @@ def _run(basis, field, slots, step_budget, stop):
     kept = [basis[k] for k in keep]
     klms = [lms[k] for k in keep]
 
-    # tail reduction: leads are stable, so one pass over the current set
+    # tail reduction: no other kept leader divides a kept leader, so leads
+    # and their coefficient 1 are stable, and one pass over the current set
     # yields the unique reduced basis
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
         olms = klms[:i] + klms[i + 1:]
-        kept[i] = _make_monic(_reduce_full(dict(kept[i]), others, olms, guard), field)
+        kept[i] = _reduce_full(dict(kept[i]), others, olms, guard)
     return kept
 
 
@@ -334,7 +319,7 @@ def _groebner(generators, field, nvars, step_budget, stop):
     slots = _Slots.for_degree(nvars, max(_degree(g) for g in gens))
     while True:
         try:
-            basis = [_normalize(slots.pack(g), field) for g in gens]
+            basis = [_make_monic(slots.pack(g), field) for g in gens]
             elements = _run(basis, field, slots, step_budget, stop)
             break
         except _SlotOverflow:

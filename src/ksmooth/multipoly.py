@@ -43,6 +43,8 @@ def _compositions(total, parts):
 
 def monomials_of_degree(nvars, degree):
     """All exponent vectors of the given total degree, leading one first."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
     return sorted(_compositions(degree, nvars), key=monomial_key, reverse=True)
 
 

@@ -6,17 +6,18 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from ksmooth import cli
+from ksmooth import cli, fields
 from ksmooth.cli import main
-from ksmooth.constructions import construct_smooth_system
+from ksmooth.constructions import construct_smooth_system, lift_to_char_zero
 from ksmooth.errors import BudgetExceeded, WitnessNotFoundWithinCap
 from ksmooth.multipoly import form_to_json, system_from_json, system_to_json
 from ksmooth.smoothness import verify_system_K_smooth
-from ksmooth.fields import get_descriptor
+from ksmooth.fields import FieldDescriptor, get_descriptor
 from ksmooth.multipoly import HomogeneousForm, LinearSystemOfForms
 
 
@@ -137,6 +138,77 @@ class TestCheck:
         assert time.perf_counter() - start < 1
 
 
+class TestPinnedCheck:
+    """`check --json` on smooth forms over GF(3) and over Q: the verdict and
+    the number of certificate elements at the pure-power stop."""
+
+    # label -> sha256 of stdout, recorded while Buchberger over Q still kept
+    # its elements at integer content 1 instead of monic
+    DIGESTS = {
+        "gf3": "c8fd7e3736d0b340c8b426494b019c41c68dc0ce5ae13b31ac0734ffdd27c0c6",
+        "qq": "f214155bb44e66639c4c267cc55c43af989fcc868d79b2c31d2d4c8b83d3e444",
+    }
+
+    @staticmethod
+    def _form(label):
+        if label == "gf3":
+            system = construct_smooth_system(3, 1, 2, 4, 2)
+            return system.member([system.field.from_int(c) for c in (1, 2, 1)])
+        system = lift_to_char_zero(construct_smooth_system(2, 1, 2, 4, 2))
+        return system.member([Fraction(c) for c in (2, -1, 3)])
+
+    @pytest.mark.parametrize("label", sorted(DIGESTS))
+    def test_stdout_digest(self, capsys, tmp_path, label):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(form_to_json(self._form(label))))
+        code, out, _ = run(capsys, ["check", str(path), "--json"])
+        assert code == 0 and json.loads(out)["smooth"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[label]
+
+
+class TestNonCanonicalModulus:
+    """A wire field whose modulus is not the canonical one is built once per
+    load and shared by every generator."""
+
+    # sha256 of `verify --json`, recorded before descriptors were cached by
+    # their modulus
+    VERIFY_DIGEST = "41738be4789a5cf8cea10b09c46797831a524b3b3151fb9730cf21459d4bd799"
+
+    @staticmethod
+    def _system_path(tmp_path):
+        field = FieldDescriptor(2, 3, [1, 0, 1, 1])   # canonical is 1 + u + u^3
+        u = field.element([0, 1, 0])
+        gens = [HomogeneousForm(field, 2, 3, {(3, 0): field.one(), (1, 2): u}),
+                HomogeneousForm(field, 2, 3, {(2, 1): field.one(), (0, 3): u * u}),
+                HomogeneousForm(field, 2, 3, {(0, 3): field.one(), (3, 0): u})]
+        path = tmp_path / "gf8.json"
+        path.write_text(json.dumps(system_to_json(LinearSystemOfForms(gens))))
+        return path
+
+    def test_one_descriptor_shared_by_all_generators(self, tmp_path, monkeypatch):
+        path = self._system_path(tmp_path)
+        built = []
+        init = FieldDescriptor.__init__
+
+        def counting_init(desc, *args, **kwargs):
+            built.append(args)
+            init(desc, *args, **kwargs)
+
+        monkeypatch.setattr(fields, "_DESCRIPTOR_CACHE", {})
+        monkeypatch.setattr(FieldDescriptor, "__init__", counting_init)
+        system = system_from_json(json.loads(path.read_text()))
+        assert fields.field_from_json({"p": 2, "e": 3, "modulus": [3, 0, 1, -1]}) \
+            is system.field
+        assert built == [(2, 3, [1, 0, 1, 1])]
+        assert all(g.field is system.field for g in system.generators)
+        assert all(c.field is system.field
+                   for g in system.generators for c in g.terms.values())
+
+    def test_verify_json_bytes(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["verify", str(self._system_path(tmp_path)), "--json"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, self.VERIFY_DIGEST)
+
+
 class TestOracleExtensionBound:
     def _system_file(self, tmp_path):
         path = tmp_path / "gf4.json"
@@ -206,6 +278,12 @@ class TestQuadrics:
         code, _, err = run(capsys, ["quadrics", "--random", "1", "--n", "2"])
         assert code == 2
         assert "odd" in err
+
+    @pytest.mark.parametrize("n", ["-1", "-3"])
+    def test_negative_n_is_a_usage_error(self, capsys, n):
+        code, out, err = run(capsys, ["quadrics", "--random", "1", "--n", n])
+        assert (code, out) == (2, "")
+        assert err == "error: need at least one variable\n"
 
     def test_deterministic_for_fixed_seed(self, capsys):
         argv = ["quadrics", "--random", "2", "--k", "2", "--n", "1",

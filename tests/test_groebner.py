@@ -162,6 +162,47 @@ class TestRationalCoefficients:
             assert not normal_form(dict(terms), basis)
 
 
+class TestUnitScaling:
+    """Every element is made monic, so scaling an input by a unit changes
+    neither a remainder nor an S-polynomial."""
+
+    UNITS = {F5: [F5.from_int(c) for c in (2, 3, 4)],
+             QQ: [Fraction(-1), Fraction(3, 7), Fraction(-5, 2)]}
+
+    @staticmethod
+    def _form(field, degree, rng):
+        if field == QQ:
+            return dict(_rational_form(3, degree, rng, 4).terms)
+        return dict(random_form(field, 3, degree, rng).terms)
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "qq"])
+    def test_normal_form_ignores_divisor_scale(self, field):
+        rng = random.Random(7)
+        for c in self.UNITS[field]:
+            f, g, h = (self._form(field, d, rng) for d in (4, 2, 3))
+            expected = normal_form(f, [g, h], field)
+            assert expected
+            scaled = [{m: c * v for m, v in g.items()}, h]
+            assert normal_form(f, scaled, field) == expected
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "qq"])
+    def test_s_polynomial_ignores_input_scale(self, field):
+        rng = random.Random(8)
+        for c in self.UNITS[field]:
+            f, g = self._form(field, 3, rng), self._form(field, 2, rng)
+            expected = s_polynomial(f, g, field)
+            assert expected
+            assert s_polynomial({m: c * v for m, v in f.items()}, g, field) == expected
+            assert s_polynomial(f, {m: c * v for m, v in g.items()}, field) == expected
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["gf5", "qq"])
+    def test_certificate_elements_are_monic(self, field):
+        form = HomogeneousForm(field, 3, 3, self._form(field, 3, random.Random(9)))
+        basis = certificate_basis(jacobian_generators(form))
+        for terms, lm in zip(basis.elements, basis.leading_monomials):
+            assert terms[lm] == field.one()
+
+
 class TestProjectiveEmptiness:
     def test_coordinate_ideal_is_empty(self):
         basis = buchberger([poly(F2, {(1, 0, 0): 1}), poly(F2, {(0, 1, 0): 1}),

@@ -67,6 +67,11 @@ class TestMonomialOrder:
         assert monos == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1),
                          (0, 0, 2)]
 
+    @pytest.mark.parametrize("nvars", [0, -2])
+    def test_no_variables_rejected(self, nvars):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            monomials_of_degree(nvars, 2)
+
     def test_degree_dominates(self):
         assert monomial_key((3, 0)) > monomial_key((1, 1))
 
