@@ -6,8 +6,9 @@ F_p[u]/(u), so one multiply serves every field and the irreducibility test.
 An element is its index, the coefficient vector in the basis 1, u, ...,
 u^(e-1) read as a base-p integer.  Fields up to order 2^16 intern their
 elements and build an antilog and a Zech list (O(q) entries each) from the
-log to the first generator of the unit group, so every operation is one or
-two lookups; larger fields compute on the digits.  Canonical moduli make
+log to the first generator of the unit group, so every operation (a power
+included) is one or two lookups.  Larger prime fields compute on the index
+mod p and larger extension fields on the digits.  Canonical moduli make
 every derived object bit-reproducible.
 """
 
@@ -76,9 +77,12 @@ def _index(digits, p):
 
 def _digitwise(a, b, sign, p, e):
     """a + sign*b on e-digit base-p indices, digit by digit mod p (no carry):
-    the sum (sign 1) or difference (sign -1) in GF(p^e); XOR for p = 2."""
+    the sum (sign 1) or difference (sign -1) in GF(p^e); XOR for p = 2 and
+    one mod for a prime field."""
     if p == 2:
         return a ^ b
+    if e == 1:
+        return (a + sign * b) % p
     return _index([(x + sign * y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
 
 
@@ -128,7 +132,7 @@ def _powmod(a, k, rows, p):
 
 
 def _poly_trim(a):
-    while a and a[-1] == 0:
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -148,6 +152,28 @@ def _poly_gcd(a, b, p):
                 for j in range(len(bm)):
                     r[off + j] = (r[off + j] - c * bm[j]) % p
         a, b = bm, _poly_trim(r)
+    return a
+
+
+def poly_gcd(a, b):
+    """Monic gcd of two univariate polynomials over one finite field, given
+    as lists of FieldElements (low degree first); [] when both are zero."""
+    a = _poly_trim(list(a))
+    b = _poly_trim(list(b))
+    while b:
+        inv = b[-1].inv()
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i]
+            if c:
+                c = c * inv
+                off = i - db
+                for j in range(db):
+                    a[off + j] = a[off + j] - c * b[j]
+        a, b = b, _poly_trim(a[:db])
+    if a:
+        inv = a[-1].inv()
+        a = [c * inv for c in a]
     return a
 
 
@@ -333,9 +359,10 @@ class FieldElement:
     """Element of a FieldDescriptor, stored as its index (the coefficients of
     1, u, ..., u^(e-1) as base-p digits, constant term least significant).
     In a field of order up to _TABLE_LIMIT elements are interned with their
-    discrete `log`: `*`, `/`, `inv` and unary `-` are one antilog lookup and
-    `+`/`-` one Zech lookup, a + b = a * (1 + b/a).  Larger fields compute
-    on the digits."""
+    discrete `log`: `*`, `/`, `inv`, `**` and unary `-` are one antilog
+    lookup and `+`/`-` one Zech lookup, a + b = a * (1 + b/a).  Larger prime
+    fields compute on the index mod p, larger extension fields on the
+    digits."""
 
     __slots__ = ("field", "idx", "log")
 
@@ -391,6 +418,8 @@ class FieldElement:
             self._check(other)
         exp = f._exp
         if exp is None:
+            if f.e == 1:
+                return FieldElement(f, self.idx * other.idx % f.p)
             return FieldElement(f, _index(_mulmod(self.coeffs, other.coeffs, f._red, f.p), f.p))
         return exp[self.log + other.log]
 
@@ -406,6 +435,8 @@ class FieldElement:
             raise DivisionByZero("inverse of zero")
         f = self.field
         if f._exp is None:
+            if f.e == 1:
+                return FieldElement(f, pow(self.idx, -1, f.p))
             return self ** (f.order - 2)
         return f._exp[f.order - 1 - self.log]
 
@@ -421,9 +452,15 @@ class FieldElement:
         return exp[self.log - other.log + f.order - 1]
 
     def __pow__(self, n):
+        f = self.field
+        exp = f._exp
+        if exp is not None and self.idx:
+            return exp[self.log * n % (f.order - 1)]
         if n < 0:
             return self.inv() ** (-n)
-        result, base = self.field.one(), self
+        if not self.idx:
+            return self if n else f.one()
+        result, base = f.one(), self
         while n:
             if n & 1:
                 result = result * base

@@ -9,6 +9,20 @@ when that never happens the reduced basis shows a zero, and an exhaustive
 search over extension fields produces a concrete witness point.  F itself
 always stays among the generators: the Euler identity makes it redundant
 only when the characteristic does not divide the degree.
+
+The search scans lines, not points.  `enumerate_projective_points` lists
+P^n over a field as (0, ..., 0, 1) first, then every prefix
+(x0, ..., x_{n-1}) of P^(n-1) in its own order, each followed by the last
+coordinate t in canonical field order.  So the search tests (0, ..., 0, 1)
+directly and, for each prefix, restricts F and its partials to univariate
+polynomials in t of degree at most d and takes their gcd.  The points of
+a line are consecutive in that order and the gcd vanishes exactly at the
+singular ones, so a nonzero constant gcd clears the whole line, and
+otherwise t runs in canonical order to the first root (every t is a root
+when the gcd is zero, which happens only on a line singular throughout,
+whose point (0, ..., 0, 1) was found first).  The first witness is thus the
+one a point-by-point scan would meet first, at the cost of O(n * terms +
+n * d^2) field operations per line instead of one evaluation per point.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from .fields import (
     field_to_json,
     get_descriptor,
     get_embedding,
+    poly_gcd,
 )
 from .groebner import GroebnerBasis, certificate_basis, is_projectively_empty
 from .multipoly import HomogeneousForm
@@ -73,27 +88,70 @@ def jacobian_generators(form):
 def search_singular_point(form, max_ext_degree):
     """Exhaustive scan of P^n over GF(q), GF(q^2), ..., GF(q^m) for a point
     where the form and all its partials vanish.  Returns the first witness
-    in enumeration order, or None (which proves nothing)."""
+    in the order of `enumerate_projective_points`, or None (which proves
+    nothing).
+
+    Each level tests (0, ..., 0, 1) and then scans the lines of points that
+    share a prefix (x0, ..., x_{n-1}), in prefix order: a line whose
+    restrictions have a nonzero constant gcd holds no witness, and on any
+    other line the first root of the gcd in canonical order is the first
+    witness on it (see the module docstring)."""
     field = form.field
     if not isinstance(field, FieldDescriptor):
         raise ValueError("the point search requires a finite base field")
     if max_ext_degree < 1:
         raise ValueError("max extension degree must be >= 1")
-    partials = [g for g in (form.partial_derivative(i) for i in range(form.nvars)) if g]
+    gens = jacobian_generators(form)
     n = form.nvars - 1
     for k in range(1, max_ext_degree + 1):
         if k == 1:
-            desc, fk, pk = field, form, partials
+            desc, gk = field, gens
         else:
             desc = get_descriptor(field.p, field.e * k)
             emb = get_embedding(field, desc)
-            fk = form.embed(emb)
-            pk = [g.embed(emb) for g in partials]
-        for point in enumerate_projective_points(desc, n):
-            if fk.evaluate(point):
-                continue
-            if all(not g.evaluate(point) for g in pk):
-                return SingularWitness(point=tuple(point), field=desc)
+            gk = [g.embed(emb) for g in gens]
+        apex = (desc.zero(),) * n + (desc.one(),)
+        if all(not g.evaluate(apex) for g in gk):
+            return SingularWitness(point=apex, field=desc)
+        if n:
+            point = _scan_lines(desc, n, gk)
+            if point is not None:
+                return SingularWitness(point=point, field=desc)
+    return None
+
+
+def _scan_lines(desc, n, gens):
+    """First point with a nonzero prefix (x0, ..., x_{n-1}) where every form
+    in gens vanishes, or None: one restriction and gcd per prefix."""
+    d = gens[0].degree
+    zero, one = desc.zero(), desc.one()
+    # each term as (prefix exponents, exponent of the last coordinate, coefficient)
+    split = [[(m[:-1], m[-1], c) for m, c in g.terms.items()] for g in gens]
+    for prefix in enumerate_projective_points(desc, n - 1):
+        monomials = {}
+        gcd = []
+        for terms in split:
+            line = [zero] * (d + 1)
+            for head, j, c in terms:
+                v = monomials.get(head)
+                if v is None:
+                    v = one
+                    for x, e in zip(prefix, head):
+                        if e:
+                            v = v * x ** e
+                    monomials[head] = v
+                if v:
+                    line[j] = line[j] + c * v
+            gcd = poly_gcd(gcd, line)
+            if len(gcd) == 1:
+                break
+        else:
+            for t in desc.elements():
+                v = zero
+                for c in reversed(gcd):
+                    v = v * t + c
+                if not v:
+                    return prefix + (t,)
     return None
 
 

@@ -30,6 +30,7 @@ from ksmooth.fields import (
     is_irreducible,
     is_prime,
     normalize_projective,
+    poly_gcd,
     sqrt_char2,
 )
 
@@ -233,6 +234,64 @@ class TestElementOps:
             for k in range(6):
                 assert a ** k == acc
                 acc = acc * a
+
+
+class TestPowAndGcd:
+    @pytest.mark.parametrize("field", [F2, F9, get_descriptor(2, 8)], ids=repr)
+    def test_pow_is_repeated_multiplication_on_every_element(self, field):
+        q = field.order
+        one = field.one()
+        for a in field.elements():
+            for n in (-3, 0, 1, 2, q - 1, q, 2 * q + 3):
+                if n < 0 and not a:
+                    with pytest.raises(DivisionByZero):
+                        a ** n
+                    continue
+                base = a if n >= 0 else a.inv()
+                acc = one
+                for _ in range(abs(n)):
+                    acc = acc * base
+                assert a ** n is acc
+
+    @pytest.mark.parametrize("field", [F4, get_descriptor(5), F9], ids=repr)
+    def test_poly_gcd_is_the_monic_common_divisor(self, field):
+        rng = random.Random(21)
+        els = field.elements()
+        zero, one = field.zero(), field.one()
+
+        def mul(a, b):
+            out = [zero] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+            return out
+
+        def divides(g, a):
+            # g is monic
+            r = list(a)
+            for i in range(len(r) - 1, len(g) - 2, -1):
+                c = r[i]
+                for j, y in enumerate(g):
+                    r[i - len(g) + 1 + j] = r[i - len(g) + 1 + j] - c * y
+            return not any(r)
+
+        def at(p, t):
+            v = zero
+            for x in reversed(p):
+                v = v * t + x
+            return v
+
+        assert poly_gcd([], []) == []
+        assert poly_gcd([zero, zero], [zero]) == []
+        for _ in range(30):
+            c = [rng.choice(els) for _ in range(rng.randint(1, 3))] + [one]
+            a = mul(c, [rng.choice(els) for _ in range(3)] + [one])
+            b = mul(c, [rng.choice(els) for _ in range(2)] + [one])
+            g = poly_gcd(a, [x * els[-1] for x in b] + [zero])
+            assert g[-1] == one and divides(g, a) and divides(g, b) and divides(c, g)
+            # any common root of a and b is a root of the gcd, and no other
+            for t in els:
+                assert (not at(g, t)) == (not at(a, t) and not at(b, t))
 
 
 class TestUntabledFields:

@@ -10,7 +10,13 @@ import pytest
 
 from ksmooth.constructions import construct_smooth_system
 from ksmooth.errors import PreconditionViolated
-from ksmooth.fields import QQ, enumerate_projective_points, get_descriptor
+from ksmooth.fields import (
+    QQ,
+    FieldMatrix,
+    enumerate_projective_points,
+    get_descriptor,
+    get_embedding,
+)
 from ksmooth.groebner import buchberger, is_projectively_empty, normal_form
 from ksmooth.multipoly import (
     HomogeneousForm,
@@ -23,6 +29,7 @@ from ksmooth.multipoly import (
 from ksmooth.smoothness import (
     Singular,
     Smooth,
+    _scan_lines,
     is_smooth,
     jacobian_generators,
     search_singular_point,
@@ -215,6 +222,96 @@ class TestSearchSingularPoint:
         u = F4.element([0, 1])
         assert w.point == (F4.one(), u)
         assert witness_verifies(double, w)
+
+
+def point_scan(form, max_ext, skip_apex=False):
+    """The search done point by point: every point of
+    `enumerate_projective_points` at each level, F and its partials
+    evaluated at each.  Returns (point, field) or None; `skip_apex` leaves
+    out the first point, (0, ..., 0, 1)."""
+    gens = [form] + [form.partial_derivative(i) for i in range(form.nvars)]
+    for k in range(1, max_ext + 1):
+        desc = get_descriptor(form.field.p, form.field.e * k)
+        gk = gens if k == 1 else [g.embed(get_embedding(form.field, desc)) for g in gens]
+        points = enumerate_projective_points(desc, form.nvars - 1)
+        if skip_apex:
+            next(points)
+        for point in points:
+            if all(not g.evaluate(point) for g in gk):
+                return point, desc
+    return None
+
+
+def line_scan(form, max_ext):
+    w = search_singular_point(form, max_ext)
+    return None if w is None else (w.point, w.field)
+
+
+class TestLineScanMatchesPointScan:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_seeded_forms(self, q):
+        field = {**FIELDS, 5: F5}[q]
+        rng = random.Random(800 + q)
+        found = 0
+        for nvars in (1, 2, 3, 4):
+            # every level up to the cap has at most ~1000 points
+            cap = max(k for k in range(1, 4) if k == 1 or q ** (k * (nvars - 1)) <= 1024)
+            for d in (2, 3, 4):
+                for _ in range(3):
+                    f = random_form(field, nvars, d, rng)
+                    want = point_scan(f, cap)
+                    assert line_scan(f, cap) == want, (str(f), cap)
+                    found += want is not None
+        assert found
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_squared_irreducible_quadratics(self, q):
+        # Q^2 for an irreducible binary quadratic Q in random coordinates:
+        # singular exactly at a conjugate pair of points over GF(q^2)
+        field = {**FIELDS, 5: F5}[q]
+        rng = random.Random(900 + q)
+        els = field.elements()
+        for _ in range(3):
+            a, b = rng.choice(els), rng.choice(els)
+            while any(not t * t + a * t + b for t in els):
+                a, b = rng.choice(els), rng.choice(els)
+            rows = [[rng.choice(els) for _ in range(2)] for _ in range(2)]
+            while not FieldMatrix(field, rows).det():
+                rows = [[rng.choice(els) for _ in range(2)] for _ in range(2)]
+            quad = HomogeneousForm(field, 2, 2, {(2, 0): field.one(), (1, 1): a, (0, 2): b})
+            f = quad.substitute_linear(rows) ** 2
+            want = point_scan(f, 3)
+            assert want is not None and want[1] == get_descriptor(field.p, 2 * field.e)
+            assert line_scan(f, 3) == want
+
+    def test_form_singular_along_a_line_through_the_apex(self):
+        # x0 * x1^2 over GF(3) is singular along x1 = 0, which holds
+        # (0, 0, 1) and every (1, 0, t): the apex is found first, and on
+        # the prefix (1, 0) every restriction is zero, so the gcd is zero
+        f = form(F3, 3, 3, [((1, 2, 0), 1)])
+        assert line_scan(f, 2) == point_scan(f, 2) == ((F3.zero(), F3.zero(), F3.one()), F3)
+        gens = jacobian_generators(f)
+        assert _scan_lines(F3, 2, gens) == point_scan(f, 1, skip_apex=True)[0]
+        assert _scan_lines(F3, 2, gens) == (F3.one(), F3.zero(), F3.zero())
+
+    def test_gcd_without_a_root_at_level_one(self):
+        # (x0^2 + x0x1 + x1^2)^2 over GF(2): on the only line the gcd is
+        # 1 + t^2 + t^4, with no root in GF(2); the witness is in GF(4)
+        double = form(F2, 2, 4, [((4, 0), 1), ((2, 2), 1), ((0, 4), 1)])
+        assert line_scan(double, 1) is None
+        want = point_scan(double, 2)
+        assert want is not None and want[1] == F4
+        assert line_scan(double, 2) == want
+
+    def test_only_singular_point_is_the_apex(self):
+        # x0^2 + x1^2 over GF(3): the gradient (2x0, 2x1, 0) vanishes only
+        # where x0 = x1 = 0
+        f = form(F3, 3, 2, [((2, 0, 0), 1), ((0, 2, 0), 1)])
+        apex = ((F3.zero(), F3.zero(), F3.one()), F3)
+        assert line_scan(f, 2) == point_scan(f, 2) == apex
+        assert point_scan(f, 2, skip_apex=True) is None
+        gens = jacobian_generators(f)
+        assert _scan_lines(F3, 2, gens) is None
 
 
 class TestOracleAgreement:
