@@ -64,8 +64,6 @@ from .constructions import (
     builtin_example_f3,
     char2_find_singular_member,
     char2_quadric_singular_point,
-    construct_fermat_system,
-    construct_klein_system,
     construct_smooth_system,
     construct_system_with_details,
     construction_to_json,

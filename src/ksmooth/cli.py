@@ -66,7 +66,7 @@ def _witness_line(witness):
 
 def _cmd_construct(args):
     system, result = construct_system_with_details(args.p, args.e, args.n, args.d, args.r)
-    obj = construction_to_json(result, args.r)
+    obj = construction_to_json(result)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2)

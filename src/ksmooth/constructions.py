@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    ConstructionMismatch,
     EvenN,
     HypothesisViolated,
     NotFrobeniusCyclic,
@@ -122,13 +121,10 @@ def normal_basis_search(p, e, n):
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """Raw big-field generators, their descent to the base field, and the
-    Moore data used; case 1 = diagonal powers, case 2 = cyclic products."""
+    """Raw big-field generators, their descent to the base field, the Moore
+    data used and the returned system of the first r+1 descended generators;
+    case 1 = diagonal powers, case 2 = cyclic products."""
 
-    p: int
-    e: int
-    n: int
-    d: int
     case: int
     moore: MooreData
     raw_generators: tuple
@@ -151,10 +147,11 @@ def _moore_linear_forms(moore):
 
 
 def _check_equal_span(family_a, family_b):
-    """Certify span equality: rank A = rank B = rank of both families together."""
+    """Certify that both families are independent with one span:
+    rank A = rank B = rank of both families together = the size of A."""
     both = list(family_a) + list(family_b)
-    if len({coefficient_matrix(f).rank() for f in (family_a, family_b, both)}) != 1:
-        raise AssertionError("descent changed the span of the family")
+    if {coefficient_matrix(f).rank() for f in (family_a, family_b, both)} != {len(family_a)}:
+        raise AssertionError("descent changed the span of the family or it is dependent")
 
 
 def galois_descent(raw_generators, moore):
@@ -188,47 +185,18 @@ def galois_descent(raw_generators, moore):
     return [g.map_coefficients(emb.down, base) for g in big_gens]
 
 
-def construct_fermat_system(p, e, n, d):
-    """System with big-field generators y_j^d in the Moore coordinates y_j;
-    requires the characteristic not to divide d.  Every member with all-nonzero
-    big-field coefficients is a diagonal form in the y coordinates."""
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    if d % p == 0:
-        raise ConstructionMismatch(
-            "characteristic divides the degree; use the cyclic construction")
-    moore = normal_basis_search(p, e, n)
-    lin = _moore_linear_forms(moore)
-    raw = tuple(l ** d for l in lin)
-    descended = galois_descent(raw, moore)
-    return ConstructionResult(p=p, e=e, n=n, d=d, case=1, moore=moore,
-                              raw_generators=raw, generators=tuple(descended),
-                              system=LinearSystemOfForms(descended))
-
-
-def construct_klein_system(p, e, n, d):
-    """System with big-field generators y_i^(d-1) * y_(i+1) in the Moore
-    coordinates; requires the characteristic to divide d but not n+1.  Members
-    with all-nonzero big-field coefficients are cyclic forms in y."""
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    if d % p != 0 or (n + 1) % p == 0:
-        raise ConstructionMismatch(
-            "cyclic construction needs the characteristic to divide d and not n+1")
-    moore = normal_basis_search(p, e, n)
-    lin = _moore_linear_forms(moore)
-    nv = n + 1
-    raw = tuple(lin[i] ** (d - 1) * lin[(i + 1) % nv] for i in range(nv))
-    descended = galois_descent(raw, moore)
-    return ConstructionResult(p=p, e=e, n=n, d=d, case=2, moore=moore,
-                              raw_generators=raw, generators=tuple(descended),
-                              system=LinearSystemOfForms(descended))
-
-
 def construct_system_with_details(p, e, n, d, r):
-    """Dispatch to the diagonal or cyclic construction and truncate to the
-    first r+1 descended generators (any subspace of a K-smooth system is
-    K-smooth; taking a prefix keeps the output deterministic)."""
+    """System of the first r+1 descended generators, with the construction
+    details (any subspace of a K-smooth system is K-smooth; taking a prefix
+    keeps the output deterministic).
+
+    In the Moore coordinates y_j of a normal element of GF(q^(n+1)), the
+    big-field family is y_j^d when the characteristic does not divide d
+    (case 1: members with all-nonzero big-field coefficients are diagonal
+    forms in y) and y_j^(d-1) * y_(j+1) when it divides d but not n+1
+    (case 2: cyclic forms in y); Galois descent turns it into generators
+    over GF(q).
+    """
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     if r < 1:
@@ -250,9 +218,17 @@ def construct_system_with_details(p, e, n, d, r):
         raise HypothesisViolated(
             f"characteristic {p} divides gcd(d, n+1) = {g}; the construction "
             "requires p not to divide gcd(d, n+1)")
-    result = (construct_fermat_system(p, e, n, d) if d % p
-              else construct_klein_system(p, e, n, d))
-    return LinearSystemOfForms(result.generators[:r + 1]), result
+    moore = normal_basis_search(p, e, n)
+    y = _moore_linear_forms(moore)
+    nv = n + 1
+    if d % p:
+        case, raw = 1, tuple(yj ** d for yj in y)
+    else:
+        case, raw = 2, tuple(y[i] ** (d - 1) * y[(i + 1) % nv] for i in range(nv))
+    generators = tuple(galois_descent(raw, moore))
+    system = LinearSystemOfForms(generators[:r + 1])
+    return system, ConstructionResult(case=case, moore=moore, raw_generators=raw,
+                                      generators=generators, system=system)
 
 
 def construct_smooth_system(p, e, n, d, r):
@@ -394,10 +370,10 @@ def builtin_example_f3():
     return LinearSystemOfForms([f0, f1, f2])
 
 
-def construction_to_json(result, r):
-    """System JSON of the first r+1 descended generators plus the
-    construction extras: case tag, normal element and Moore determinant."""
-    obj = system_to_json(LinearSystemOfForms(result.generators[:r + 1]))
+def construction_to_json(result):
+    """System JSON of the constructed system plus the construction extras:
+    case tag, normal element and Moore determinant."""
+    obj = system_to_json(result.system)
     obj["case"] = result.case
     obj["alpha"] = element_to_json(result.moore.alpha)
     obj["moore_det"] = element_to_json(result.moore.det)

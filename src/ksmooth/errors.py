@@ -42,10 +42,6 @@ class PreconditionViolated(ValueError):
     """Structural precondition on the input system does not hold."""
 
 
-class ConstructionMismatch(ValueError):
-    """Parameters belong to the other generator construction."""
-
-
 class NotFrobeniusCyclic(ValueError):
     """Input family is not cyclically permuted by the Frobenius map."""
 

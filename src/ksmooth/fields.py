@@ -640,7 +640,7 @@ class FieldEmbedding:
     image and raises NoSolution off it.
     """
 
-    __slots__ = ("small", "big", "root", "_preimage")
+    __slots__ = ("small", "big", "root", "_image", "_preimage")
 
     def __init__(self, small, big):
         if small.p != big.p:
@@ -660,15 +660,19 @@ class FieldEmbedding:
                 break
         else:
             raise AssertionError("unreachable: the modulus splits in the big field")
-        self._preimage = {self.up(x): x for x in small.elements()}
+        # the image of every small element, by index: sum of c_i * root^i
+        self._image = []
+        for x in small.elements():
+            acc = zero
+            for c in reversed(x.coeffs):
+                acc = acc * self.root + big.from_int(c)
+            self._image.append(acc)
+        self._preimage = dict(zip(self._image, small.elements()))
 
     def up(self, x):
         if x.field.key != self.small.key:
             raise DescriptorMismatch("element is not in the small field")
-        acc = self.big.zero()
-        for c in reversed(x.coeffs):
-            acc = acc * self.root + self.big.from_int(c)
-        return acc
+        return self._image[x.idx]
 
     def down(self, y):
         if y.field.key != self.big.key:

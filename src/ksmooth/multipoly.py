@@ -234,7 +234,11 @@ class HomogeneousForm:
         return HomogeneousForm(field, self.nvars, self.degree, out)
 
     def embed(self, embedding):
-        return self.map_coefficients(embedding.up, embedding.big)
+        """The same form over the big field; an embedding keeps every
+        coefficient nonzero."""
+        up = embedding.up
+        return _raw_form(embedding.big, self.nvars, self.degree,
+                         {m: up(c) for m, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

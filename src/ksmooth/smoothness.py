@@ -156,16 +156,14 @@ def _scan_lines(desc, n, gens):
 
 
 def witness_verifies(form, witness):
-    """Re-check a witness by direct evaluation (embedding the form first when
-    the witness lives in an extension)."""
+    """Re-check a witness by direct evaluation of `jacobian_generators`, the
+    forms `is_smooth` certifies and the search scans (embedding the form
+    first when the witness lives in an extension)."""
     target = witness.field
     g = form
     if isinstance(form.field, FieldDescriptor) and form.field.key != target.key:
         g = form.embed(get_embedding(form.field, target))
-    if g.evaluate(witness.point):
-        return False
-    return all(not g.partial_derivative(i).evaluate(witness.point)
-               for i in range(g.nvars))
+    return all(not h.evaluate(witness.point) for h in jacobian_generators(g))
 
 
 def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):

@@ -17,7 +17,7 @@ from ksmooth.constructions import construct_smooth_system, lift_to_char_zero
 from ksmooth.errors import BudgetExceeded, WitnessNotFoundWithinCap
 from ksmooth.multipoly import form_to_json, system_from_json, system_to_json
 from ksmooth.smoothness import verify_system_K_smooth
-from ksmooth.fields import FieldDescriptor, get_descriptor
+from ksmooth.fields import QQ, FieldDescriptor, get_descriptor
 from ksmooth.multipoly import HomogeneousForm, LinearSystemOfForms
 
 
@@ -126,6 +126,13 @@ class TestCheck:
         assert obj["smooth"] is False
         assert obj["witness"]["point"] == [[0], [0], [1]]
 
+    def test_singular_form_over_the_rationals(self, capsys, tmp_path):
+        f = HomogeneousForm(QQ, 3, 2, {(2, 0, 0): Fraction(1)})
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(form_to_json(f)))
+        code, out, _ = run(capsys, ["check", str(path)])
+        assert code == 1
+        assert out == "singular (no explicit witness over the rationals)\n"
 
     def test_check_over_a_61_bit_prime(self, capsys, tmp_path):
         field = get_descriptor(2 ** 61 - 1)
@@ -246,8 +253,8 @@ class TestLift:
         assert "6/6 sampled members smooth" in out
 
     def test_lift_rejects_extension_field_input(self, capsys, tmp_path):
-        from ksmooth.constructions import construct_fermat_system
-        res = construct_fermat_system(2, 2, 1, 3)
+        from ksmooth.constructions import construct_system_with_details
+        res = construct_system_with_details(2, 2, 1, 3, 1)[1]
         path = tmp_path / "ext.json"
         path.write_text(json.dumps(system_to_json(res.system)))
         code, _, err = run(capsys, ["lift", str(path)])

@@ -1,19 +1,19 @@
 """Construction tests: template forms, normal bases and Moore matrices,
-Galois descent, the two system constructions and their dispatcher, the
-rational lift, the characteristic-2 quadric machinery and the built-in
+Galois descent, the diagonal and cyclic cases of the one construction
+pipeline, the rational lift, the characteristic-2 quadric machinery and the built-in
 GF(3) system."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from ksmooth.constructions import (
+    _check_equal_span,
     builtin_example_f3,
     char2_find_singular_member,
     char2_quadric_singular_point,
-    construct_fermat_system,
-    construct_klein_system,
     construct_smooth_system,
     construct_system_with_details,
     construction_to_json,
@@ -24,7 +24,6 @@ from ksmooth.constructions import (
     normal_basis_search,
 )
 from ksmooth.errors import (
-    ConstructionMismatch,
     EvenN,
     HypothesisViolated,
     NotFrobeniusCyclic,
@@ -129,14 +128,14 @@ class TestNormalBasisSearch:
 
 class TestGaloisDescent:
     def test_binary_cubic_family(self):
-        res = construct_fermat_system(2, 1, 1, 3)
+        res = construct_system_with_details(2, 1, 1, 3, 1)[1]
         assert res.generators[0] == form(F2, 2, 3, [((3, 0), 1), ((2, 1), 1),
                                                     ((0, 3), 1)])
         assert res.generators[1] == form(F2, 2, 3, [((3, 0), 1), ((1, 2), 1),
                                                     ((0, 3), 1)])
 
     def test_member_sum_is_the_fermat_member(self):
-        res = construct_fermat_system(2, 1, 1, 3)
+        res = construct_system_with_details(2, 1, 1, 3, 1)[1]
         member = res.generators[0] + res.generators[1]
         assert member == form(F2, 2, 3, [((2, 1), 1), ((1, 2), 1)])
         raw_sum = res.raw_generators[0] + res.raw_generators[1]
@@ -144,33 +143,42 @@ class TestGaloisDescent:
         assert member.embed(emb) == raw_sum
 
     def test_raw_families_are_frobenius_cyclic(self):
-        for res in (construct_fermat_system(2, 1, 2, 3),
-                    construct_klein_system(3, 1, 1, 3),
-                    construct_fermat_system(2, 2, 1, 3)):
+        for res in (construct_system_with_details(2, 1, 2, 3, 2)[1],
+                    construct_system_with_details(3, 1, 1, 3, 1)[1],
+                    construct_system_with_details(2, 2, 1, 3, 1)[1]):
             raw = res.raw_generators
             nv = len(raw)
             for i in range(nv):
-                assert frobenius_twist(raw[i], res.e) == raw[(i + 1) % nv]
+                assert frobenius_twist(raw[i], res.moore.base.e) == raw[(i + 1) % nv]
 
     def test_descended_generators_are_frobenius_fixed(self):
-        res = construct_fermat_system(2, 2, 1, 3)
+        res = construct_system_with_details(2, 2, 1, 3, 1)[1]
         emb = get_embedding(res.system.field, res.moore.field)
         for g in res.generators:
-            assert coefficients_fixed_by_frobenius(g.embed(emb), res.e)
+            assert coefficients_fixed_by_frobenius(g.embed(emb), res.moore.base.e)
 
     def test_substituting_moore_rows_into_template_gives_raw_family(self):
-        res = construct_fermat_system(3, 1, 2, 2)
+        res = construct_system_with_details(3, 1, 2, 2, 2)[1]
         big = res.moore.field
         template = fermat_form((big.one(),) * 3, 2)
         assert template.substitute_linear(res.moore.matrix) == \
             res.raw_generators[0] + res.raw_generators[1] + res.raw_generators[2]
-        res2 = construct_klein_system(2, 1, 2, 2)
+        res2 = construct_system_with_details(2, 1, 2, 2, 2)[1]
         big2 = res2.moore.field
         template2 = klein_form((big2.one(),) * 3, 2)
         total = res2.raw_generators[0]
         for raw in res2.raw_generators[1:]:
             total = total + raw
         assert template2.substitute_linear(res2.moore.matrix) == total
+
+    def test_equal_span_check_rejects_a_dependent_family(self):
+        f = form(F2, 2, 2, [((2, 0), 1)])
+        g = form(F2, 2, 2, [((1, 1), 1)])
+        _check_equal_span([f, g], [g, f + g])
+        with pytest.raises(AssertionError):
+            _check_equal_span([f, f], [f, f])
+        with pytest.raises(AssertionError):
+            _check_equal_span([f, g], [f, f])
 
     def test_non_cyclic_family_rejected(self):
         md = normal_basis_search(2, 1, 1)
@@ -182,18 +190,14 @@ class TestGaloisDescent:
 
 
 class TestFermatConstruction:
-    def test_rejects_degree_divisible_by_characteristic(self):
-        with pytest.raises(ConstructionMismatch):
-            construct_fermat_system(2, 1, 1, 2)
-
     def test_binary_cubics_over_f2_all_smooth(self):
-        res = construct_fermat_system(2, 1, 1, 3)
+        res = construct_system_with_details(2, 1, 1, 3, 1)[1]
         report = verify_system_K_smooth(res.system)
         assert report.member_count == 3
         assert report.k_smooth
 
     def test_f3_plane_quadrics_all_smooth(self):
-        res = construct_fermat_system(3, 1, 2, 2)
+        res = construct_system_with_details(3, 1, 2, 2, 2)[1]
         report = verify_system_K_smooth(res.system)
         assert report.member_count == 13
         assert report.k_smooth
@@ -201,7 +205,7 @@ class TestFermatConstruction:
 
 class TestKleinConstruction:
     def test_plane_quadrics_over_f2(self):
-        res = construct_klein_system(2, 1, 2, 2)
+        res = construct_system_with_details(2, 1, 2, 2, 2)[1]
         report = verify_system_K_smooth(res.system)
         assert report.member_count == 7
         assert report.k_smooth
@@ -209,16 +213,10 @@ class TestKleinConstruction:
             assert search_singular_point(member, 3) is None
 
     def test_binary_cubics_over_f3(self):
-        res = construct_klein_system(3, 1, 1, 3)
+        res = construct_system_with_details(3, 1, 1, 3, 1)[1]
         report = verify_system_K_smooth(res.system)
         assert report.member_count == 4
         assert report.k_smooth
-
-    def test_rejects_characteristic_dividing_nvars(self):
-        with pytest.raises(ConstructionMismatch):
-            construct_klein_system(2, 1, 1, 2)
-        with pytest.raises(ConstructionMismatch):
-            construct_klein_system(2, 1, 1, 3)
 
 
 class TestDispatcher:
@@ -257,9 +255,29 @@ class TestDispatcher:
         report = verify_system_K_smooth(pencil)
         assert report.member_count == 4 and report.k_smooth
 
+    def test_result_holds_the_returned_system(self):
+        system, res = construct_system_with_details(3, 1, 2, 2, 1)
+        assert res.system is system
+        assert len(res.generators) == 3
+
+    def test_construct_command_builds_one_system(self, monkeypatch, capsys):
+        from ksmooth import cli, constructions
+        built = []
+        real = constructions.LinearSystemOfForms
+
+        def counting(generators):
+            built.append(len(generators))
+            return real(generators)
+
+        monkeypatch.setattr(constructions, "LinearSystemOfForms", counting)
+        assert cli.main(["construct", "--p", "2", "--n", "2", "--d", "3",
+                         "--r", "1", "--json"]) == 0
+        assert built == [2]
+        assert len(json.loads(capsys.readouterr().out)["generators"]) == 2
+
     def test_construction_json_extras(self):
         _, res = construct_system_with_details(2, 1, 1, 3, 1)
-        obj = construction_to_json(res, 1)
+        obj = construction_to_json(res)
         assert obj["case"] == 1
         assert obj["alpha"] == [0, 1]
         assert obj["moore_det"] == [1, 0]
@@ -295,7 +313,7 @@ class TestLift:
             assert isinstance(is_smooth(lifted.member(coeffs)), Smooth)
 
     def test_rejects_extension_fields(self):
-        res = construct_fermat_system(2, 2, 1, 3)
+        res = construct_system_with_details(2, 2, 1, 3, 1)[1]
         with pytest.raises(NotPrimeField):
             lift_to_char_zero(res.system)
 

@@ -297,7 +297,7 @@ class TestPowAndGcd:
 class TestUntabledFields:
     """Fields above the table limit compute on the index digits."""
 
-    @pytest.mark.parametrize("p, e", [(2, 17), (65537, 1), (2 ** 61 - 1, 1)])
+    @pytest.mark.parametrize("p, e", [(2, 17), (7, 6), (65537, 1), (2 ** 61 - 1, 1)])
     def test_ops_match_digit_arithmetic(self, p, e):
         field = get_descriptor(p, e)
         assert field._exp is None

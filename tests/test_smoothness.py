@@ -28,6 +28,7 @@ from ksmooth.multipoly import (
 )
 from ksmooth.smoothness import (
     Singular,
+    SingularWitness,
     Smooth,
     _scan_lines,
     is_smooth,
@@ -103,6 +104,15 @@ class TestIsSmooth:
     def test_rejects_zero_form(self):
         with pytest.raises(ValueError):
             is_smooth(HomogeneousForm.zero(F2, 3, 2))
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["gf2", "gf3", "qq"])
+    def test_hyperplane_certificate_holds_a_constant(self, field):
+        one = field.from_int(1)
+        plane = HomogeneousForm(field, 3, 1, {(1, 0, 0): one, (0, 1, 0): one,
+                                              (0, 0, 1): one})
+        v = is_smooth(plane)
+        assert isinstance(v, Smooth)
+        assert any(set(terms) == {(0, 0, 0)} for terms in v.certificate.elements)
 
     def test_witness_cap_failure_is_loud(self):
         from ksmooth.errors import WitnessNotFoundWithinCap
@@ -222,6 +232,33 @@ class TestSearchSingularPoint:
         u = F4.element([0, 1])
         assert w.point == (F4.one(), u)
         assert witness_verifies(double, w)
+
+
+class TestWitnessVerifies:
+    PRODUCT = form(F2, 3, 2, [((1, 1, 0), 1)])
+
+    def test_point_off_the_hypersurface(self):
+        point = (F2.one(), F2.one(), F2.zero())
+        assert not witness_verifies(self.PRODUCT, SingularWitness(point, F2))
+
+    def test_smooth_point_on_the_hypersurface(self):
+        # x0*x1 vanishes at [1:0:0], its partial x0 does not
+        point = (F2.one(), F2.zero(), F2.zero())
+        assert not self.PRODUCT.evaluate(point)
+        assert not witness_verifies(self.PRODUCT, SingularWitness(point, F2))
+        assert witness_verifies(self.PRODUCT,
+                                SingularWitness((F2.zero(), F2.zero(), F2.one()), F2))
+
+    def test_another_forms_witness_over_an_extension(self):
+        double = form(F2, 2, 4, [((4, 0), 1), ((2, 2), 1), ((0, 4), 1)])
+        w = search_singular_point(double, 2)
+        assert w.field == F4 and witness_verifies(double, w)
+        assert not witness_verifies(fermat(F2, 2, 3), w)
+
+    def test_rejects_zero_form(self):
+        with pytest.raises(ValueError):
+            witness_verifies(HomogeneousForm.zero(F2, 3, 2),
+                             SingularWitness((F2.zero(), F2.zero(), F2.one()), F2))
 
 
 def point_scan(form, max_ext, skip_apex=False):
