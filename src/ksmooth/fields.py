@@ -59,6 +59,11 @@ def is_prime(n):
     return True
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending."""
+    return [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+
+
 def _digits(idx, p, k):
     """The k base-p digits of idx, least significant first."""
     out = []
@@ -261,7 +266,7 @@ class FieldDescriptor:
         p, e, red = self.p, self.e, self._red
         n = self.order - 1
         one = _digits(1, p, e)
-        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        primes = _prime_factors(n)
         for g in range(1, n + 1):
             gd = _digits(g, p, e)
             if all(_powmod(gd, n // r, red, p) != one for r in primes):
@@ -638,6 +643,14 @@ class FieldEmbedding:
     Determined by the first root of the small modulus in canonical order, so
     repeated runs embed identically.  `down` inverts the embedding on its
     image and raises NoSolution off it.
+
+    The roots are the images of u, so they lie in the copy of GF(q) inside
+    the big field and, except for the root 0 of a prime field's modulus u,
+    in its unit group: the subgroup of order q - 1 of the big field's units,
+    generated by h = x^((Q-1)/(q-1)) for any x for which h has order q - 1.
+    The powers of h are scanned up to the first root, and the root of
+    smallest index is taken among its e Frobenius conjugates, which are all
+    the roots of the irreducible modulus.
     """
 
     __slots__ = ("small", "big", "root", "_image", "_preimage")
@@ -651,15 +664,7 @@ class FieldEmbedding:
         self.big = big
         zero = big.zero()
         # a prime field is F_p[u]/(u), so its root is 0
-        for cand in map(big.element_from_index, range(big.order)):
-            acc = zero
-            for c in reversed(small.modulus or (0, 1)):
-                acc = acc * cand + big.from_int(c)
-            if not acc:
-                self.root = cand
-                break
-        else:
-            raise AssertionError("unreachable: the modulus splits in the big field")
+        self.root = zero if small.modulus is None else self._first_root()
         # the image of every small element, by index: sum of c_i * root^i
         self._image = []
         for x in small.elements():
@@ -668,6 +673,25 @@ class FieldEmbedding:
                 acc = acc * self.root + big.from_int(c)
             self._image.append(acc)
         self._preimage = dict(zip(self._image, small.elements()))
+
+    def _first_root(self):
+        small, big = self.small, self.big
+        one, n = big.one(), small.order - 1
+        primes = _prime_factors(n)
+        for x in map(big.element_from_index, range(2, big.order)):
+            h = x ** ((big.order - 1) // n)
+            if all(h ** (n // r) != one for r in primes):
+                break
+        cand = one
+        for _ in range(n):
+            acc = big.zero()
+            for c in reversed(small.modulus):
+                acc = acc * cand + big.from_int(c)
+            if not acc:
+                conjugates = (frobenius(cand, k) for k in range(1, small.e + 1))
+                return min(conjugates, key=lambda r: r.idx)
+            cand = cand * h
+        raise AssertionError("unreachable: the modulus splits in the big field")
 
     def up(self, x):
         if x.field.key != self.small.key:

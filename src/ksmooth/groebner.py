@@ -25,7 +25,17 @@ Every element of a run is monic, over a finite field and over Q alike: the
 inputs and each new element are scaled once by the inverse of their leading
 coefficient.  An S-polynomial is then the difference of two shifted elements,
 and a reduction step subtracts the divisor times the reducee's coefficient, so
-the loop itself never divides.
+the loop itself never divides.  Over a prime field GF(p) a coefficient inside
+a run is the element's index, a plain int in [0, p) reduced mod p after each
+update; over Q and over GF(p^e) with e > 1 the same loop runs on `Fraction`s
+and `FieldElement`s.  `normal_form` and `s_polynomial` always run on the
+given coefficients.
+
+A pair is popped in normal selection order and skipped, without forming its
+S-polynomial, when the leaders are coprime (the product criterion) or when a
+third element's leader divides the pair's lcm and neither of its pairs with
+the two is still pending (Buchberger's chain criterion).  The step budget
+counts popped pairs, skipped ones included.
 """
 
 from __future__ import annotations
@@ -107,45 +117,49 @@ def _degree(terms):
     return degrees.pop()
 
 
-def _make_monic(terms, field):
-    """Packed terms scaled so that the leading coefficient is 1."""
+def _make_monic(terms, p):
+    """Packed terms scaled so that the leading coefficient is 1: ints mod
+    the prime p, or field elements or Fractions when p is 0."""
     lc = terms[min(terms)]
-    if lc == field.one():
-        return terms
-    inv = field.one() / lc
+    if p:
+        inv = pow(lc, -1, p)
+        return terms if inv == 1 else {m: c * inv % p for m, c in terms.items()}
+    inv = lc ** -1
     return {m: c * inv for m, c in terms.items()}
 
 
-def _reduce_full(work, gens, lms, guard):
+def _reduce_full(work, gens, lms, guard, p):
     """Full remainder of multivariate division of packed `work` by `gens`
-    (packed, homogeneous and monic, with leading keys `lms`); consumes
-    `work`."""
+    (packed, homogeneous and monic, with leading keys `lms`), with
+    coefficients as in `_make_monic`; consumes `work`."""
     rem = {}
     while work:
         lm = min(work)
-        c = work.pop(lm)
+        c = work[lm]
         for g, glm in zip(gens, lms):
             shift = lm - glm
             if shift & guard:
                 continue
+            # g is monic, so its leading term cancels the term at lm
             for m, gc in g.items():
-                if m == glm:
-                    continue
                 mm = m + shift
                 cur = work.get(mm)
                 v = -(c * gc) if cur is None else cur - c * gc
+                if p:
+                    v %= p
                 if v:
                     work[mm] = v
                 elif cur is not None:
                     del work[mm]
             break
         else:
-            rem[lm] = c
+            rem[lm] = work.pop(lm)
     return rem
 
 
-def _s_poly(f, lf, g, lg, l):
-    """S-polynomial of two packed monic polynomials."""
+def _s_poly(f, lf, g, lg, l, p):
+    """S-polynomial of two packed monic polynomials, with coefficients as
+    in `_make_monic`."""
     shift = l - lf
     out = {m + shift: c for m, c in f.items()}
     shift = l - lg
@@ -153,6 +167,8 @@ def _s_poly(f, lf, g, lg, l):
         mm = m + shift
         cur = out.get(mm)
         v = -c if cur is None else cur - c
+        if p:
+            v %= p
         if v:
             out[mm] = v
         elif cur is not None:
@@ -191,11 +207,11 @@ def normal_form(f, basis, field=None):
         components.setdefault(sum(m), {})[m] = c
     slots = _Slots.for_degree(len(next(iter(terms))),
                               max([*components, *(_degree(g) for g in gens)]))
-    gens = [_make_monic(slots.pack(g), field) for g in gens]
+    gens = [_make_monic(slots.pack(g), 0) for g in gens]
     lms = [min(g) for g in gens]
     rem = {}
     for d in sorted(components, reverse=True):
-        rem.update(_reduce_full(slots.pack(components[d]), gens, lms, slots.guard))
+        rem.update(_reduce_full(slots.pack(components[d]), gens, lms, slots.guard, 0))
     return slots.unpack(rem)
 
 
@@ -203,9 +219,9 @@ def s_polynomial(f, g, field):
     """S-polynomial of two homogeneous term dicts, each scaled by the
     inverse of its leading coefficient."""
     slots = _Slots.for_degree(len(next(iter(f))), _degree(f) + _degree(g))
-    f, g = _make_monic(slots.pack(f), field), _make_monic(slots.pack(g), field)
+    f, g = _make_monic(slots.pack(f), 0), _make_monic(slots.pack(g), 0)
     lf, lg = min(f), min(g)
-    return slots.unpack(_s_poly(f, lf, g, lg, slots.lcm(lf, lg)))
+    return slots.unpack(_s_poly(f, lf, g, lg, slots.lcm(lf, lg), 0))
 
 
 @dataclass(frozen=True)
@@ -230,14 +246,19 @@ class GroebnerBasis:
         return tuple(_lead(t) for t in self.elements)
 
 
-def _run(basis, field, slots, step_budget, stop):
-    """The Buchberger loop on packed, monic, homogeneous generators.
+def _run(basis, p, slots, step_budget, stop):
+    """The Buchberger loop on packed, monic, homogeneous generators, with
+    coefficients as in `_make_monic`.
 
     Pairs are processed by normal selection (minimal lcm degree first, ties
-    by index); the product criterion prunes coprime-lead pairs.  With `stop`
-    the elements built so far are returned as soon as every variable has a
-    pure-power leading monomial among them (or a constant turns up);
-    otherwise, and when that never happens, the reduced basis is returned.
+    by index).  A popped pair is skipped by the product criterion (coprime
+    leaders) or by Buchberger's chain criterion: some third element's leader
+    divides the pair's lcm and neither of its pairs with the two is still
+    pending.  `step_budget` bounds the pairs popped, skipped ones included.
+    With `stop` the elements built so far are returned as soon as every
+    variable has a pure-power leading monomial among them (or a constant
+    turns up); otherwise, and when that never happens, the reduced basis is
+    returned.
     """
     guard, cap, lcm, degree = slots.guard, slots.cap, slots.lcm, slots.degree
     lms = [min(g) for g in basis]
@@ -251,26 +272,38 @@ def _run(basis, field, slots, step_budget, stop):
 
     if stop and any([covers_all(lm) for lm in lms]):
         return basis
-    heap = []
+    # the pairs in the heap, as (smaller index, larger index)
+    heap, pending = [], set()
+
+    def chained(i, j, l):
+        for k, lk in enumerate(lms):
+            if (not (l - lk) & guard and k != i and k != j
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
+
     for j in range(len(basis)):
         for i in range(j):
             heapq.heappush(heap, (degree(lcm(lms[i], lms[j])), i, j))
+            pending.add((i, j))
 
     steps = 0
     while heap:
         d, i, j = heapq.heappop(heap)
+        pending.remove((i, j))
         steps += 1
         if steps > step_budget:
             raise BudgetExceeded(f"pair budget {step_budget} exhausted")
         li, lj = lms[i], lms[j]
         l = lcm(li, lj)
-        if l == li + lj:
+        if l == li + lj or chained(i, j, l):
             continue
         if d > cap:
             raise _SlotOverflow
-        r = _reduce_full(_s_poly(basis[i], li, basis[j], lj, l), basis, lms, guard)
+        r = _reduce_full(_s_poly(basis[i], li, basis[j], lj, l, p), basis, lms, guard, p)
         if r:
-            r = _make_monic(r, field)
+            r = _make_monic(r, p)
             lm = min(r)
             basis.append(r)
             lms.append(lm)
@@ -279,6 +312,7 @@ def _run(basis, field, slots, step_budget, stop):
             k = len(basis) - 1
             for t in range(k):
                 heapq.heappush(heap, (degree(lcm(lms[t], lm)), t, k))
+                pending.add((t, k))
 
     # minimal basis: keep elements whose leading monomial no other kept
     # element's leading monomial divides (ascending degrevlex, ties by index)
@@ -295,7 +329,7 @@ def _run(basis, field, slots, step_budget, stop):
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
         olms = klms[:i] + klms[i + 1:]
-        kept[i] = _reduce_full(dict(kept[i]), others, olms, guard)
+        kept[i] = _reduce_full(dict(kept[i]), others, olms, guard, p)
     return kept
 
 
@@ -316,16 +350,22 @@ def _groebner(generators, field, nvars, step_budget, stop):
         raise ValueError("coefficient field could not be inferred")
     if nvars is None:
         nvars = len(next(iter(gens[0])))
+    # a prime field runs on element indices, plain ints in [0, p); Q (p = 0)
+    # and GF(p^e) with e > 1 run on their own coefficients
+    p = field.p if field.e == 1 else 0
+    if p:
+        gens = [{m: c.idx for m, c in g.items()} for g in gens]
     slots = _Slots.for_degree(nvars, max(_degree(g) for g in gens))
     while True:
         try:
-            basis = [_make_monic(slots.pack(g), field) for g in gens]
-            elements = _run(basis, field, slots, step_budget, stop)
+            basis = [_make_monic(slots.pack(g), p) for g in gens]
+            elements = [slots.unpack(t) for t in _run(basis, p, slots, step_budget, stop)]
             break
         except _SlotOverflow:
             slots = _Slots(nvars, 2 * slots.width)
-    return GroebnerBasis(field=field, nvars=nvars,
-                         elements=tuple(slots.unpack(t) for t in elements))
+    if p:
+        elements = [{m: field.element_from_index(c) for m, c in t.items()} for t in elements]
+    return GroebnerBasis(field=field, nvars=nvars, elements=tuple(elements))
 
 
 def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):

@@ -16,6 +16,7 @@ from ksmooth.errors import (
 from ksmooth.fields import (
     QQ,
     FieldDescriptor,
+    FieldEmbedding,
     FieldMatrix,
     _digits,
     _mulmod,
@@ -522,6 +523,33 @@ class TestEmbedding:
                 assert emb.up(a + b) == emb.up(a) + emb.up(b)
             if a:
                 assert emb.up(a.inv()) == emb.up(a).inv()
+
+    @pytest.mark.parametrize("small,big", [((2, 1), (2, 4)), ((2, 2), (2, 2)),
+                                           ((2, 2), (2, 6)), ((2, 3), (2, 6)),
+                                           ((3, 2), (3, 4)), ((5, 2), (5, 4)),
+                                           ((2, 4), (2, 8)), ((3, 1), (3, 5))],
+                             ids=lambda pe: f"{pe[0]}^{pe[1]}")
+    def test_root_is_first_root_in_canonical_order(self, small, big):
+        # reference: evaluate the small modulus at every element of the big field
+        small, big = get_descriptor(*small), get_descriptor(*big)
+        first = None
+        for x in big.elements():
+            acc = big.zero()
+            for c in reversed(small.modulus or (0, 1)):
+                acc = acc * x + big.from_int(c)
+            if not acc:
+                first = x
+                break
+        assert FieldEmbedding(small, big).root == first
+
+    # root indices recorded with the scan over every element of the big field
+    @pytest.mark.parametrize("small,big,idx", [((2, 2), (2, 18), 37384),
+                                               ((3, 2), (3, 12), 7461),
+                                               ((2, 3), (2, 18), 584)],
+                             ids=["gf4-gf2^18", "gf9-gf3^12", "gf8-gf2^18"])
+    def test_root_in_untabled_field_is_pinned(self, small, big, idx):
+        emb = FieldEmbedding(FieldDescriptor(*small), FieldDescriptor(*big))
+        assert emb.root.idx == idx
 
     def test_down_rejects_outside_subfield(self):
         big = get_descriptor(2, 4)

@@ -27,6 +27,7 @@ F2 = get_descriptor(2)
 F3 = get_descriptor(3)
 F4 = get_descriptor(2, 2)
 F5 = get_descriptor(5)
+F65537 = get_descriptor(65537)
 
 
 def poly(field, entries):
@@ -92,17 +93,25 @@ class TestBuchberger:
         assert {(2, 0, 0), (0, 2, 0), (0, 0, 2)} <= lms
 
     def test_buchberger_criterion_on_output(self):
+        # GF(65537) runs on ints above the tabled fields, GF(4) and Q on
+        # their own coefficients; the GF(2) quartic's run reduces 14 pairs
+        # with the chain criterion and 38 with the product criterion alone
         rng = random.Random(8)
-        for field in (F2, F3):
+        inputs = []
+        for field in (F2, F3, F4, F65537):
             for _ in range(10):
-                gens = [random_form(field, 3, 2, rng) for _ in range(2)]
-                basis = buchberger(gens)
-                elems = [dict(t) for t in basis.elements]
-                for j in range(len(elems)):
-                    for i in range(j):
-                        s = s_polynomial(elems[i], elems[j], field)
-                        if s:
-                            assert not normal_form(s, basis)
+                inputs.append((field, [random_form(field, 3, 2, rng) for _ in range(2)]))
+        for _ in range(5):
+            inputs.append((QQ, [_rational_form(3, 2, rng, 5) for _ in range(2)]))
+        inputs.append((F2, jacobian_generators(random_form(F2, 3, 4, random.Random(3)))))
+        for field, gens in inputs:
+            basis = buchberger(gens)
+            elems = [dict(t) for t in basis.elements]
+            for j in range(len(elems)):
+                for i in range(j):
+                    s = s_polynomial(elems[i], elems[j], field)
+                    if s:
+                        assert not normal_form(s, basis)
 
     def test_ideal_membership_is_multiplicatively_stable(self):
         rng = random.Random(12)

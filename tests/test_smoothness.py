@@ -17,6 +17,7 @@ from ksmooth.fields import (
     get_descriptor,
     get_embedding,
 )
+from ksmooth import groebner
 from ksmooth.groebner import buchberger, is_projectively_empty, normal_form
 from ksmooth.multipoly import (
     HomogeneousForm,
@@ -192,6 +193,24 @@ class TestCertificateStop:
                 if sum(1 for e in lead if e) == 1:
                     covered.add(next(i for i, e in enumerate(lead) if e))
             assert covered == set(range(f.nvars)), str(f)
+
+    def test_reductions_on_a_fixed_hard_member(self, monkeypatch):
+        # member #20 of the (3,1,3,5) system, in canonical member order; the
+        # product criterion alone reduced 116 pairs, the chain criterion
+        # leaves 45
+        system = construct_smooth_system(3, 1, 3, 5, 3)
+        member = system.member(list(enumerate_projective_points(F3, system.dim))[20])
+        calls = 0
+        reduce_full = groebner._reduce_full
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reduce_full(*args)
+
+        monkeypatch.setattr(groebner, "_reduce_full", counted)
+        assert isinstance(is_smooth(member), Smooth)
+        assert calls == 45
 
     def test_member_of_the_2_1_4_4_system_is_certified(self):
         system = construct_smooth_system(2, 1, 4, 4, 4)
