@@ -665,13 +665,17 @@ class FieldEmbedding:
         zero = big.zero()
         # a prime field is F_p[u]/(u), so its root is 0
         self.root = zero if small.modulus is None else self._first_root()
-        # the image of every small element, by index: sum of c_i * root^i
-        self._image = []
-        for x in small.elements():
-            acc = zero
-            for c in reversed(x.coeffs):
-                acc = acc * self.root + big.from_int(c)
-            self._image.append(acc)
+        # the image of every small element, by index: sum of c_i * root^i,
+        # built digit by digit, so the image of index c * p^j + r (r < p^j)
+        # is that of r plus c * root^j, one addition per element
+        self._image = [zero]
+        power = big.one()
+        for _ in range(small.e):
+            lower = list(self._image)
+            for c in range(1, small.p):
+                shift = big.from_int(c) * power
+                self._image += [x + shift for x in lower]
+            power = power * self.root
         self._preimage = dict(zip(self._image, small.elements()))
 
     def _first_root(self):

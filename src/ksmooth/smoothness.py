@@ -23,6 +23,25 @@ when the gcd is zero, which happens only on a line singular throughout,
 whose point (0, ..., 0, 1) was found first).  The first witness is thus the
 one a point-by-point scan would meet first, at the cost of O(n * terms +
 n * d^2) field operations per line instead of one evaluation per point.
+
+Level k of the search scans GF(q^k), where GF(q) holds the coefficients of
+F.  Three rules, each exact, keep a level from redoing what the Frobenius
+x -> x^q and level 1 have decided; the first witness stays the one of the
+full scan.
+1. The Jacobian forms are fixed by the Frobenius, so it maps a witness on
+   the line of a prefix to one on the line of the conjugate prefix; a
+   conjugate keeps the zeros and the leading 1, so it is again a prefix.
+   When a conjugate comes before a prefix, a witness on its line would
+   have an earlier conjugate witness; the first witness thus lies on the
+   first prefix of its orbit.  Only that prefix is scanned, in full, so
+   its first root t is unchanged.
+2. A prefix the Frobenius fixes lies over GF(q), and the monic gcd of its
+   line is the same over every extension.  Level 1 records the gcd of each
+   such line that is not a nonzero constant and had no root there; a later
+   level only looks for a root of that gcd, and skips the other GF(q)-lines.
+   A binary form has one line, which level 1 thus decides.
+3. (0, ..., 0, 1) is a GF(q)-point, and an embedding of fields is
+   injective, so it is tested at level 1 only.
 """
 
 from __future__ import annotations
@@ -91,11 +110,12 @@ def search_singular_point(form, max_ext_degree):
     in the order of `enumerate_projective_points`, or None (which proves
     nothing).
 
-    Each level tests (0, ..., 0, 1) and then scans the lines of points that
+    Level 1 tests (0, ..., 0, 1) and then scans the lines of points that
     share a prefix (x0, ..., x_{n-1}), in prefix order: a line whose
     restrictions have a nonzero constant gcd holds no witness, and on any
     other line the first root of the gcd in canonical order is the first
-    witness on it (see the module docstring)."""
+    witness on it.  Each later level scans only the lines that level 1 and
+    the Frobenius have not decided (see the module docstring)."""
     field = form.field
     if not isinstance(field, FieldDescriptor):
         raise ValueError("the point search requires a finite base field")
@@ -103,56 +123,112 @@ def search_singular_point(form, max_ext_degree):
         raise ValueError("max extension degree must be >= 1")
     gens = jacobian_generators(form)
     n = form.nvars - 1
-    for k in range(1, max_ext_degree + 1):
-        if k == 1:
-            desc, gk = field, gens
-        else:
-            desc = get_descriptor(field.p, field.e * k)
-            emb = get_embedding(field, desc)
-            gk = [g.embed(emb) for g in gens]
-        apex = (desc.zero(),) * n + (desc.one(),)
-        if all(not g.evaluate(apex) for g in gk):
-            return SingularWitness(point=apex, field=desc)
-        if n:
-            point = _scan_lines(desc, n, gk)
-            if point is not None:
-                return SingularWitness(point=point, field=desc)
+    apex = (field.zero(),) * n + (field.one(),)
+    if all(not g.evaluate(apex) for g in gens):
+        return SingularWitness(point=apex, field=field)
+    if not n:
+        return None
+    # the GF(q)-prefixes whose gcd is not a nonzero constant, with that gcd
+    lines = {}
+    point = _scan_lines(field, n, gens, lines=lines)
+    if point is not None:
+        return SingularWitness(point=point, field=field)
+    if n == 1 and not lines:
+        # the one line of a binary form lies over GF(q): level 1 decided it
+        return None
+    for k in range(2, max_ext_degree + 1):
+        desc = get_descriptor(field.p, field.e * k)
+        emb = get_embedding(field, desc)
+        lifted = {tuple(map(emb.up, prefix)): list(map(emb.up, gcd))
+                  for prefix, gcd in lines.items()}
+        point = _scan_lines(desc, n, [g.embed(emb) for g in gens], field, lifted)
+        if point is not None:
+            return SingularWitness(point=point, field=desc)
     return None
 
 
-def _scan_lines(desc, n, gens):
+def _scan_lines(desc, n, gens, base=None, lines=None):
     """First point with a nonzero prefix (x0, ..., x_{n-1}) where every form
-    in gens vanishes, or None: one restriction and gcd per prefix."""
+    in gens vanishes, or None.
+
+    Without `base` every prefix gets one restriction and gcd, and `lines`,
+    when given, receives under its prefix the gcd of each line that is not
+    a nonzero constant and has no root in desc.  With `base`, a proper
+    subfield GF(q) of desc holding every coefficient of gens, only the first
+    prefix of each orbit under x -> x^q is scanned, and a prefix the map
+    fixes, which lies over GF(q), takes its gcd from `lines` (the base
+    scan's record, mapped into desc): a prefix missing there holds no
+    witness."""
     d = gens[0].degree
     zero, one = desc.zero(), desc.one()
+    if base is not None:
+        q, k = base.order, desc.e // base.e
     # each term as (prefix exponents, exponent of the last coordinate, coefficient)
     split = [[(m[:-1], m[-1], c) for m, c in g.terms.items()] for g in gens]
     for prefix in enumerate_projective_points(desc, n - 1):
-        monomials = {}
-        gcd = []
-        for terms in split:
-            line = [zero] * (d + 1)
-            for head, j, c in terms:
-                v = monomials.get(head)
-                if v is None:
-                    v = one
-                    for x, e in zip(prefix, head):
-                        if e:
-                            v = v * x ** e
-                    monomials[head] = v
-                if v:
-                    line[j] = line[j] + c * v
-            gcd = poly_gcd(gcd, line)
-            if len(gcd) == 1:
-                break
+        if base is None:
+            gcd = _restricted_gcd(prefix, split, d, zero, one)
         else:
-            for t in desc.elements():
-                v = zero
-                for c in reversed(gcd):
-                    v = v * t + c
-                if not v:
-                    return prefix + (t,)
+            length = _orbit_length(prefix, q, k)
+            if not length:
+                continue
+            if length == 1:
+                gcd = lines.get(prefix)
+                if gcd is None:
+                    continue
+            else:
+                gcd = _restricted_gcd(prefix, split, d, zero, one)
+        if len(gcd) == 1:
+            continue
+        for t in desc.elements():
+            v = zero
+            for c in reversed(gcd):
+                v = v * t + c
+            if not v:
+                return prefix + (t,)
+        if base is None and lines is not None:
+            lines[prefix] = gcd
     return None
+
+
+def _restricted_gcd(prefix, split, d, zero, one):
+    """Monic gcd of the forms restricted to the line of `prefix`, as
+    polynomials in its last coordinate t; [] when all of them vanish."""
+    monomials = {}
+    gcd = []
+    for terms in split:
+        line = [zero] * (d + 1)
+        for head, j, c in terms:
+            v = monomials.get(head)
+            if v is None:
+                v = one
+                for x, e in zip(prefix, head):
+                    if e:
+                        v = v * x ** e
+                monomials[head] = v
+            if v:
+                line[j] = line[j] + c * v
+        gcd = poly_gcd(gcd, line)
+        if len(gcd) == 1:
+            break
+    return gcd
+
+
+def _orbit_length(prefix, q, k):
+    """Length of the orbit of a prefix over GF(q^k) under x -> x^q, applied
+    coordinate by coordinate, or 0 when one of its conjugates comes before
+    it in enumeration order.  Every conjugate keeps the zeros and the leading
+    1, so that order compares the coordinates' indices lexicographically."""
+    key = [x.idx for x in prefix]
+    conj = prefix
+    for length in range(1, k):
+        conj = [x ** q for x in conj]
+        idx = [x.idx for x in conj]
+        if idx == key:
+            return length
+        if idx < key:
+            return 0
+    return k
 
 
 def witness_verifies(form, witness):

@@ -551,6 +551,26 @@ class TestEmbedding:
         emb = FieldEmbedding(FieldDescriptor(*small), FieldDescriptor(*big))
         assert emb.root.idx == idx
 
+    # every pair small ⊂ big with big order <= 4096 whose big field is an
+    # extension or a prime p <= 64 (a larger prime field embeds only into
+    # itself), and one untabled big field
+    def test_image_matches_horner_evaluation(self):
+        pairs = [((p, e), (p, E)) for p in range(2, 65) if is_prime(p)
+                 for E in range(1, 13) if p ** E <= 4096
+                 for e in range(1, E + 1) if E % e == 0]
+        assert len(pairs) == 115
+        pairs = [(get_descriptor(*s), get_descriptor(*b)) for s, b in pairs]
+        pairs.append((FieldDescriptor(2, 6), FieldDescriptor(2, 18)))
+        for small, big in pairs:
+            emb = FieldEmbedding(small, big)
+            horner = []
+            for x in small.elements():
+                acc = big.zero()
+                for c in reversed(x.coeffs):
+                    acc = acc * emb.root + big.from_int(c)
+                horner.append(acc)
+            assert emb._image == horner, (small, big)
+
     def test_down_rejects_outside_subfield(self):
         big = get_descriptor(2, 4)
         emb = get_embedding(F4, big)

@@ -17,7 +17,7 @@ from ksmooth.fields import (
     get_descriptor,
     get_embedding,
 )
-from ksmooth import groebner
+from ksmooth import groebner, smoothness
 from ksmooth.groebner import buchberger, is_projectively_empty, normal_form
 from ksmooth.multipoly import (
     HomogeneousForm,
@@ -37,6 +37,7 @@ from ksmooth.smoothness import (
     search_singular_point,
     singular_member_at_base_point,
     verify_system_K_smooth,
+    witness_to_json,
     witness_verifies,
     x0_truncation,
 )
@@ -359,6 +360,23 @@ class TestLineScanMatchesPointScan:
         assert want is not None and want[1] == F4
         assert line_scan(double, 2) == want
 
+    @pytest.mark.parametrize("q,d,cap,count", [(2, 3, 3, 100), (2, 4, 3, 100), (3, 3, 3, 30),
+                                               (3, 4, 2, 60), (4, 3, 2, 70)])
+    def test_ternary_witness_on_a_prefix_off_the_base_field(self, q, d, cap, count):
+        # seeded ternary forms, among them some whose first witness lies at
+        # level >= 2 on a prefix with a coordinate outside GF(q): there the
+        # scan skips the lines of conjugate prefixes and of GF(q)-prefixes
+        field = FIELDS[q]
+        rng = random.Random(1000 + 10 * q + d)
+        off_base = 0
+        for _ in range(count):
+            f = random_form(field, 3, d, rng)
+            want = point_scan(f, cap)
+            assert line_scan(f, cap) == want, str(f)
+            if want is not None and want[1] != field:
+                off_base += any(x ** q != x for x in want[0][:-1])
+        assert off_base
+
     def test_only_singular_point_is_the_apex(self):
         # x0^2 + x1^2 over GF(3): the gradient (2x0, 2x1, 0) vanishes only
         # where x0 = x1 = 0
@@ -368,6 +386,54 @@ class TestLineScanMatchesPointScan:
         assert point_scan(f, 2, skip_apex=True) is None
         gens = jacobian_generators(f)
         assert _scan_lines(F3, 2, gens) is None
+
+
+class TestSearchLevels:
+    def test_binary_form_takes_its_gcds_at_level_one(self, monkeypatch):
+        # the one line (1, t) of a binary form lies over GF(q), so level 1
+        # decides it: a squarefree cubic ends there, and the square of an
+        # irreducible quadratic keeps its gcd for the root search in GF(4)
+        seen = []
+        real = smoothness.poly_gcd
+
+        def counted(a, b):
+            seen.append(b[0].field)
+            return real(a, b)
+        monkeypatch.setattr(smoothness, "poly_gcd", counted)
+        cubic = form(F2, 2, 3, [((3, 0), 1), ((1, 2), 1), ((0, 3), 1)])
+        assert search_singular_point(cubic, 9) is None
+        assert seen and set(seen) == {F2}
+        del seen[:]
+        double = form(F2, 2, 4, [((4, 0), 1), ((2, 2), 1), ((0, 4), 1)])
+        w = search_singular_point(double, 3)
+        assert w.field == F4 and w.point == (F4.one(), F4.element([0, 1]))
+        assert seen and set(seen) == {F2}
+
+
+class TestCapMissWitnesses:
+    """Forms #2699 and #3210, counted from 0, of the stream
+    random_form(GF(2), 4, 4, random.Random(0)): singular, with no witness
+    up to GF(2^6).  The search to GF(2^8) finds them in GF(2^8) and GF(2^7)."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        rng = random.Random(0)
+        return [random_form(F2, 4, 4, rng) for _ in range(3211)]
+
+    @pytest.mark.parametrize("position,modulus,point", [
+        (2699, [1, 1, 0, 1, 1, 0, 0, 0, 1],
+         [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 1, 0],
+          [0, 0, 1, 0, 1, 1, 0, 0], [1, 1, 0, 1, 0, 1, 1, 0]]),
+        (3210, [1, 1, 0, 0, 0, 0, 0, 1],
+         [[1, 0, 0, 0, 0, 0, 0], [1, 0, 1, 1, 0, 0, 0],
+          [0, 0, 1, 0, 0, 1, 0], [0, 0, 0, 1, 0, 1, 1]]),
+    ], ids=["2699", "3210"])
+    def test_witness_is_pinned(self, stream, position, modulus, point):
+        f = stream[position]
+        w = search_singular_point(f, 8)
+        field = {"p": 2, "e": len(modulus) - 1, "modulus": modulus}
+        assert witness_to_json(w) == {"point": point, "field": field, "member": None}
+        assert witness_verifies(f, w)
 
 
 class TestOracleAgreement:
