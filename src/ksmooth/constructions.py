@@ -6,7 +6,7 @@ refutation machinery, and a built-in cubic system over GF(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -41,7 +41,12 @@ from .multipoly import (
     frobenius_twist,
     system_to_json,
 )
-from .smoothness import SingularWitness, truncation_matrix, witness_verifies
+from .smoothness import (
+    SingularWitness,
+    singular_member_at_base_point,
+    truncation_matrix,
+    witness_verifies,
+)
 
 
 def fermat_form(coefficients, degree):
@@ -132,20 +137,6 @@ class ConstructionResult:
     system: LinearSystemOfForms
 
 
-def _moore_linear_forms(moore):
-    big = moore.field
-    nv = moore.matrix.nrows
-    forms = []
-    for row in moore.matrix.rows:
-        terms = {}
-        for j, c in enumerate(row):
-            exps = [0] * nv
-            exps[j] = 1
-            terms[tuple(exps)] = c
-        forms.append(HomogeneousForm(big, nv, 1, terms))
-    return forms
-
-
 def _check_equal_span(family_a, family_b):
     """Certify that both families are independent with one span:
     rank A = rank B = rank of both families together = the size of A."""
@@ -190,12 +181,15 @@ def construct_system_with_details(p, e, n, d, r):
     details (any subspace of a K-smooth system is K-smooth; taking a prefix
     keeps the output deterministic).
 
-    In the Moore coordinates y_j of a normal element of GF(q^(n+1)), the
-    big-field family is y_j^d when the characteristic does not divide d
-    (case 1: members with all-nonzero big-field coefficients are diagonal
-    forms in y) and y_j^(d-1) * y_(j+1) when it divides d but not n+1
-    (case 2: cyclic forms in y); Galois descent turns it into generators
-    over GF(q).
+    The template is `fermat_form` with all coefficients 1 over GF(q^(n+1))
+    when the characteristic does not divide d (case 1) and `klein_form` when
+    it divides d but not n+1 (case 2).  Raw generator j is the template's
+    j-th term written in the Moore coordinates y_i of a normal element (x_i
+    replaced by row i of the Moore matrix): y_j^d in case 1 and
+    y_j^(d-1) * y_(j+1) in case 2, so a member with all-nonzero big-field
+    coefficients is a template with those coefficients in y.  The terms come
+    in the cyclic order the Frobenius permutes, and Galois descent turns the
+    family into generators over GF(q).
     """
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
@@ -219,12 +213,11 @@ def construct_system_with_details(p, e, n, d, r):
             f"characteristic {p} divides gcd(d, n+1) = {g}; the construction "
             "requires p not to divide gcd(d, n+1)")
     moore = normal_basis_search(p, e, n)
-    y = _moore_linear_forms(moore)
-    nv = n + 1
-    if d % p:
-        case, raw = 1, tuple(yj ** d for yj in y)
-    else:
-        case, raw = 2, tuple(y[i] ** (d - 1) * y[(i + 1) % nv] for i in range(nv))
+    big = moore.field
+    ones = (big.one(),) * (n + 1)
+    case, template = (1, fermat_form(ones, d)) if d % p else (2, klein_form(ones, d))
+    raw = tuple(HomogeneousForm.monomial(big, n + 1, m).substitute_linear(moore.matrix)
+                for m in template.terms)
     generators = tuple(galois_descent(raw, moore))
     system = LinearSystemOfForms(generators[:r + 1])
     return system, ConstructionResult(case=case, moore=moore, raw_generators=raw,
@@ -332,22 +325,16 @@ def char2_find_singular_member(system):
             "projective dimension of the system must equal n")
     zero = field.zero()
     one = field.one()
-    matrix = truncation_matrix(system)
-    kernel = matrix.kernel()
-    if kernel:
-        coeffs = kernel[0]
+    try:
+        coeffs, member = singular_member_at_base_point(system)
+    except PreconditionViolated:
+        coeffs = truncation_matrix(system).solve([one] + [zero] * n)
         member = system.member(coeffs)
-        witness = SingularWitness(point=(one,) + (zero,) * n, field=field,
-                                  member=tuple(coeffs))
-        if not witness_verifies(member, witness):
-            raise AssertionError("kernel member failed re-verification")
-        return SingularMemberResult(tuple(coeffs), member, witness, "kernel")
-    coeffs = matrix.solve([one] + [zero] * n)
-    member = system.member(coeffs)
-    found = char2_quadric_singular_point(member)
-    witness = SingularWitness(point=found.point, field=found.field,
+        witness = replace(char2_quadric_singular_point(member), member=tuple(coeffs))
+        return SingularMemberResult(tuple(coeffs), member, witness, "preimage")
+    witness = SingularWitness(point=(one,) + (zero,) * n, field=field,
                               member=tuple(coeffs))
-    return SingularMemberResult(tuple(coeffs), member, witness, "preimage")
+    return SingularMemberResult(tuple(coeffs), member, witness, "kernel")
 
 
 def builtin_example_f3():

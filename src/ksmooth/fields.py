@@ -64,6 +64,13 @@ def _prime_factors(n):
     return [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
 
 
+def _first_of_full_order(candidates, n):
+    """The first candidate x, a unit of a field with x^n = 1, of order
+    exactly n: x^(n/r) != 1 for every prime r dividing n."""
+    primes = _prime_factors(n)
+    return next(x for x in candidates if all((x ** (n // r)).idx != 1 for r in primes))
+
+
 def _digits(idx, p, k):
     """The k base-p digits of idx, least significant first."""
     out = []
@@ -265,13 +272,9 @@ class FieldDescriptor:
         (doubled, so that a negative index wraps mod q-1)."""
         p, e, red = self.p, self.e, self._red
         n = self.order - 1
-        one = _digits(1, p, e)
-        primes = _prime_factors(n)
-        for g in range(1, n + 1):
-            gd = _digits(g, p, e)
-            if all(_powmod(gd, n // r, red, p) != one for r in primes):
-                break
-        exp, x = [], one
+        # the tables do not exist yet, so the candidates are untabled elements
+        gd = _first_of_full_order((FieldElement(self, g) for g in range(1, n + 1)), n).coeffs
+        exp, x = [], _digits(1, p, e)
         for _ in range(n):
             exp.append(_index(x, p))
             x = _mulmod(gd, x, red, p)
@@ -527,14 +530,11 @@ def enumerate_projective_points(field, r):
         raise ValueError("dimension must be >= 0")
     one = field.one()
     zero = field.zero()
-    if r == 0:
-        yield (one,)
-        return
-    for tail in enumerate_projective_points(field, r - 1):
-        yield (zero,) + tail
-    els = field.elements()
-    for tail in itertools.product(els, repeat=r):
-        yield (one,) + tail
+    els = field.elements() if r else ()
+    for lead in range(r, -1, -1):
+        head = (zero,) * lead + (one,)
+        for tail in itertools.product(els, repeat=r - lead):
+            yield head + tail
 
 
 def normalize_projective(point):
@@ -680,13 +680,10 @@ class FieldEmbedding:
 
     def _first_root(self):
         small, big = self.small, self.big
-        one, n = big.one(), small.order - 1
-        primes = _prime_factors(n)
-        for x in map(big.element_from_index, range(2, big.order)):
-            h = x ** ((big.order - 1) // n)
-            if all(h ** (n // r) != one for r in primes):
-                break
-        cand = one
+        n = small.order - 1
+        h = _first_of_full_order((big.element_from_index(i) ** ((big.order - 1) // n)
+                                  for i in range(2, big.order)), n)
+        cand = big.one()
         for _ in range(n):
             acc = big.zero()
             for c in reversed(small.modulus):

@@ -239,7 +239,6 @@ class GroebnerBasis:
     field: object
     nvars: int
     elements: tuple
-    order: str = "degrevlex"
 
     @property
     def leading_monomials(self):
@@ -415,4 +414,4 @@ def basis_to_json(basis):
             {"exps": list(m), "coeff": element_to_json(terms[m])}
             for m in sorted(terms, key=monomial_key, reverse=True)])
     return {"field": field_to_json(basis.field), "nvars": basis.nvars,
-            "order": basis.order, "elements": elements}
+            "order": "degrevlex", "elements": elements}

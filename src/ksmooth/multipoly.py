@@ -205,7 +205,7 @@ class HomogeneousForm:
             for j, c in enumerate(r):
                 if c:
                     t[tuple(1 if k == j else 0 for k in range(self.nvars))] = c
-            lin.append(HomogeneousForm(self.field, self.nvars, 1, t))
+            lin.append(_raw_form(self.field, self.nvars, 1, t))
         cache = {}
 
         def lpow(i, k):
@@ -357,10 +357,9 @@ def random_form(field, nvars, degree, rng):
     """Uniformly random nonzero form (coefficients independent per monomial)."""
     monos = monomials_of_degree(nvars, degree)
     while True:
-        terms = {m: random_element(field, rng) for m in monos}
-        f = HomogeneousForm(field, nvars, degree, terms)
-        if f:
-            return f
+        terms = {m: c for m in monos if (c := random_element(field, rng))}
+        if terms:
+            return _raw_form(field, nvars, degree, terms)
 
 
 def random_system(field, nvars, degree, count, rng, max_tries=10000):

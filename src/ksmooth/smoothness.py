@@ -252,8 +252,6 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
     witness: the refutation is exact but explicit algebraic points are out of
     scope.
     """
-    if not form:
-        raise ValueError("zero form has no smoothness question")
     basis = certificate_basis(jacobian_generators(form))
     if is_projectively_empty(basis):
         return Smooth(basis)
@@ -322,10 +320,13 @@ def singular_member_at_base_point(system):
 class VerifyReport:
     """Outcome of checking every rational member of a linear system."""
 
-    member_count: int
     verdicts: tuple
     k_smooth: bool
     witness: SingularWitness | None
+
+    @property
+    def member_count(self):
+        return len(self.verdicts)
 
     def to_json(self):
         return {"members": self.member_count,
@@ -341,7 +342,7 @@ def witness_to_json(witness):
                        if witness.member is not None else None)}
 
 
-def verify_system_K_smooth(system, witness_cap=DEFAULT_WITNESS_CAP):
+def verify_system_K_smooth(system):
     """Run the smoothness decision on every rational member of the system.
 
     Members are enumerated as projective coefficient tuples over the base
@@ -354,12 +355,12 @@ def verify_system_K_smooth(system, witness_cap=DEFAULT_WITNESS_CAP):
     first_witness = None
     for coeffs in enumerate_projective_points(system.field, system.dim):
         member = system.member(coeffs)
-        verdict = is_smooth(member, witness_cap)
+        verdict = is_smooth(member)
         if isinstance(verdict, Smooth):
             verdicts.append("smooth")
         else:
             verdicts.append("singular")
             if first_witness is None:
                 first_witness = replace(verdict.witness, member=tuple(coeffs))
-    return VerifyReport(member_count=len(verdicts), verdicts=tuple(verdicts),
-                        k_smooth=first_witness is None, witness=first_witness)
+    return VerifyReport(verdicts=tuple(verdicts), k_smooth=first_witness is None,
+                        witness=first_witness)

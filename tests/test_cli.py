@@ -25,6 +25,10 @@ F2 = get_descriptor(2)
 # (x0^2 + x0x1 + x1^2)^2 over GF(2): its singular points lie in GF(4)
 GF4_WITNESS_FORM = HomogeneousForm(F2, 2, 4, {(4, 0): F2.one(), (2, 2): F2.one(),
                                               (0, 4): F2.one()})
+# (x0^5 + x0^2x1^3 + x1^5)^2 over GF(2): x^5 + x^2 + 1 is irreducible, so its
+# singular points lie in GF(2^5) and in no smaller extension
+GF32_WITNESS_FORM = HomogeneousForm(F2, 2, 5, {(5, 0): F2.one(), (2, 3): F2.one(),
+                                               (0, 5): F2.one()}) ** 2
 
 
 def run(capsys, argv):
@@ -70,6 +74,15 @@ class TestConstructVerify:
         code, _, err = run(capsys, ["construct", "--p", "2", "--e", "1",
                                     "--n", "2", "--d", "3", "--r", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value,bound", [("--n", "0", "n must be >= 1"),
+                                                  ("--r", "0", "r must be >= 1"),
+                                                  ("--d", "1", "degree must be >= 2")])
+    def test_parameter_below_its_bound_exits_2(self, capsys, flag, value, bound):
+        args = {"--p": "2", "--n": "2", "--d": "3", "--r": "2", flag: value}
+        code, _, err = run(capsys, ["construct", *itertools.chain(*args.items())])
+        assert code == 2
+        assert err.startswith("error: ") and bound in err
 
     def test_round_trip_matches_in_process_verification(self, capsys, tmp_path):
         path = tmp_path / "s.json"
@@ -217,16 +230,25 @@ class TestNonCanonicalModulus:
 
 
 class TestOracleExtensionBound:
-    def _system_file(self, tmp_path):
-        path = tmp_path / "gf4.json"
-        path.write_text(json.dumps(system_to_json(LinearSystemOfForms([GF4_WITNESS_FORM]))))
+    def _system_file(self, tmp_path, form=GF4_WITNESS_FORM):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system_to_json(LinearSystemOfForms([form]))))
         return str(path)
 
-    def test_bound_below_the_witness_degree_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, ["verify", self._system_file(tmp_path), "--oracle",
-                                    "--max-ext", "1"])
-        assert code == 2
-        assert err.startswith("error: member [1]") and "degree 2" in err
+    def test_bound_below_the_witness_degree_exits_1(self, capsys, tmp_path):
+        # --max-ext bounds only the search on smooth members
+        code, out, err = run(capsys, ["verify", self._system_file(tmp_path), "--oracle",
+                                      "--max-ext", "1"])
+        assert (code, err) == (1, "")
+        assert "K-smooth: no" in out
+
+    def test_default_bound_confirms_a_degree_5_witness(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["verify", self._system_file(tmp_path, GF32_WITNESS_FORM),
+                                      "--oracle"])
+        assert (code, err) == (1, "")
+        assert out == ("0/1 members smooth\n"
+                       "member [1] singular at [1:u^3+1] over GF(2^5)\n"
+                       "K-smooth: no\n")
 
     def test_bound_at_the_witness_degree_agrees(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["verify", self._system_file(tmp_path), "--oracle",

@@ -1,5 +1,6 @@
 """Field arithmetic, linear algebra, enumeration and embedding tests."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -474,6 +475,25 @@ class TestEnumeration:
         q = field.order
         pts = list(enumerate_projective_points(field, r))
         assert len(pts) == (q ** (r + 1) - 1) // (q - 1)
+
+    @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+    @pytest.mark.parametrize("r", range(4))
+    def test_order_matches_sorted_normalized_tuples(self, field, r):
+        # reference: normalize every nonzero tuple, drop repeats, and sort by
+        # the number of leading zeros (most first), then by coordinate indices
+        points = {normalize_projective(t)
+                  for t in itertools.product(field.elements(), repeat=r + 1) if any(t)}
+
+        def key(pt):
+            return -next(i for i, x in enumerate(pt) if x), [x.idx for x in pt]
+
+        assert list(enumerate_projective_points(field, r)) == sorted(points, key=key)
+
+    def test_p0_reads_no_field_elements(self, monkeypatch):
+        def unread(field):
+            raise AssertionError("elements() read for r = 0")
+        monkeypatch.setattr(FieldDescriptor, "elements", unread)
+        assert list(enumerate_projective_points(F4, 0)) == [(F4.one(),)]
 
     def test_f3_plane_has_13_points(self):
         assert len(list(enumerate_projective_points(F3, 2))) == 13
