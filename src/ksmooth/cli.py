@@ -14,6 +14,7 @@ search confirms).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -268,6 +269,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built on its first call; `parse_args` keeps no
+    state between calls, each fills a fresh namespace."""
+    return build_parser()
+
+
 _HANDLERS = {
     "construct": _cmd_construct,
     "verify": _cmd_verify,
@@ -279,7 +287,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:

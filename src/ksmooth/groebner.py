@@ -18,7 +18,9 @@ is `+` and "a divides b" is `(b - a) & guard == 0`.  A run takes homogeneous
 input, so every polynomial in it is homogeneous, and the degrevlex leader of
 a polynomial is its smallest key, `min(terms)`.  No degree in a run may reach
 a guard bit: a pair whose S-polynomial would is caught before it is formed,
-and the run starts over with twice the slot width.  Public functions take and
+and the run starts over with twice the slot width.  `certify_packed` runs
+the loop of `certificate_basis` on generators its caller packs and says only
+whether the pure-power stop fired; the other public functions take and
 return exponent tuples.
 
 Every element of a run is monic, over a finite field and over Q alike: the
@@ -62,6 +64,7 @@ class _Slots:
         self.ones = sum(1 << (width * i) for i in range(nvars))
         self.guard = self.ones << (width - 1)
         self.top = width * (nvars - 1)
+        self.every = (1 << nvars) - 1
 
     @classmethod
     def for_degree(cls, nvars, degree):
@@ -93,6 +96,16 @@ class _Slots:
     def lcm(self, a, b):
         ge = ((a | self.guard) - b) & self.guard      # guard bit where a_i >= b_i
         return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+    def covered(self, key):
+        """Bit mask of the variables whose pure powers the key holds: bit i
+        for x_i^e with e > 0, every bit for the constant 0, else 0.  The
+        top nonzero bit lies in the slot of the last variable present, so
+        the key is a pure power exactly when nothing lies below that slot."""
+        if not key:
+            return self.every
+        i = (key.bit_length() - 1) // self.width
+        return 0 if key & ((1 << self.width * i) - 1) else 1 << i
 
 
 class _SlotOverflow(Exception):
@@ -257,20 +270,21 @@ def _run(basis, p, slots, step_budget, stop):
     With `stop` the elements built so far are returned as soon as every
     variable has a pure-power leading monomial among them (or a constant
     turns up); otherwise, and when that never happens, the reduced basis is
-    returned.
+    returned.  Returns (elements, whether the stop fired); when it did not,
+    no leader of the run, so none of the reduced basis, covers every
+    variable.
     """
     guard, cap, lcm, degree = slots.guard, slots.cap, slots.lcm, slots.degree
     lms = [min(g) for g in basis]
-    covered = set()
+    covered = 0
 
     def covers_all(lm):
-        nz = [i for i, e in enumerate(slots.exponents(lm)) if e]
-        if len(nz) <= 1:        # a pure power, or a constant: covers every variable
-            covered.update(nz or range(slots.nvars))
-        return len(covered) == slots.nvars
+        nonlocal covered
+        covered |= slots.covered(lm)
+        return covered == slots.every
 
     if stop and any([covers_all(lm) for lm in lms]):
-        return basis
+        return basis, True
     # the pairs in the heap, as (smaller index, larger index)
     heap, pending = [], set()
 
@@ -307,7 +321,7 @@ def _run(basis, p, slots, step_budget, stop):
             basis.append(r)
             lms.append(lm)
             if stop and covers_all(lm):
-                return basis
+                return basis, True
             k = len(basis) - 1
             for t in range(k):
                 heapq.heappush(heap, (degree(lcm(lms[t], lm)), t, k))
@@ -329,7 +343,38 @@ def _run(basis, p, slots, step_budget, stop):
         others = kept[:i] + kept[i + 1:]
         olms = klms[:i] + klms[i + 1:]
         kept[i] = _reduce_full(dict(kept[i]), others, olms, guard, p)
-    return kept
+    return kept, False
+
+
+def run_prime(field):
+    """The p of a run over the field: a prime field runs on element indices,
+    plain ints in [0, p); Q and GF(p^e) with e > 1 run on their own
+    coefficients, with p = 0."""
+    return field.p if field.e == 1 else 0
+
+
+def _packed_run(pack, nvars, degree, p, step_budget, stop):
+    """`_run` on the generators `pack(slots)` returns for the given slots:
+    packed, homogeneous, nonzero and of degree at most `degree`, with
+    coefficients as in `_make_monic`, which makes them monic.  The slots
+    start with room for twice `degree` and double their width whenever a
+    run would overflow them.  Returns (slots, elements, whether the stop
+    fired)."""
+    slots = _Slots.for_degree(nvars, degree)
+    while True:
+        try:
+            basis = [_make_monic(g, p) for g in pack(slots)]
+            return (slots, *_run(basis, p, slots, step_budget, stop))
+        except _SlotOverflow:
+            slots = _Slots(nvars, 2 * slots.width)
+
+
+def certify_packed(pack, nvars, degree, p, step_budget=DEFAULT_STEP_BUDGET):
+    """Whether the homogeneous ideal of the generators `pack(slots)` returns
+    (see `_packed_run`) has empty zero set in P^n: the loop of
+    `certificate_basis`, which is True exactly when its pure-power stop
+    fires.  `p` is the `run_prime` of the coefficient field."""
+    return _packed_run(pack, nvars, degree, p, step_budget, True)[2]
 
 
 def _groebner(generators, field, nvars, step_budget, stop):
@@ -349,19 +394,12 @@ def _groebner(generators, field, nvars, step_budget, stop):
         raise ValueError("coefficient field could not be inferred")
     if nvars is None:
         nvars = len(next(iter(gens[0])))
-    # a prime field runs on element indices, plain ints in [0, p); Q (p = 0)
-    # and GF(p^e) with e > 1 run on their own coefficients
-    p = field.p if field.e == 1 else 0
+    p = run_prime(field)
     if p:
         gens = [{m: c.idx for m, c in g.items()} for g in gens]
-    slots = _Slots.for_degree(nvars, max(_degree(g) for g in gens))
-    while True:
-        try:
-            basis = [_make_monic(slots.pack(g), p) for g in gens]
-            elements = [slots.unpack(t) for t in _run(basis, p, slots, step_budget, stop)]
-            break
-        except _SlotOverflow:
-            slots = _Slots(nvars, 2 * slots.width)
+    slots, elements, _ = _packed_run(lambda slots: [slots.pack(g) for g in gens], nvars,
+                                     max(_degree(g) for g in gens), p, step_budget, stop)
+    elements = [slots.unpack(t) for t in elements]
     if p:
         elements = [{m: field.element_from_index(c) for m, c in t.items()} for t in elements]
     return GroebnerBasis(field=field, nvars=nvars, elements=tuple(elements))

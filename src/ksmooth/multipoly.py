@@ -9,6 +9,8 @@ leading terms.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     DegreeMismatch,
     DependentGenerators,
@@ -41,11 +43,17 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
+@functools.cache
+def _monomials(nvars, degree):
+    return tuple(sorted(_compositions(degree, nvars), key=monomial_key, reverse=True))
+
+
 def monomials_of_degree(nvars, degree):
-    """All exponent vectors of the given total degree, leading one first."""
+    """All exponent vectors of the given total degree, leading one first,
+    as a new list on each call (the order is worked out once)."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    return sorted(_compositions(degree, nvars), key=monomial_key, reverse=True)
+    return list(_monomials(nvars, degree))
 
 
 class HomogeneousForm:

@@ -59,7 +59,13 @@ from .fields import (
     get_embedding,
     poly_gcd,
 )
-from .groebner import GroebnerBasis, certificate_basis, is_projectively_empty
+from .groebner import (
+    GroebnerBasis,
+    certificate_basis,
+    certify_packed,
+    is_projectively_empty,
+    run_prime,
+)
 from .multipoly import HomogeneousForm
 
 DEFAULT_WITNESS_CAP = 6
@@ -257,11 +263,17 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
         return Smooth(basis)
     if not isinstance(form.field, FieldDescriptor):
         return Singular(None)
+    return Singular(_certified_witness(form, witness_cap))
+
+
+def _certified_witness(form, witness_cap):
+    """The first singular point of a form over a finite field whose
+    certificate says singular, searched up to the cap; a miss fails loudly."""
     witness = search_singular_point(form, witness_cap)
     if witness is None:
         raise WitnessNotFoundWithinCap(
             f"certificate says singular but no witness found up to extension degree {witness_cap}")
-    return Singular(witness)
+    return witness
 
 
 def x0_truncation(form):
@@ -343,24 +355,71 @@ def witness_to_json(witness):
 
 
 def verify_system_K_smooth(system):
-    """Run the smoothness decision on every rational member of the system.
+    """Run the smoothness decision of `is_smooth` on every rational member
+    of the system.
 
     Members are enumerated as projective coefficient tuples over the base
     field; the report lists one verdict per member in enumeration order and
     carries the first singular witness, if any.
+
+    Differentiation is linear, so the Jacobian forms [F, dF/dx0, ...,
+    dF/dxn] of the member F = sum a_i G_i are sum a_i [G_i, dG_i/dx0, ...,
+    dG_i/dxn].  Those of the generators are packed once per slot width, and
+    each member runs the certificate loop on their combination with its
+    zero forms dropped: the generators `is_smooth` runs on, so the verdict
+    is the same.  Only a singular member is built as a form, for the
+    witness search of `is_smooth`.
     """
-    if not isinstance(system.field, FieldDescriptor):
+    field = system.field
+    if not isinstance(field, FieldDescriptor):
         raise ValueError("member enumeration requires a finite base field")
+    p = run_prime(field)
+    jacobians = []
+    for g in system.generators:
+        forms = [g, *(g.partial_derivative(i) for i in range(system.nvars))]
+        jacobians.append([{m: c.idx for m, c in h.terms.items()} if p else h.terms
+                          for h in forms])
+    packed = {}     # slot width -> the generators' Jacobian forms packed
+
+    def packed_jacobians(slots):
+        got = packed.get(slots.width)
+        if got is None:
+            got = packed[slots.width] = [[slots.pack(t) for t in forms]
+                                         for forms in jacobians]
+        return got
+
     verdicts = []
     first_witness = None
-    for coeffs in enumerate_projective_points(system.field, system.dim):
-        member = system.member(coeffs)
-        verdict = is_smooth(member)
-        if isinstance(verdict, Smooth):
+    for coeffs in enumerate_projective_points(field, system.dim):
+        scale = [a.idx for a in coeffs] if p else coeffs
+        if certify_packed(lambda slots: _combine(scale, packed_jacobians(slots), p),
+                          system.nvars, system.degree, p):
             verdicts.append("smooth")
-        else:
-            verdicts.append("singular")
-            if first_witness is None:
-                first_witness = replace(verdict.witness, member=tuple(coeffs))
+            continue
+        witness = _certified_witness(system.member(coeffs), DEFAULT_WITNESS_CAP)
+        verdicts.append("singular")
+        if first_witness is None:
+            first_witness = replace(witness, member=tuple(coeffs))
     return VerifyReport(verdicts=tuple(verdicts), k_smooth=first_witness is None,
                         witness=first_witness)
+
+
+def _combine(scale, jacobians, p):
+    """The nonzero ones among the forms sum_i scale[i] * jacobians[i][k],
+    in order of k, on packed term maps; with p > 0 the coefficients are ints
+    reduced mod p."""
+    out = []
+    for parts in zip(*jacobians):
+        acc = {}
+        for a, terms in zip(scale, parts):
+            if a:
+                for m, c in terms.items():
+                    v = acc.get(m)
+                    acc[m] = a * c if v is None else v + a * c
+        if p:
+            acc = {m: r for m, v in acc.items() if (r := v % p)}
+        else:
+            acc = {m: v for m, v in acc.items() if v}
+        if acc:
+            out.append(acc)
+    return out

@@ -4,7 +4,10 @@ byte-level determinism, and malformed or fuzzed wire input."""
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -332,6 +335,34 @@ class TestUsage:
         code, _, err = run(capsys, ["verify", "/nonexistent/x.json"])
         assert code == 2
         assert err.startswith("error:")
+
+
+def _run_alone(argv):
+    """Exit code, stdout and stderr of the command in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "ksmooth.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_calls_alone(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(system_to_json(LinearSystemOfForms(
+            [GF4_WITNESS_FORM, HomogeneousForm(F2, 2, 4, {(3, 1): F2.one()})]))))
+        calls = [["verify", str(path), "--oracle", "--max-ext", "0"],
+                 ["verify", str(path), "--json"],
+                 ["verify", str(path)]]
+        together = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            together.append((code, *capsys.readouterr()))
+        assert [code for code, _, _ in together] == [2, 1, 1]
+        assert together == [_run_alone(argv) for argv in calls]
 
 
 class TestPositiveIntFlags:

@@ -13,6 +13,7 @@ from ksmooth.errors import BudgetExceeded, NotHomogeneous
 from ksmooth.fields import QQ, get_descriptor
 from ksmooth.groebner import (
     GroebnerBasis,
+    _Slots,
     basis_to_json,
     buchberger,
     certificate_basis,
@@ -358,3 +359,27 @@ class TestCertificateBasis:
         gens = [random_form(F3, 3, 3, rng) for _ in range(3)]
         with pytest.raises(BudgetExceeded):
             certificate_basis(gens, step_budget=1)
+
+
+def _exponents_up_to(nvars, total):
+    """Every exponent tuple of nvars entries and degree at most total."""
+    if not nvars:
+        yield ()
+        return
+    for e in range(total + 1):
+        for rest in _exponents_up_to(nvars - 1, total - e):
+            yield (e,) + rest
+
+
+class TestPackedPurePower:
+    @pytest.mark.parametrize("nvars", range(1, 6))
+    def test_agrees_with_the_exponent_test(self, nvars):
+        narrow = _Slots.for_degree(nvars, 1)
+        for slots in (narrow, _Slots(nvars, 2 * narrow.width)):
+            for exps in _exponents_up_to(nvars, slots.cap):
+                nz = [i for i, e in enumerate(exps) if e]
+                # a constant covers every variable, a pure power its own
+                expected = ((1 << nvars) - 1 if not nz
+                            else 1 << nz[0] if len(nz) == 1 else 0)
+                (key,) = slots.pack({exps: 1})
+                assert slots.covered(key) == expected, (exps, slots.width)

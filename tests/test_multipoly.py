@@ -72,6 +72,13 @@ class TestMonomialOrder:
         with pytest.raises(ValueError, match="need at least one variable"):
             monomials_of_degree(nvars, 2)
 
+    def test_result_is_a_fresh_list(self):
+        first = monomials_of_degree(3, 2)
+        expected = list(first)
+        first.reverse()
+        first.append((9, 9, 9))
+        assert monomials_of_degree(3, 2) == expected
+
     def test_degree_dominates(self):
         assert monomial_key((3, 0)) > monomial_key((1, 1))
 

@@ -3,12 +3,15 @@ agreement, the base-point truncation and its kernel, singular member
 extraction and full system verification."""
 
 import itertools
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from ksmooth.constructions import construct_smooth_system
+from ksmooth.constructions import builtin_example_f3, construct_smooth_system
 from ksmooth.errors import PreconditionViolated
 from ksmooth.fields import (
     QQ,
@@ -31,6 +34,7 @@ from ksmooth.smoothness import (
     Singular,
     SingularWitness,
     Smooth,
+    VerifyReport,
     _scan_lines,
     is_smooth,
     jacobian_generators,
@@ -568,6 +572,82 @@ class TestVerifySystem:
         assert obj["members"] == 7
         assert obj["k_smooth"] is False
         assert obj["witness"]["member"] is not None
+
+
+def _reference_report(system):
+    """The report of `verify_system_K_smooth` from `is_smooth` on each member."""
+    verdicts, first = [], None
+    for coeffs in enumerate_projective_points(system.field, system.dim):
+        verdict = is_smooth(system.member(coeffs))
+        if isinstance(verdict, Smooth):
+            verdicts.append("smooth")
+        else:
+            verdicts.append("singular")
+            if first is None:
+                first = replace(verdict.witness, member=tuple(coeffs))
+    return VerifyReport(verdicts=tuple(verdicts), k_smooth=first is None, witness=first)
+
+
+def _assert_matches_reference(system):
+    report = verify_system_K_smooth(system)
+    reference = _reference_report(system)
+    assert report.verdicts == reference.verdicts
+    assert report.witness == reference.witness
+    assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+    return report
+
+
+class TestPackedMembersMatchIsSmooth:
+    """verify_system_K_smooth certifies each member from the generators'
+    packed Jacobian forms; its report must be that of is_smooth."""
+
+    def test_criterion_2_grid_and_f3(self):
+        systems = [builtin_example_f3()]
+        for p, e, n, d in itertools.product((2, 3), (1, 2), (1, 2, 3), (2, 3, 4)):
+            if gcd(d, n + 1) % p and (p ** e) ** (n + 1) <= 4096:
+                systems.append(construct_smooth_system(p, e, n, d, n))
+        assert len(systems) == 24
+        for system in systems:
+            assert _assert_matches_reference(system).k_smooth, system
+
+    # d = 2 over GF(2), d = 3 over GF(3) and d = 2 over GF(4) have p | d
+    @pytest.mark.parametrize("q, nvars, degree, count", [
+        (2, 3, 2, 3), (2, 4, 3, 2), (3, 3, 3, 2), (3, 3, 2, 3),
+        (4, 3, 2, 2), (4, 3, 3, 2), (9, 3, 2, 2), (9, 2, 3, 2)])
+    def test_seeded_random_systems(self, q, nvars, degree, count):
+        field = get_descriptor(3, 2) if q == 9 else FIELDS[q]
+        seen = set()
+        for seed in range(4):
+            system = random_system(field, nvars, degree, count, random.Random(seed))
+            seen.update(_assert_matches_reference(system).verdicts)
+        assert seen == {"smooth", "singular"}
+
+    def test_members_with_zero_partials(self):
+        # over GF(2) x0^2 + x1*x2 is smooth with dF/dx0 = 0, and x0^2 has no
+        # nonzero partial at all
+        system = LinearSystemOfForms([
+            form(F2, 3, 2, [((2, 0, 0), 1), ((0, 1, 1), 1)]),
+            form(F2, 3, 2, [((0, 2, 0), 1), ((1, 0, 1), 1)]),
+            form(F2, 3, 2, [((2, 0, 0), 1)])])
+        report = _assert_matches_reference(system)
+        partials = [len(jacobian_generators(system.member(c))) - 1
+                    for c in enumerate_projective_points(F2, system.dim)]
+        assert report.verdicts[partials.index(2)] == "smooth"
+        assert report.verdicts[partials.index(0)] == "singular"
+
+    def test_runs_that_overflow_the_slots(self, monkeypatch):
+        widths = []
+
+        class Recording(groebner._Slots):
+            def __init__(self, nvars, width):
+                widths.append(width)
+                super().__init__(nvars, width)
+
+        system = random_system(F2, 4, 3, 2, random.Random(14))
+        monkeypatch.setattr(groebner, "_Slots", Recording)
+        verify_system_K_smooth(system)
+        assert max(widths) > groebner._Slots.for_degree(4, 3).width
+        _assert_matches_reference(system)
 
 
 class TestDiagonalAndCyclicFamilies:
