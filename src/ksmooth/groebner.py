@@ -18,10 +18,8 @@ is `+` and "a divides b" is `(b - a) & guard == 0`.  A run takes homogeneous
 input, so every polynomial in it is homogeneous, and the degrevlex leader of
 a polynomial is its smallest key, `min(terms)`.  No degree in a run may reach
 a guard bit: a pair whose S-polynomial would is caught before it is formed,
-and the run starts over with twice the slot width.  `certify_packed` runs
-the loop of `certificate_basis` on generators its caller packs and says only
-whether the pure-power stop fired; the other public functions take and
-return exponent tuples.
+and the run starts over with twice the slot width.  The public functions
+take and return exponent tuples.
 
 Every element of a run is monic, over a finite field and over Q alike: the
 inputs and each new element are scaled once by the inverse of their leading
@@ -346,11 +344,16 @@ def _run(basis, p, slots, step_budget, stop):
     return kept, False
 
 
-def run_prime(field):
+def _run_prime(field):
     """The p of a run over the field: a prime field runs on element indices,
     plain ints in [0, p); Q and GF(p^e) with e > 1 run on their own
     coefficients, with p = 0."""
     return field.p if field.e == 1 else 0
+
+
+def _run_terms(terms, p):
+    """A term map with the coefficients of a run with the given p."""
+    return {m: c.idx for m, c in terms.items()} if p else terms
 
 
 def _packed_run(pack, nvars, degree, p, step_budget, stop):
@@ -369,12 +372,58 @@ def _packed_run(pack, nvars, degree, p, step_budget, stop):
             slots = _Slots(nvars, 2 * slots.width)
 
 
-def certify_packed(pack, nvars, degree, p, step_budget=DEFAULT_STEP_BUDGET):
-    """Whether the homogeneous ideal of the generators `pack(slots)` returns
-    (see `_packed_run`) has empty zero set in P^n: the loop of
-    `certificate_basis`, which is True exactly when its pure-power stop
-    fires.  `p` is the `run_prime` of the coefficient field."""
-    return _packed_run(pack, nvars, degree, p, step_budget, True)[2]
+def certify_combinations(rows, field, nvars):
+    """Projective emptiness of the ideals of linear combinations of rows.
+
+    `rows` holds one list of homogeneous forms or term maps per summand,
+    all lists of the same length.  The returned function takes
+    coefficients (a_0, a_1, ...) in the field and says whether the nonzero
+    ones among the forms sum_i a_i rows[i][k], in order of k, generate an
+    ideal with empty zero set in P^n.  It runs the loop of
+    `certificate_basis` on them, which decides the answer by whether its
+    pure-power stop fires, and so agrees with `is_projectively_empty` of
+    that basis; when every combined form is zero the answer is False.  The
+    rows are turned into run coefficients once and packed once per slot
+    width; each call combines them on the packed keys.
+    """
+    p = _run_prime(field)
+    rows = [[_run_terms(_terms_of(f), p) for f in row] for row in rows]
+    degree = max(_degree(t) for row in rows for t in row if t)
+    packed = {}     # slot width -> the rows packed
+
+    def combined(scale, slots):
+        got = packed.get(slots.width)
+        if got is None:
+            got = packed[slots.width] = [[slots.pack(t) for t in row] for row in rows]
+        return _combine(scale, got, p)
+
+    def certify(coeffs):
+        scale = [a.idx for a in coeffs] if p else coeffs
+        return _packed_run(lambda slots: combined(scale, slots), nvars, degree, p,
+                           DEFAULT_STEP_BUDGET, True)[2]
+
+    return certify
+
+
+def _combine(scale, rows, p):
+    """The nonzero ones among the forms sum_i scale[i] * rows[i][k], in
+    order of k, on packed term maps, with coefficients as in
+    `_make_monic`."""
+    out = []
+    for parts in zip(*rows):
+        acc = {}
+        for a, terms in zip(scale, parts):
+            if a:
+                for m, c in terms.items():
+                    v = acc.get(m)
+                    acc[m] = a * c if v is None else v + a * c
+        if p:
+            acc = {m: r for m, v in acc.items() if (r := v % p)}
+        else:
+            acc = {m: v for m, v in acc.items() if v}
+        if acc:
+            out.append(acc)
+    return out
 
 
 def _groebner(generators, field, nvars, step_budget, stop):
@@ -394,9 +443,8 @@ def _groebner(generators, field, nvars, step_budget, stop):
         raise ValueError("coefficient field could not be inferred")
     if nvars is None:
         nvars = len(next(iter(gens[0])))
-    p = run_prime(field)
-    if p:
-        gens = [{m: c.idx for m, c in g.items()} for g in gens]
+    p = _run_prime(field)
+    gens = [_run_terms(g, p) for g in gens]
     slots, elements, _ = _packed_run(lambda slots: [slots.pack(g) for g in gens], nvars,
                                      max(_degree(g) for g in gens), p, step_budget, stop)
     elements = [slots.unpack(t) for t in elements]

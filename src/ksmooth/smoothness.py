@@ -62,9 +62,8 @@ from .fields import (
 from .groebner import (
     GroebnerBasis,
     certificate_basis,
-    certify_packed,
+    certify_combinations,
     is_projectively_empty,
-    run_prime,
 )
 from .multipoly import HomogeneousForm
 
@@ -364,36 +363,22 @@ def verify_system_K_smooth(system):
 
     Differentiation is linear, so the Jacobian forms [F, dF/dx0, ...,
     dF/dxn] of the member F = sum a_i G_i are sum a_i [G_i, dG_i/dx0, ...,
-    dG_i/dxn].  Those of the generators are packed once per slot width, and
-    each member runs the certificate loop on their combination with its
-    zero forms dropped: the generators `is_smooth` runs on, so the verdict
-    is the same.  Only a singular member is built as a form, for the
-    witness search of `is_smooth`.
+    dG_i/dxn].  `certify_combinations` takes those of the generators once
+    and runs the certificate loop of each member on their combination with
+    its zero forms dropped: the generators `is_smooth` runs on, so the
+    verdict is the same.  Only a singular member is built as a form, for
+    the witness search of `is_smooth`.
     """
     field = system.field
     if not isinstance(field, FieldDescriptor):
         raise ValueError("member enumeration requires a finite base field")
-    p = run_prime(field)
-    jacobians = []
-    for g in system.generators:
-        forms = [g, *(g.partial_derivative(i) for i in range(system.nvars))]
-        jacobians.append([{m: c.idx for m, c in h.terms.items()} if p else h.terms
-                          for h in forms])
-    packed = {}     # slot width -> the generators' Jacobian forms packed
-
-    def packed_jacobians(slots):
-        got = packed.get(slots.width)
-        if got is None:
-            got = packed[slots.width] = [[slots.pack(t) for t in forms]
-                                         for forms in jacobians]
-        return got
-
+    certify = certify_combinations(
+        [[g, *(g.partial_derivative(i) for i in range(system.nvars))]
+         for g in system.generators], field, system.nvars)
     verdicts = []
     first_witness = None
     for coeffs in enumerate_projective_points(field, system.dim):
-        scale = [a.idx for a in coeffs] if p else coeffs
-        if certify_packed(lambda slots: _combine(scale, packed_jacobians(slots), p),
-                          system.nvars, system.degree, p):
+        if certify(coeffs):
             verdicts.append("smooth")
             continue
         witness = _certified_witness(system.member(coeffs), DEFAULT_WITNESS_CAP)
@@ -402,24 +387,3 @@ def verify_system_K_smooth(system):
             first_witness = replace(witness, member=tuple(coeffs))
     return VerifyReport(verdicts=tuple(verdicts), k_smooth=first_witness is None,
                         witness=first_witness)
-
-
-def _combine(scale, jacobians, p):
-    """The nonzero ones among the forms sum_i scale[i] * jacobians[i][k],
-    in order of k, on packed term maps; with p > 0 the coefficients are ints
-    reduced mod p."""
-    out = []
-    for parts in zip(*jacobians):
-        acc = {}
-        for a, terms in zip(scale, parts):
-            if a:
-                for m, c in terms.items():
-                    v = acc.get(m)
-                    acc[m] = a * c if v is None else v + a * c
-        if p:
-            acc = {m: r for m, v in acc.items() if (r := v % p)}
-        else:
-            acc = {m: v for m, v in acc.items() if v}
-        if acc:
-            out.append(acc)
-    return out

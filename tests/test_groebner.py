@@ -17,11 +17,17 @@ from ksmooth.groebner import (
     basis_to_json,
     buchberger,
     certificate_basis,
+    certify_combinations,
     is_projectively_empty,
     normal_form,
     s_polynomial,
 )
-from ksmooth.multipoly import HomogeneousForm, monomials_of_degree, random_form
+from ksmooth.multipoly import (
+    HomogeneousForm,
+    monomials_of_degree,
+    random_element,
+    random_form,
+)
 from ksmooth.smoothness import jacobian_generators
 
 F2 = get_descriptor(2)
@@ -369,6 +375,53 @@ def _exponents_up_to(nvars, total):
     for e in range(total + 1):
         for rest in _exponents_up_to(nvars - 1, total - e):
             yield (e,) + rest
+
+
+def _jacobian_row(form):
+    """[F, dF/dx0, ..., dF/dxn], zero partials kept."""
+    return [form, *(form.partial_derivative(i) for i in range(form.nvars))]
+
+
+class TestCertifyCombinations:
+    """A combination is decided as `certificate_basis` decides the nonzero
+    forms sum_i a_i rows[i][k] built one by one."""
+
+    def _agrees(self, field, rows, coefficient_lists):
+        certify = certify_combinations(rows, field, rows[0][0].nvars)
+        verdicts = set()
+        for coeffs in coefficient_lists:
+            forms = [sum((f.scale(a) for a, f in zip(coeffs, column) if a),
+                         HomogeneousForm.zero(field, column[0].nvars, column[0].degree))
+                     for column in zip(*rows)]
+            nonzero = [f for f in forms if f]
+            # the zero ideal vanishes everywhere
+            expected = bool(nonzero) and is_projectively_empty(certificate_basis(nonzero))
+            assert certify(coeffs) == expected, coeffs
+            verdicts.add(expected)
+        return verdicts
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F5])
+    def test_random_rows_over_finite_fields(self, field):
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(4):
+            rows = [_jacobian_row(random_form(field, 3, 2, rng)) for _ in range(3)]
+            rows.append(_jacobian_row(random_form(field, 3, 1, rng) ** 2))
+            coefficient_lists = [c for _ in range(8)
+                                 if any(c := [random_element(field, rng) for _ in rows])]
+            coefficient_lists.append([field.one()] + [field.zero()] * 3)
+            coefficient_lists.append([field.zero()] * 3 + [field.one()])
+            verdicts |= self._agrees(field, rows, coefficient_lists)
+        assert verdicts == {True, False}
+
+    def test_rational_rows(self):
+        x0_squared = HomogeneousForm(QQ, 3, 2, {(2, 0, 0): Fraction(1)})
+        rest = HomogeneousForm(QQ, 3, 2, {(0, 2, 0): Fraction(3), (0, 1, 1): Fraction(-1, 2),
+                                          (0, 0, 2): Fraction(5)})
+        rows = [_jacobian_row(x0_squared), _jacobian_row(rest)]
+        coefficient_lists = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                             (Fraction(2), Fraction(-1, 3)), (Fraction(-1), Fraction(7))]
+        assert self._agrees(QQ, rows, coefficient_lists) == {True, False}
 
 
 class TestPackedPurePower:
