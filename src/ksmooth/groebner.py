@@ -80,7 +80,9 @@ class _Slots:
 
     def exponents(self, key):
         w, mask = self.width, self.mask
-        return tuple(key >> (w * i) & mask for i in range(self.nvars))
+        # from a list: tuple() of a generator shrinks a fresh 10-slot tuple,
+        # and the free list of the final size keeps one per call
+        return tuple([key >> (w * i) & mask for i in range(self.nvars)])
 
     def unpack(self, terms):
         return {self.exponents(key): c for key, c in terms.items()}
@@ -427,6 +429,9 @@ def _combine(scale, rows, p):
 
 
 def _groebner(generators, field, nvars, step_budget, stop):
+    """The basis of `buchberger` or, with `stop`, of `certificate_basis`,
+    and whether the pure-power stop fired, which with `stop` is the answer
+    of `is_projectively_empty` on that basis."""
     gens = []
     for g in generators:
         if isinstance(g, HomogeneousForm):
@@ -445,12 +450,12 @@ def _groebner(generators, field, nvars, step_budget, stop):
         nvars = len(next(iter(gens[0])))
     p = _run_prime(field)
     gens = [_run_terms(g, p) for g in gens]
-    slots, elements, _ = _packed_run(lambda slots: [slots.pack(g) for g in gens], nvars,
-                                     max(_degree(g) for g in gens), p, step_budget, stop)
+    slots, elements, stopped = _packed_run(lambda slots: [slots.pack(g) for g in gens], nvars,
+                                           max(_degree(g) for g in gens), p, step_budget, stop)
     elements = [slots.unpack(t) for t in elements]
     if p:
         elements = [{m: field.element_from_index(c) for m, c in t.items()} for t in elements]
-    return GroebnerBasis(field=field, nvars=nvars, elements=tuple(elements))
+    return GroebnerBasis(field=field, nvars=nvars, elements=tuple(elements)), stopped
 
 
 def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):
@@ -460,7 +465,7 @@ def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDG
     canonical: the reduced basis is unique for the fixed order.
     `step_budget` bounds the number of pairs popped.
     """
-    return _groebner(generators, field, nvars, step_budget, False)
+    return _groebner(generators, field, nvars, step_budget, False)[0]
 
 
 def certificate_basis(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):
@@ -471,7 +476,7 @@ def certificate_basis(generators, field=None, nvars=None, step_budget=DEFAULT_ST
     (then the ideal is projectively empty), or else the reduced basis.
     Either way `is_projectively_empty` reads the answer off the result.
     """
-    return _groebner(generators, field, nvars, step_budget, True)
+    return _groebner(generators, field, nvars, step_budget, True)[0]
 
 
 def is_projectively_empty(basis):

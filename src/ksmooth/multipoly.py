@@ -202,34 +202,9 @@ class HomogeneousForm:
 
     def substitute_linear(self, matrix):
         """Replace x_i by the linear form given by row i of the matrix."""
-        rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
-        if len(rows) != self.nvars or any(len(r) != self.nvars for r in rows):
-            raise ValueError("substitution matrix must be square of size nvars")
-        if self.degree == 0:
-            return self
-        lin = []
-        for r in rows:
-            t = {}
-            for j, c in enumerate(r):
-                if c:
-                    t[tuple(1 if k == j else 0 for k in range(self.nvars))] = c
-            lin.append(_raw_form(self.field, self.nvars, 1, t))
-        cache = {}
-
-        def lpow(i, k):
-            got = cache.get((i, k))
-            if got is None:
-                got = lin[i] ** k
-                cache[(i, k)] = got
-            return got
-
         out = HomogeneousForm.zero(self.field, self.nvars, self.degree)
-        for exps, c in self.terms.items():
-            part = None
-            for i, e in enumerate(exps):
-                if e:
-                    part = lpow(i, e) if part is None else part * lpow(i, e)
-            out = out + part.scale(c)
+        for c, image in substituted_terms(self, matrix):
+            out = out + image.scale(c)
         return out
 
     def map_coefficients(self, func, field):
@@ -269,6 +244,43 @@ class HomogeneousForm:
 
     def __repr__(self):
         return f"<form deg {self.degree} over {self.field!r}: {self}>"
+
+
+def substituted_terms(form, matrix):
+    """(coefficient, image) for each term of the form, in term order, where
+    the image is the term's monomial with x_i replaced by the linear form
+    of row i of the matrix.  The linear forms and each of their powers are
+    built once, however many terms share them."""
+    nvars = form.nvars
+    rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
+    if len(rows) != nvars or any(len(r) != nvars for r in rows):
+        raise ValueError("substitution matrix must be square of size nvars")
+    lin = []
+    for r in rows:
+        t = {}
+        for j, c in enumerate(r):
+            if c:
+                t[tuple(1 if k == j else 0 for k in range(nvars))] = c
+        lin.append(_raw_form(form.field, nvars, 1, t))
+    powers = [[None, f] for f in lin]     # powers[i][k] = lin[i] ** k
+
+    def lpow(i, k):
+        row = powers[i]
+        while len(row) <= k:
+            row.append(row[-1] * lin[i])
+        return row[k]
+
+    out = []
+    for exps, c in form.terms.items():
+        part = None
+        for i, e in enumerate(exps):
+            if e:
+                part = lpow(i, e) if part is None else part * lpow(i, e)
+        if part is None:
+            # the constant monomial
+            part = _raw_form(form.field, nvars, 0, {exps: form.field.one()})
+        out.append((c, part))
+    return out
 
 
 def _raw_form(field, nvars, degree, terms):

@@ -8,7 +8,9 @@ monomial, which certifies an empty projective zero set and so smoothness;
 when that never happens the reduced basis shows a zero, and an exhaustive
 search over extension fields produces a concrete witness point.  F itself
 always stays among the generators: the Euler identity makes it redundant
-only when the characteristic does not divide the degree.
+only when the characteristic does not divide the degree.  Over Q the run is
+tried first on the form's reductions mod a few small primes, any smooth one
+of which proves smoothness over Q (see `is_smooth`).
 
 The search scans lines, not points.  `enumerate_projective_points` lists
 P^n over a field as (0, ..., 0, 1) first, then every prefix
@@ -47,6 +49,7 @@ full scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import gcd, lcm
 
 from .errors import PreconditionViolated, WitnessNotFoundWithinCap
 from .fields import (
@@ -60,14 +63,16 @@ from .fields import (
     poly_gcd,
 )
 from .groebner import (
+    DEFAULT_STEP_BUDGET,
     GroebnerBasis,
-    certificate_basis,
+    _groebner,
     certify_combinations,
-    is_projectively_empty,
 )
-from .multipoly import HomogeneousForm
+from .multipoly import HomogeneousForm, _raw_form
 
 DEFAULT_WITNESS_CAP = 6
+# the primes a rational form is reduced modulo before Buchberger over Q
+_REDUCTION_PRIMES = (2, 3, 5, 7)
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,9 @@ class Smooth:
     Jacobian ideal that Buchberger had built when every variable first had a
     pure-power leading monomial among them (see `certificate_basis`); they
     put a power of every variable in the leading-term ideal, so the Jacobian
-    ideal has no zero in P^n."""
+    ideal has no zero in P^n.  For a form over Q the certificate may lie
+    over GF(l) instead, its `field` naming l: it is then that of the form's
+    primitive integer reduction mod l (see `is_smooth`)."""
 
     certificate: GroebnerBasis
 
@@ -253,16 +260,53 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
     Smooth verdicts carry the pure-power certificate; Singular verdicts carry a
     witness found by the extension search (raising the bound up to the cap).
     Disagreement between certificate and search fails loudly instead of
-    trusting either side.  Over the rationals a singular verdict carries no
-    witness: the refutation is exact but explicit algebraic points are out of
-    scope.
+    trusting either side.
+
+    Over the rationals the form is first scaled to a primitive integer form
+    F and reduced mod each prime in `_REDUCTION_PRIMES` in turn; the first
+    reduction whose certificate says smooth gives the verdict, with its
+    certificate over GF(l).  That is exact: the scheme Z in P^n over Z cut
+    out by F and its partials is proper, so its image in Spec Z is closed,
+    and if Z had a point over Q that image would hold the generic point and
+    so every prime; the partials of F mod l are those of the nonzero form F
+    mod l.  Only when every reduction is singular does Buchberger run over
+    Q itself, so a singular verdict over Q always comes from there; it
+    carries no witness: the refutation is exact but explicit algebraic
+    points are out of scope.
     """
-    basis = certificate_basis(jacobian_generators(form))
-    if is_projectively_empty(basis):
-        return Smooth(basis)
-    if not isinstance(form.field, FieldDescriptor):
-        return Singular(None)
-    return Singular(_certified_witness(form, witness_cap))
+    if isinstance(form.field, FieldDescriptor):
+        basis, empty = _certificate(form)
+        return Smooth(basis) if empty else Singular(_certified_witness(form, witness_cap))
+    integral = _primitive_integer_terms(form.terms)
+    for ell in _REDUCTION_PRIMES:
+        desc = get_descriptor(ell)
+        reduced = {m: desc.element_from_index(r) for m, c in integral.items() if (r := c % ell)}
+        basis, empty = _certificate(_raw_form(desc, form.nvars, form.degree, reduced))
+        if empty:
+            return Smooth(basis)
+    basis, empty = _certificate(form)
+    return Smooth(basis) if empty else Singular(None)
+
+
+def _certificate(form):
+    """The `certificate_basis` of the form's Jacobian generators and whether
+    it certifies an empty zero set, read off the run's pure-power stop."""
+    return _groebner(jacobian_generators(form), None, None, DEFAULT_STEP_BUDGET, True)
+
+
+def _primitive_integer_terms(terms):
+    """The rational terms scaled to integers with no common factor."""
+    # pairwise, not lcm(*...): the argument tuple of a generator is a fresh
+    # 10-slot tuple resized, and the free list of the final size keeps one
+    # per call
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.denominator)
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    return {m: v // g for m, v in ints.items()}
 
 
 def _certified_witness(form, witness_cap):

@@ -25,6 +25,7 @@ from ksmooth.fields import (
     frobenius,
     get_descriptor,
 )
+from ksmooth.groebner import buchberger, is_projectively_empty
 from ksmooth.multipoly import (
     HomogeneousForm,
     euler_combination,
@@ -36,6 +37,7 @@ from ksmooth.smoothness import (
     Singular,
     Smooth,
     is_smooth,
+    jacobian_generators,
     search_singular_point,
     singular_member_at_base_point,
     verify_system_K_smooth,
@@ -215,18 +217,23 @@ def test_criterion_7_characteristic_zero_lift_spot_check():
     start = time.perf_counter()
     lifted = lift_to_char_zero(builtin_example_f3())
     rng = random.Random(707)
-    good = 0
+    good = agree = 0
     total = 20
     for _ in range(total):
         while True:
             coeffs = tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
             if any(coeffs):
                 break
-        good += isinstance(is_smooth(lifted.member(coeffs)), Smooth)
+        member = lifted.member(coeffs)
+        smooth = isinstance(is_smooth(member), Smooth)
+        # the Fraction route: Buchberger over Q on the member itself
+        agree += smooth == is_projectively_empty(buchberger(jacobian_generators(member)))
+        good += smooth
     elapsed = time.perf_counter() - start
-    report(7, good == total and elapsed < 60,
+    report(7, good == total and agree == total and elapsed < 60,
            f"{good}/{total} random integer-coefficient members smooth over the "
-           f"rationals in {elapsed:.1f}s")
+           f"rationals, {agree}/{total} verdicts equal to Buchberger over Q, "
+           f"in {elapsed:.1f}s")
 
 
 def test_criterion_8_algebra_invariant_suites():

@@ -25,6 +25,7 @@ from ksmooth.multipoly import (
     monomial_key,
     monomials_of_degree,
     random_form,
+    substituted_terms,
     system_from_json,
     system_to_json,
 )
@@ -184,6 +185,52 @@ class TestSubstituteLinear:
                 f = random_form(field, 3, 2, rng)
                 g = f.substitute_linear(rows).substitute_linear(inv_rows)
                 assert g == f
+
+
+class TestSubstitutedTerms:
+    @staticmethod
+    def _matrix(field, rng):
+        els = field.elements()
+        return [[els[rng.randrange(field.order)] for _ in range(3)] for _ in range(3)]
+
+    def test_images_are_the_substituted_monomials(self):
+        rng = random.Random(12)
+        for field in (F3, F4):
+            for _ in range(10):
+                rows = self._matrix(field, rng)
+                f = random_form(field, 3, 3, rng)
+                lin = [HomogeneousForm(field, 3, 1, {(1, 0, 0): r[0], (0, 1, 0): r[1],
+                                                     (0, 0, 1): r[2]}) for r in rows]
+                images = substituted_terms(f, rows)
+                assert [c for c, _ in images] == list(f.terms.values())
+                total = HomogeneousForm.zero(field, 3, 3)
+                for exps, (c, image) in zip(f.terms, images):
+                    expected = HomogeneousForm(field, 3, 0, {(0, 0, 0): field.one()})
+                    for x, e in zip(lin, exps):
+                        expected = expected * x ** e
+                    assert image == expected
+                    total = total + image.scale(c)
+                assert total == f.substitute_linear(rows)
+
+    def test_each_row_power_is_built_once(self, monkeypatch):
+        # x0^2 x1 + x1^2 x2 + x2^2 x0: three squares and three products
+        template = form(F3, 3, 3, [((2, 1, 0), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
+        rows = self._matrix(F3, random.Random(5))
+        calls = 0
+        mul = HomogeneousForm.__mul__
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(HomogeneousForm, "__mul__", counted)
+        substituted_terms(template, rows)
+        assert calls == 6
+
+    def test_constant_form(self):
+        c = HomogeneousForm(F3, 2, 0, {(0, 0): F3.from_int(2)})
+        assert c.substitute_linear([[F3.one(), F3.one()], [F3.zero(), F3.one()]]) == c
 
 
 class TestFrobeniusFixedness:

@@ -11,7 +11,11 @@ from math import gcd
 
 import pytest
 
-from ksmooth.constructions import builtin_example_f3, construct_smooth_system
+from ksmooth.constructions import (
+    builtin_example_f3,
+    construct_smooth_system,
+    lift_to_char_zero,
+)
 from ksmooth.errors import PreconditionViolated
 from ksmooth.fields import (
     QQ,
@@ -67,6 +71,20 @@ def fermat(field, nvars, degree, coeffs=None):
     return HomogeneousForm(field, nvars, degree, terms)
 
 
+def primitive_reduction(f, ell):
+    """A rational form scaled to integers with no common factor, mod ell."""
+    den = 1
+    for c in f.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = {m: int(c * den) for m, c in f.terms.items()}
+    content = 0
+    for v in ints.values():
+        content = gcd(content, v)
+    field = get_descriptor(ell)
+    return HomogeneousForm(field, f.nvars, f.degree,
+                           {m: field.from_int(v // content) for m, v in ints.items()})
+
+
 class TestJacobianGenerators:
     def test_fermat_cubic_over_f2(self):
         F = fermat(F2, 3, 3)
@@ -108,8 +126,9 @@ class TestIsSmooth:
         assert witness_verifies(fermat(F2, 3, 2), v.witness)
 
     def test_rejects_zero_form(self):
-        with pytest.raises(ValueError):
-            is_smooth(HomogeneousForm.zero(F2, 3, 2))
+        for field in (F2, QQ):
+            with pytest.raises(ValueError):
+                is_smooth(HomogeneousForm.zero(field, 3, 2))
 
     @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["gf2", "gf3", "qq"])
     def test_hyperplane_certificate_holds_a_constant(self, field):
@@ -190,6 +209,11 @@ class TestCertificateStop:
             verdict = is_smooth(f)
             if not isinstance(verdict, Smooth):
                 continue
+            field = verdict.certificate.field
+            if field != f.field:
+                # a rational form certified by its reduction mod a prime
+                assert f.field == QQ and field.e == 1, str(f)
+                f = primitive_reduction(f, field.p)
             full = buchberger(jacobian_generators(f))
             covered = set()
             for terms in verdict.certificate.elements:
@@ -223,6 +247,97 @@ class TestCertificateStop:
         verdict = is_smooth(member)
         assert isinstance(verdict, Smooth)
         assert is_projectively_empty(verdict.certificate)
+
+
+class TestModularRoute:
+    """Over Q, `is_smooth` certifies a form by its primitive reduction mod a
+    small prime when one is smooth and runs Buchberger over Q otherwise;
+    the verdict must be that of Buchberger over Q either way."""
+
+    @staticmethod
+    def _fraction_route(f):
+        return is_projectively_empty(buchberger(jacobian_generators(f)))
+
+    @staticmethod
+    def _qq(nvars, degree, entries):
+        return HomogeneousForm(QQ, nvars, degree,
+                               {tuple(e): Fraction(c) for e, c in entries})
+
+    def test_verdicts_equal_the_fraction_route(self):
+        rng = random.Random(1414)
+        forms = []
+        for nvars, degree in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)) * 3:
+            terms = {m: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                     for m in monomials_of_degree(nvars, degree)}
+            forms.append(HomogeneousForm(QQ, nvars, degree,
+                                         {m: c for m, c in terms.items() if c}))
+            # singular along the hyperplane L = 0
+            linear = HomogeneousForm(QQ, nvars, 1, {m: Fraction(rng.randint(-3, 3))
+                                                    for m in monomials_of_degree(nvars, 1)})
+            if linear:
+                forms.append(linear ** 2 * HomogeneousForm(
+                    QQ, nvars, degree - 1,
+                    {m: Fraction(rng.randint(1, 3)) for m in monomials_of_degree(nvars, degree - 1)}))
+        verdicts = []
+        for f in forms:
+            if not f:
+                continue
+            verdict = is_smooth(f)
+            verdicts.append(isinstance(verdict, Smooth))
+            assert verdicts[-1] == self._fraction_route(f), str(f)
+            if isinstance(verdict, Singular):
+                assert verdict.witness is None
+        assert True in verdicts and False in verdicts
+
+    def test_singular_mod_every_prime_falls_back_to_q(self):
+        # 210 = 2 * 3 * 5 * 7: x1^2 + x2^2 mod 3, 5 and 7 is a cone, and
+        # every ternary quadric is singular mod 2
+        f = self._qq(3, 2, [((2, 0, 0), 210), ((0, 2, 0), 1), ((0, 0, 2), 1)])
+        verdict = is_smooth(f)
+        assert isinstance(verdict, Smooth)
+        assert verdict.certificate.field == QQ
+
+    def test_singular_mod_2_and_3_but_smooth_mod_5(self):
+        f = self._qq(3, 2, [((2, 0, 0), 6), ((0, 2, 0), 1), ((0, 0, 2), 1)])
+        verdict = is_smooth(f)
+        assert isinstance(verdict, Smooth)
+        assert verdict.certificate.field == F5
+        assert self._fraction_route(f)
+
+    @pytest.mark.parametrize("scale", [Fraction(3), Fraction(1, 6)], ids=["3", "1/6"])
+    def test_scaled_member_gets_the_same_certificate(self, scale):
+        system = lift_to_char_zero(construct_smooth_system(3, 1, 2, 4, 2))
+        member = system.member([Fraction(c) for c in (2, -1, 3)])
+        verdict = is_smooth(member)
+        assert isinstance(verdict, Smooth) and verdict.certificate.field.p in (2, 3)
+        assert is_smooth(member.scale(scale)) == verdict
+
+    def test_lifted_members_are_certified_mod_2_or_3(self):
+        # the fixed (3,1,3,4) member of the lift_rational benchmark, then
+        # (2,1,3,5) members that take about a minute each over Q
+        members = [lift_to_char_zero(construct_smooth_system(3, 1, 3, 4, 3)).member(
+            [Fraction(c) for c in (0, -2, 1, 0)])]
+        system = lift_to_char_zero(construct_smooth_system(2, 1, 3, 5, 3))
+        rng = random.Random(5)
+        for _ in range(3):
+            members.append(system.member([Fraction(rng.randint(-5, 5)) for _ in range(4)]))
+        for member in members:
+            verdict = is_smooth(member)
+            assert isinstance(verdict, Smooth)
+            assert verdict.certificate.field in (F2, F3)
+
+    def test_square_of_a_variable_is_singular_from_the_q_run(self, monkeypatch):
+        primes = []
+        run = groebner._run
+
+        def recorded(basis, p, *args):
+            primes.append(p)
+            return run(basis, p, *args)
+
+        monkeypatch.setattr(groebner, "_run", recorded)
+        assert is_smooth(self._qq(3, 2, [((2, 0, 0), 1)])) == Singular(None)
+        # a run mod 2, 3, 5 and 7, then the run over Q (p = 0)
+        assert primes == [2, 3, 5, 7, 0]
 
 
 class TestSearchSingularPoint:
