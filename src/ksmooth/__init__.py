@@ -71,6 +71,8 @@ from .constructions import (
     galois_descent,
     klein_form,
     lift_to_char_zero,
+    moore_matrix,
+    moore_symmetries,
     normal_basis_search,
 )
 from . import errors

@@ -26,8 +26,9 @@ from .constructions import (
     construct_system_with_details,
     construction_to_json,
     lift_to_char_zero,
+    moore_symmetries,
 )
-from .fields import enumerate_projective_points, get_descriptor
+from .fields import FieldDescriptor, enumerate_projective_points, get_descriptor, json_ints
 from .multipoly import (
     form_from_json,
     random_system,
@@ -86,9 +87,30 @@ def _cmd_construct(args):
     return 0
 
 
+def _symmetries(obj, system):
+    """The `moore_symmetries` of the normal element a `construct` file
+    stores under "alpha", for a full system (r = n) over a finite field;
+    none without that key.  `verify_system_K_smooth` checks them, so an
+    alpha that does not fit the system only costs the check.  A smaller
+    system, which `construct` writes as a prefix of the generators that
+    the shift cycles, is not mapped onto itself, so it is verified without
+    working the maps out over GF(q^(n+1))."""
+    field = system.field
+    if "alpha" not in obj or not isinstance(field, FieldDescriptor):
+        return ()
+    big = get_descriptor(field.p, field.e * system.nvars)
+    alpha = json_ints(obj["alpha"], "alpha")
+    if len(alpha) != big.e:
+        raise ValueError(f'"alpha" over {big!r} needs {big.e} entries, got {alpha!r}')
+    if system.dim != system.nvars - 1:
+        return ()
+    return moore_symmetries(field, big.element(alpha))
+
+
 def _cmd_verify(args):
-    system = system_from_json(_load(args.file))
-    report = verify_system_K_smooth(system)
+    obj = _load(args.file)
+    system = system_from_json(obj)
+    report = verify_system_K_smooth(system, _symmetries(obj, system))
     if args.oracle:
         for coeffs, verdict in zip(
                 enumerate_projective_points(system.field, system.dim),

@@ -13,6 +13,7 @@ from math import gcd
 from .errors import (
     EvenN,
     HypothesisViolated,
+    NoSolution,
     NotFrobeniusCyclic,
     NotPrimeField,
     PreconditionViolated,
@@ -26,6 +27,7 @@ from .fields import (
     FieldElement,
     FieldMatrix,
     QQ,
+    _first_of_full_order,
     element_to_json,
     frobenius,
     get_descriptor,
@@ -105,24 +107,73 @@ class MooreData:
     det: FieldElement
 
 
+def moore_matrix(alpha, e, nvars):
+    """The Moore matrix A[j][i] = alpha^(q^(i+j)), indices mod nvars, of an
+    element alpha of GF(q^nvars), q = p^e; it is invertible exactly when
+    alpha is normal over GF(q)."""
+    orbit = [alpha]
+    for _ in range(nvars - 1):
+        orbit.append(frobenius(orbit[-1], e))
+    return FieldMatrix(alpha.field, [[orbit[(i + j) % nvars] for i in range(nvars)]
+                                     for j in range(nvars)])
+
+
 def normal_basis_search(p, e, n):
     """First element of GF(q^(n+1)) (canonical order, q = p^e) whose Frobenius
-    orbit is a basis over GF(q); existence is the normal basis theorem."""
+    orbit is a basis over GF(q), that is whose `moore_matrix` has a nonzero
+    determinant; existence is the normal basis theorem."""
     base = get_descriptor(p, e)
     big = get_descriptor(p, e * (n + 1))
-    nv = n + 1
     for alpha in big.elements():
         if not alpha:
             continue
-        orbit = [alpha]
-        for _ in range(n):
-            orbit.append(frobenius(orbit[-1], e))
-        rows = [[orbit[(i + j) % nv] for i in range(nv)] for j in range(nv)]
-        matrix = FieldMatrix(big, rows)
+        matrix = moore_matrix(alpha, e, n + 1)
         det = matrix.det()
         if det:
             return MooreData(field=big, base=base, alpha=alpha, matrix=matrix, det=det)
     raise AssertionError("unreachable: normal elements always exist")
+
+
+def moore_symmetries(base, alpha):
+    """Two invertible matrices over `base` = GF(q) that map the system
+    constructed from alpha, a normal element of GF(q^(n+1)), onto itself
+    under x -> M x, or () when alpha is not normal over GF(q).
+
+    Let A be the `moore_matrix` of alpha, so y = A x are the Moore
+    coordinates, and let lambda be the first primitive element of
+    GF(q^(n+1)).  The first matrix is M = A^-1 D A with D = diag(lambda^(q^j)),
+    so y_j(M x) = lambda^(q^j) y_j(x): it is Frobenius-fixed, because the
+    Frobenius shifts both the rows of A and the diagonal of D by one, and is
+    brought down to GF(q).  The second is the cyclic shift P with
+    (P x)_i = x_(i-1), for which y_j(P x) = y_(j+1)(x): the Frobenius.  The
+    member c of the constructed system is the template with coefficients
+    a^(q^j), a = sum c_j alpha^(q^j), in y; composed with M it becomes the
+    member of a * lambda^k (k = d in case 1, d - 1 + q in case 2), and with
+    P that of a^(q^n).  `verify_system_K_smooth` checks all of this again
+    for the system it is given and trusts none of it.
+    """
+    big = alpha.field
+    nvars = big.e // base.e
+    a = moore_matrix(alpha, base.e, nvars)
+    lam = _first_of_full_order(
+        (big.element_from_index(i) for i in range(1, big.order)), big.order - 1)
+    # [A | D A] reduces to [I | A^-1 D A] exactly when A is invertible
+    rows = []
+    for row in a.rows:
+        rows.append(row + [lam * x for x in row])
+        lam = frobenius(lam, base.e)
+    reduced, pivots, _ = FieldMatrix(big, rows).rref()
+    if pivots[:nvars] != list(range(nvars)):
+        return ()
+    down = get_embedding(base, big).down
+    try:
+        m = [[down(x) for x in row[nvars:]] for row in reduced]
+    except NoSolution:
+        return ()
+    zero, one = base.zero(), base.one()
+    shift = [[one if k == (i - 1) % nvars else zero for k in range(nvars)]
+             for i in range(nvars)]
+    return FieldMatrix(base, m), FieldMatrix(base, shift)
 
 
 @dataclass(frozen=True)

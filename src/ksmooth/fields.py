@@ -129,7 +129,9 @@ def _mulmod(a, b, rows, p):
             row = rows[k - e]
             for j in range(e):
                 out[j] += c * row[j]
-    return tuple(v % p for v in out)
+    # from a list: tuple() of a generator shrinks a fresh 10-slot tuple,
+    # and the free list of the final size keeps one per call
+    return tuple([v % p for v in out])
 
 
 def _powmod(a, k, rows, p):

@@ -66,6 +66,7 @@ from .groebner import (
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
     _groebner,
+    _Slots,
     certify_combinations,
 )
 from .multipoly import HomogeneousForm, _raw_form
@@ -397,7 +398,7 @@ def witness_to_json(witness):
                        if witness.member is not None else None)}
 
 
-def verify_system_K_smooth(system):
+def verify_system_K_smooth(system, symmetries=()):
     """Run the smoothness decision of `is_smooth` on every rational member
     of the system.
 
@@ -412,6 +413,19 @@ def verify_system_K_smooth(system):
     its zero forms dropped: the generators `is_smooth` runs on, so the
     verdict is the same.  Only a singular member is built as a form, for
     the witness search of `is_smooth`.
+
+    `symmetries` may hold square matrices over the base field, such as the
+    `moore_symmetries` of a construction; none of them is trusted.  Each
+    must be invertible and map the span of the generators onto itself
+    under x -> M x, which is checked exactly; then G_i(M x) = sum_j T[i][j]
+    G_j(x), and the member c composed with M is the member c T.  A linear
+    change of coordinates keeps smoothness, so every member of an orbit of
+    the group the T generate on the members gets the verdict of any other.
+    Only the first member of each orbit in enumeration order is certified,
+    and when every one of them is smooth so is every member.  When a matrix
+    fails a check or some first member is not smooth, every member is
+    certified as without symmetries, so a witness always comes from its own
+    member's search and the report is the same either way.
     """
     field = system.field
     if not isinstance(field, FieldDescriptor):
@@ -419,6 +433,12 @@ def verify_system_K_smooth(system):
     certify = certify_combinations(
         [[g, *(g.partial_derivative(i) for i in range(system.nvars))]
          for g in system.generators], field, system.nvars)
+    if symmetries:
+        induced = _induced_matrices(system, symmetries)
+        if induced is not None and all(
+                certify(c) for c in _orbit_representatives(field, system.dim, induced)):
+            count = (field.order ** (system.dim + 1) - 1) // (field.order - 1)
+            return VerifyReport(verdicts=("smooth",) * count, k_smooth=True, witness=None)
     verdicts = []
     first_witness = None
     for coeffs in enumerate_projective_points(field, system.dim):
@@ -431,3 +451,125 @@ def verify_system_K_smooth(system):
             first_witness = replace(witness, member=tuple(coeffs))
     return VerifyReport(verdicts=tuple(verdicts), k_smooth=first_witness is None,
                         witness=first_witness)
+
+
+def _induced_matrices(system, symmetries):
+    """For each matrix M of `symmetries` the square matrix T, one row and
+    column per generator, with G_i(M x) = sum_j T[i][j] G_j(x), or None
+    when some M is not invertible or maps a generator out of the span.
+
+    The generators' coefficients C, over the monomials they use, are reduced
+    once together with an identity block, to [R | E] with R = E C in
+    reduced echelon form.  A form h lies in the span exactly when it uses
+    no other monomial and equals sum_k h[p_k] R_k, p_k the pivot of row k,
+    and then its coordinates are sum_k h[p_k] E_k."""
+    field, nvars = system.field, system.nvars
+    zero, one = field.zero(), field.one()
+    slots = _Slots.for_degree(nvars, system.degree)
+    gens = [slots.pack(g.terms) for g in system.generators]
+    count = len(gens)
+    columns = sorted({m for g in gens for m in g})
+    width = len(columns)
+    reduced, pivots, _ = FieldMatrix(field, [
+        [g.get(m, zero) for m in columns] + [one if j == i else zero for j in range(count)]
+        for i, g in enumerate(gens)]).rref()
+    # the nonzero entries of each R_k, by monomial
+    echelon = [{m: c for m, c in zip(columns, row) if c} for row in reduced]
+    pivot_keys = [columns[k] for k in pivots]
+    induced = []
+    for matrix in symmetries:
+        rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
+        if len(rows) != nvars or any(len(r) != nvars for r in rows):
+            raise ValueError("a symmetry must be a square matrix of size nvars")
+        if not FieldMatrix(field, rows).det():
+            return None
+        t = []
+        for h in _composed(gens, rows, slots, one):
+            w = [h.get(m, zero) for m in pivot_keys]
+            rest = dict(h)
+            for a, row in zip(w, echelon):
+                if a:
+                    for m, c in row.items():
+                        v = rest.get(m, zero) - a * c
+                        if v:
+                            rest[m] = v
+                        else:
+                            rest.pop(m, None)
+            if rest:
+                return None
+            coords = [zero] * count
+            for a, row in zip(w, reduced):
+                if a:
+                    coords = [x + a * y for x, y in zip(coords, row[width:])]
+            t.append(coords)
+        induced.append(t)
+    return induced
+
+
+def _composed(gens, rows, slots, one):
+    """The packed generators with x_i replaced by the linear form of row i.
+    The image of each monomial is worked out once for all generators, as
+    the image of the monomial with one factor x_i fewer (i its first
+    variable) times the linear form of row i."""
+    w = slots.width
+    linear = [{1 << (w * k): c for k, c in enumerate(row) if c} for row in rows]
+    images = {0: {0: one}}
+
+    def image(m):
+        got = images.get(m)
+        if got is None:
+            i = ((m & -m).bit_length() - 1) // w
+            got = {}
+            for a, ca in image(m - (1 << (w * i))).items():
+                for b, cb in linear[i].items():
+                    cur = got.get(a + b)
+                    got[a + b] = ca * cb if cur is None else cur + ca * cb
+            got = images[m] = {k: v for k, v in got.items() if v}
+        return got
+
+    out = []
+    for g in gens:
+        acc = {}
+        for m, c in g.items():
+            for k, v in image(m).items():
+                cur = acc.get(k)
+                acc[k] = c * v if cur is None else cur + c * v
+        out.append({k: v for k, v in acc.items() if v})
+    return out
+
+
+def _orbit_representatives(field, r, induced):
+    """The first member, in enumeration order, of each orbit of the group
+    generated by the invertible matrices `induced` acting on the members
+    by c -> c T, normalised to a leading 1.  Each T permutes the finite set
+    of members, so an orbit is everything reached from one member by the T
+    alone; the members are walked in order and each one not yet reached
+    starts a new orbit."""
+    seen = set()
+    firsts = []
+    # scaled[t][i] maps the index of a scalar a to a * T[i], built on first use
+    scaled = [[{} for _ in t] for t in induced]
+    for coeffs in enumerate_projective_points(field, r):
+        key = tuple([x.idx for x in coeffs])
+        if key in seen:
+            continue
+        firsts.append(coeffs)
+        seen.add(key)
+        stack = [coeffs]
+        while stack:
+            c = stack.pop()
+            for t, rows in zip(induced, scaled):
+                image = None
+                for a, row, products in zip(c, t, rows):
+                    if a:
+                        v = products.get(a.idx)
+                        if v is None:
+                            v = products[a.idx] = [a * x for x in row]
+                        image = v if image is None else [x + y for x, y in zip(image, v)]
+                inv = next(x for x in image if x).inv()
+                image = [x * inv for x in image]
+                key = tuple([x.idx for x in image])
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(image)
+    return firsts

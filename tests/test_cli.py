@@ -18,7 +18,7 @@ from ksmooth import cli, fields
 from ksmooth.cli import main
 from ksmooth.constructions import construct_smooth_system, lift_to_char_zero
 from ksmooth.errors import BudgetExceeded, WitnessNotFoundWithinCap
-from ksmooth.multipoly import form_to_json, system_from_json, system_to_json
+from ksmooth.multipoly import form_to_json, random_system, system_from_json, system_to_json
 from ksmooth.smoothness import verify_system_K_smooth
 from ksmooth.fields import QQ, FieldDescriptor, get_descriptor
 from ksmooth.multipoly import HomogeneousForm, LinearSystemOfForms
@@ -421,6 +421,9 @@ MALFORMED = {
     "string generator": ("verify", _system_json(generators=["x0^2"]), '"field"'),
     "no generators": ("verify", json.dumps({"field": {"p": 2}, "nvars": 3,
                                             "degree": 2}), '"generators"'),
+    "alpha not a list": ("verify", _system_json(alpha=5), '"alpha"'),
+    "alpha of the wrong length": ("verify", _system_json(alpha=[1, 0]), '"alpha"'),
+    "alpha with a string entry": ("verify", _system_json(alpha=[1, "u", 0]), '"alpha"'),
 }
 
 
@@ -520,6 +523,93 @@ class TestInternalErrors:
         monkeypatch.setattr(cli, "char2_find_singular_member", stub)
         code, _, err = run(capsys, ["quadrics", "--random", "1"])
         assert (code, err) == (3, "internal error: kernel member failed re-verification\n")
+
+
+class TestAlphaSymmetries:
+    """`verify` takes the symmetries of a constructed system from its stored
+    "alpha": the same bytes, one certificate per orbit, and the full
+    enumeration whenever the alpha does not fit."""
+
+    # sha256 of `verify --json` on the (2,2,4,4) construction, recorded with
+    # every one of its 341 members certified
+    W2244_DIGEST = "51ee030bbc6076eb72f8734b37affe325b4df243da7a5328217793b00ed66a6f"
+
+    @staticmethod
+    def _construct(capsys, tmp_path, p, e, n, d, r):
+        path = tmp_path / f"s{p}{e}{n}{d}{r}.json"
+        code, _, _ = run(capsys, ["construct", "--p", str(p), "--e", str(e), "--n", str(n),
+                                  "--d", str(d), "--r", str(r), "-o", str(path)])
+        assert code == 0
+        return path
+
+    @staticmethod
+    def _verify_all(capsys, path):
+        return [run(capsys, ["verify", str(path), *flags])[:2]
+                for flags in ([], ["--json"], ["--oracle", "--max-ext", "2", "--json"])]
+
+    def test_worst_case_is_one_orbit_with_the_pinned_bytes(self, capsys, tmp_path,
+                                                           certified_members):
+        path = self._construct(capsys, tmp_path, 2, 2, 4, 4, 4)
+        code, out, _ = run(capsys, ["verify", str(path), "--json"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, self.W2244_DIGEST)
+        assert len(certified_members) == 1
+
+    @pytest.mark.parametrize("combo, orbits", [((3, 1, 2, 2), 1), ((3, 1, 3, 4), 3)])
+    def test_removing_alpha_keeps_the_bytes(self, capsys, tmp_path, certified_members,
+                                            combo, orbits):
+        path = self._construct(capsys, tmp_path, *combo, combo[2])
+        bare = tmp_path / "bare.json"
+        obj = json.loads(path.read_text())
+        del obj["alpha"]
+        bare.write_text(json.dumps(obj))
+        with_alpha = self._verify_all(capsys, path)
+        assert len(certified_members) == 3 * orbits
+        assert self._verify_all(capsys, bare) == with_alpha
+        members = json.loads(with_alpha[1][1])["members"]
+        assert len(certified_members) == 3 * orbits + 3 * members
+
+    def _assert_falls_back(self, capsys, tmp_path, certified_members, obj):
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(obj))
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({k: v for k, v in obj.items() if k != "alpha"}))
+        code, out, _ = run(capsys, ["verify", str(path), "--json"])
+        members = json.loads(out)["members"]
+        assert len(certified_members) == members
+        assert run(capsys, ["verify", str(bare), "--json"])[:2] == (code, out)
+        return code
+
+    @pytest.mark.parametrize("alpha", [[1, 0, 0], [0, 0, 0]])
+    def test_non_normal_alpha_falls_back(self, capsys, tmp_path, certified_members, alpha):
+        obj = json.loads(self._construct(capsys, tmp_path, 3, 1, 2, 2, 2).read_text())
+        obj["alpha"] = alpha
+        assert self._assert_falls_back(capsys, tmp_path, certified_members, obj) == 0
+
+    def test_random_system_with_a_constructed_alpha_falls_back(self, capsys, tmp_path,
+                                                               certified_members):
+        alpha = json.loads(self._construct(capsys, tmp_path, 3, 1, 2, 2, 2).read_text())["alpha"]
+        obj = system_to_json(random_system(get_descriptor(3), 3, 2, 3, random.Random(0)))
+        obj["alpha"] = alpha
+        assert self._assert_falls_back(capsys, tmp_path, certified_members, obj) == 1
+
+    def test_subsystem_falls_back(self, capsys, tmp_path, certified_members):
+        obj = json.loads(self._construct(capsys, tmp_path, 2, 1, 4, 4, 2).read_text())
+        assert self._assert_falls_back(capsys, tmp_path, certified_members, obj) == 0
+
+    def test_seeded_alpha_mutations_never_raise(self, capsys, tmp_path):
+        obj = json.loads(self._construct(capsys, tmp_path, 3, 1, 2, 2, 2).read_text())
+        path = tmp_path / "mutant.json"
+        rng = random.Random(15)
+        junk = [None, True, 0, -1, 1.5, "x", [], {}, [1], [1, 2], [0, 0, 0, 0],
+                [1, 1, 1], [2, -1, 7], [1, None, 0], [True, 0, 0]]
+        for _ in range(40):
+            obj["alpha"] = rng.choice(junk) if rng.random() < 0.5 else [
+                rng.randint(-3, 5) for _ in range(3)]
+            path.write_text(json.dumps(obj))
+            code, _, err = run(capsys, ["verify", str(path)])
+            assert code in (0, 2), err
+            assert "Traceback" not in err
+            assert code == 0 or '"alpha"' in err
 
 
 def _criterion_2_grid():

@@ -21,6 +21,8 @@ from ksmooth.constructions import (
     galois_descent,
     klein_form,
     lift_to_char_zero,
+    moore_matrix,
+    moore_symmetries,
     normal_basis_search,
 )
 from ksmooth.errors import (
@@ -124,6 +126,39 @@ class TestNormalBasisSearch:
         for j in range(1, n + 1):
             assert md.matrix.rows[j] == [frobenius(c, e) for c in md.matrix.rows[j - 1]]
         assert first[0] == md.alpha
+
+
+class TestMooreSymmetries:
+    @staticmethod
+    def _product(a, b):
+        return [[sum((x * y for x, y in zip(row, col)), a[0][0].field.zero())
+                 for col in zip(*b)] for row in a]
+
+    @pytest.mark.parametrize("p,e,n", [(2, 1, 1), (2, 1, 2), (2, 1, 4), (2, 2, 2),
+                                       (3, 1, 2), (3, 2, 1)])
+    def test_maps_act_on_the_moore_coordinates(self, p, e, n):
+        md = normal_basis_search(p, e, n)
+        assert moore_matrix(md.alpha, e, n + 1).rows == md.matrix.rows
+        m, shift = moore_symmetries(md.base, md.alpha)
+        assert m.field == shift.field == md.base and m.det() and shift.det()
+        up = get_embedding(md.base, md.field).up
+        a = md.matrix.rows
+        am = self._product(a, [[up(x) for x in row] for row in m.rows])
+        # y_j(M x) = lambda^(q^j) y_j(x) for a primitive lambda
+        lam = am[0][0] / a[0][0]
+        order = md.field.order - 1
+        assert all(lam ** (order // r) != md.field.one()
+                   for r in range(2, order + 1) if order % r == 0)
+        for j in range(n + 1):
+            assert am[j] == [lam ** (md.base.order ** j) * x for x in a[j]]
+        # y_j(P x) = y_(j+1)(x): the Frobenius
+        ap = self._product(a, [[up(x) for x in row] for row in shift.rows])
+        assert ap == a[1:] + a[:1]
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_normal_alpha_gives_none(self, index):
+        big = get_descriptor(2, 3)
+        assert moore_symmetries(F2, big.element_from_index(index)) == ()
 
 
 class TestGaloisDescent:

@@ -14,7 +14,11 @@ import pytest
 from ksmooth.constructions import (
     builtin_example_f3,
     construct_smooth_system,
+    construct_system_with_details,
+    galois_descent,
     lift_to_char_zero,
+    moore_symmetries,
+    normal_basis_search,
 )
 from ksmooth.errors import PreconditionViolated
 from ksmooth.fields import (
@@ -33,6 +37,7 @@ from ksmooth.multipoly import (
     monomials_of_degree,
     random_form,
     random_system,
+    substituted_terms,
 )
 from ksmooth.smoothness import (
     Singular,
@@ -763,6 +768,101 @@ class TestPackedMembersMatchIsSmooth:
         verify_system_K_smooth(system)
         assert max(widths) > groebner._Slots.for_degree(4, 3).width
         _assert_matches_reference(system)
+
+
+def _constructed(p, e, n, d, r=None):
+    """The constructed system of projective dimension r (default n) and the
+    `moore_symmetries` of its normal element."""
+    system, result = construct_system_with_details(p, e, n, d, n if r is None else r)
+    return system, moore_symmetries(system.field, result.moore.alpha)
+
+
+def _member_count(system):
+    return len(list(enumerate_projective_points(system.field, system.dim)))
+
+
+class TestOrbitRoute:
+    """With the symmetries of a construction, verify_system_K_smooth
+    certifies one member per orbit; its report must be that of full
+    enumeration, and no symmetry may be trusted into a wrong verdict."""
+
+    @pytest.mark.parametrize("combo", [
+        *((p, e, n, d) for p, e, n, d in itertools.product((2, 3), (1, 2), (1, 2, 3), (2, 3, 4))
+          if gcd(d, n + 1) % p and (p ** e) ** (n + 1) <= 4096),
+        (2, 1, 4, 4), (3, 1, 3, 5), (2, 1, 5, 3)])
+    def test_reports_equal_full_enumeration(self, combo):
+        system, symmetries = _constructed(*combo)
+        assert len(symmetries) == 2
+        with_symmetries = verify_system_K_smooth(system, symmetries)
+        assert with_symmetries.k_smooth
+        assert (json.dumps(with_symmetries.to_json())
+                == json.dumps(verify_system_K_smooth(system).to_json()))
+
+    @pytest.mark.parametrize("combo, orbits", [
+        ((3, 1, 2, 2), 1), ((2, 1, 2, 3), 1), ((2, 1, 4, 4), 1), ((2, 2, 4, 4), 1),
+        ((3, 1, 3, 5), 2), ((2, 1, 5, 3), 2), ((3, 1, 3, 4), 3)])
+    def test_orbit_counts(self, certified_members, combo, orbits):
+        system, symmetries = _constructed(*combo)
+        report = verify_system_K_smooth(system, symmetries)
+        assert report.k_smooth and report.member_count == _member_count(system)
+        assert len(certified_members) == orbits
+        assert certified_members[0] == next(enumerate_projective_points(system.field, system.dim))
+
+    def test_singular_template_keeps_its_symmetry_and_falls_back(self, certified_members):
+        # sum y_j^2 y_(j+1)^2 over GF(3), n = 2: every member is singular
+        moore = normal_basis_search(3, 1, 2)
+        one = moore.field.one()
+        template = HomogeneousForm(moore.field, 3, 4, [
+            ((2, 2, 0), one), ((0, 2, 2), one), ((2, 0, 2), one)])
+        raw = [image.scale(c) for c, image in substituted_terms(template, moore.matrix)]
+        system = LinearSystemOfForms(galois_descent(raw, moore))
+        symmetries = moore_symmetries(F3, moore.alpha)
+        induced = smoothness._induced_matrices(system, symmetries)
+        assert induced is not None
+        assert len(smoothness._orbit_representatives(F3, system.dim, induced)) == 1
+        report = verify_system_K_smooth(system, symmetries)
+        assert report.verdicts == ("singular",) * 13
+        # the one representative, then every member for its own witness
+        assert len(certified_members) == 1 + 13
+        assert (json.dumps(report.to_json())
+                == json.dumps(verify_system_K_smooth(system).to_json()))
+
+    def test_an_arbitrary_invertible_matrix_is_rejected(self, certified_members):
+        system, _ = _constructed(3, 1, 2, 2)
+        o, z = F3.one(), F3.zero()
+        shear = [[o, o, z], [z, o, z], [z, z, o]]
+        assert FieldMatrix(F3, shear).det()
+        assert smoothness._induced_matrices(system, [shear]) is None
+        report = verify_system_K_smooth(system, [shear])
+        assert len(certified_members) == 13
+        assert report == verify_system_K_smooth(system)
+
+    def test_a_singular_matrix_is_rejected(self):
+        # the zero matrix sends every generator to 0, which lies in the span
+        system, _ = _constructed(3, 1, 2, 2)
+        zero = [[F3.zero()] * 3 for _ in range(3)]
+        assert smoothness._induced_matrices(system, [zero]) is None
+
+    def test_a_matrix_of_the_wrong_size_is_an_error(self):
+        system, _ = _constructed(3, 1, 2, 2)
+        with pytest.raises(ValueError, match="size nvars"):
+            verify_system_K_smooth(system, [[[F3.one()]]])
+
+    def test_subsystem_falls_back(self, certified_members):
+        _, symmetries = _constructed(2, 1, 4, 4)
+        system, _ = _constructed(2, 1, 4, 4, r=2)
+        assert smoothness._induced_matrices(system, symmetries) is None
+        report = verify_system_K_smooth(system, symmetries)
+        assert len(certified_members) == _member_count(system) == 7
+        assert report.k_smooth
+
+    def test_random_system_falls_back(self, certified_members):
+        _, symmetries = _constructed(3, 1, 2, 2)
+        system = random_system(F3, 3, 2, 3, random.Random(0))
+        assert smoothness._induced_matrices(system, symmetries) is None
+        report = verify_system_K_smooth(system, symmetries)
+        assert len(certified_members) == 13
+        assert report == verify_system_K_smooth(system)
 
 
 class TestDiagonalAndCyclicFamilies:
