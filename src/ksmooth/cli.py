@@ -94,17 +94,17 @@ def _symmetries(obj, system):
     alpha that does not fit the system only costs the check.  A smaller
     system, which `construct` writes as a prefix of the generators that
     the shift cycles, is not mapped onto itself, so it is verified without
-    working the maps out over GF(q^(n+1))."""
+    building GF(q^(n+1)) at all."""
     field = system.field
     if "alpha" not in obj or not isinstance(field, FieldDescriptor):
         return ()
-    big = get_descriptor(field.p, field.e * system.nvars)
     alpha = json_ints(obj["alpha"], "alpha")
-    if len(alpha) != big.e:
-        raise ValueError(f'"alpha" over {big!r} needs {big.e} entries, got {alpha!r}')
+    e = field.e * system.nvars
+    if len(alpha) != e:
+        raise ValueError(f'"alpha" over GF({field.p}^{e}) needs {e} entries, got {alpha!r}')
     if system.dim != system.nvars - 1:
         return ()
-    return moore_symmetries(field, big.element(alpha))
+    return moore_symmetries(field, get_descriptor(field.p, e).element(alpha))
 
 
 def _cmd_verify(args):

@@ -40,8 +40,8 @@ from .multipoly import (
     LinearSystemOfForms,
     coefficient_matrix,
     coefficients_fixed_by_frobenius,
+    compose,
     frobenius_twist,
-    substituted_terms,
     system_to_json,
 )
 from .smoothness import (
@@ -237,8 +237,8 @@ def construct_system_with_details(p, e, n, d, r):
     when the characteristic does not divide d (case 1) and `klein_form` when
     it divides d but not n+1 (case 2).  Raw generator j is the template's
     j-th term written in the Moore coordinates y_i of a normal element (x_i
-    replaced by row i of the Moore matrix, each row and each of its powers
-    built once for the whole template): y_j^d in case 1 and
+    replaced by row i of the Moore matrix, the image of each monomial built
+    once for the whole template): y_j^d in case 1 and
     y_j^(d-1) * y_(j+1) in case 2, so a member with all-nonzero big-field
     coefficients is a template with those coefficients in y.  The terms come
     in the cyclic order the Frobenius permutes, and Galois descent turns the
@@ -269,7 +269,8 @@ def construct_system_with_details(p, e, n, d, r):
     big = moore.field
     ones = (big.one(),) * (n + 1)
     case, template = (1, fermat_form(ones, d)) if d % p else (2, klein_form(ones, d))
-    raw = tuple(image.scale(c) for c, image in substituted_terms(template, moore.matrix))
+    raw = tuple(compose([HomogeneousForm(big, n + 1, d, {m: c})
+                         for m, c in template.terms.items()], moore.matrix))
     generators = tuple(galois_descent(raw, moore))
     system = LinearSystemOfForms(generators[:r + 1])
     return system, ConstructionResult(case=case, moore=moore, raw_generators=raw,

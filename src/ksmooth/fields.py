@@ -60,8 +60,20 @@ def is_prime(n):
 
 
 def _prime_factors(n):
-    """The distinct primes dividing n >= 1, ascending."""
-    return [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    """The distinct primes dividing n >= 1, ascending, by trial division:
+    once every prime up to r has been divided out, a rest below r^2 is 1
+    or a prime."""
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _first_of_full_order(candidates, n):

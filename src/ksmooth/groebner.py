@@ -12,14 +12,12 @@ as soon as every variable has a pure-power leading monomial among them, which
 is usually a small fraction of the full run; when that never happens it
 finishes and returns the reduced basis, which then decides emptiness.
 
-Inside a run a monomial is one int: the exponent of x_i sits in slot i (x_n
-in the top slot), and each slot has a guard bit above the exponent.  A product
-is `+` and "a divides b" is `(b - a) & guard == 0`.  A run takes homogeneous
-input, so every polynomial in it is homogeneous, and the degrevlex leader of
-a polynomial is its smallest key, `min(terms)`.  No degree in a run may reach
-a guard bit: a pair whose S-polynomial would is caught before it is formed,
-and the run starts over with twice the slot width.  The public functions
-take and return exponent tuples.
+Inside a run a monomial is one int, packed by `multipoly._Slots`.  A run
+takes homogeneous input, so every polynomial in it is homogeneous, and the
+degrevlex leader of a polynomial is its smallest key, `min(terms)`.  No
+degree in a run may reach a guard bit: a pair whose S-polynomial would is
+caught before it is formed, and the run starts over with twice the slot
+width.  The public functions take and return exponent tuples.
 
 Every element of a run is monic, over a finite field and over Q alike: the
 inputs and each new element are scaled once by the inverse of their leading
@@ -45,67 +43,9 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotHomogeneous
 from .fields import element_to_json, field_to_json
-from .multipoly import HomogeneousForm, monomial_key
+from .multipoly import HomogeneousForm, _Slots, monomial_key
 
 DEFAULT_STEP_BUDGET = 1_000_000
-
-
-class _Slots:
-    """Exponent tuples of `nvars` entries packed into ints with slots of
-    `width` bits; exponents up to `cap` leave the top bit of a slot clear."""
-
-    def __init__(self, nvars, width):
-        self.nvars = nvars
-        self.width = width
-        self.cap = (1 << (width - 1)) - 1
-        self.mask = (1 << width) - 1
-        self.ones = sum(1 << (width * i) for i in range(nvars))
-        self.guard = self.ones << (width - 1)
-        self.top = width * (nvars - 1)
-        self.every = (1 << nvars) - 1
-
-    @classmethod
-    def for_degree(cls, nvars, degree):
-        """Slots with room for twice the given degree."""
-        return cls(nvars, (2 * degree).bit_length() + 1)
-
-    def pack(self, terms):
-        out = {}
-        for exps, c in terms.items():
-            key = 0
-            for e in reversed(exps):
-                key = key << self.width | e
-            out[key] = c
-        return out
-
-    def exponents(self, key):
-        w, mask = self.width, self.mask
-        # from a list: tuple() of a generator shrinks a fresh 10-slot tuple,
-        # and the free list of the final size keeps one per call
-        return tuple([key >> (w * i) & mask for i in range(self.nvars)])
-
-    def unpack(self, terms):
-        return {self.exponents(key): c for key, c in terms.items()}
-
-    def degree(self, key):
-        """Sum of the slots, read from the top slot of key * ones; exact
-        while it is below 2^width, so for the lcm of two keys of degree
-        <= cap."""
-        return key * self.ones >> self.top & self.mask
-
-    def lcm(self, a, b):
-        ge = ((a | self.guard) - b) & self.guard      # guard bit where a_i >= b_i
-        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
-
-    def covered(self, key):
-        """Bit mask of the variables whose pure powers the key holds: bit i
-        for x_i^e with e > 0, every bit for the constant 0, else 0.  The
-        top nonzero bit lies in the slot of the last variable present, so
-        the key is a pure power exactly when nothing lies below that slot."""
-        if not key:
-            return self.every
-        i = (key.bit_length() - 1) // self.width
-        return 0 if key & ((1 << self.width * i) - 1) else 1 << i
 
 
 class _SlotOverflow(Exception):

@@ -5,6 +5,11 @@ coefficients, together with the field, the variable count and the degree.
 The monomial order is degrevlex with x0 > x1 > ... > xn everywhere; the
 Groebner engine shares the same key so certificates never disagree about
 leading terms.
+
+Inner loops take a monomial packed into one int (`_Slots`): the exponent of
+x_i sits in slot i (x_n in the top slot), and each slot has a guard bit above
+the exponent.  A product is `+` and "a divides b" is `(b - a) & guard == 0`.
+A linear substitution works on packed terms too (`_compose`).
 """
 
 from __future__ import annotations
@@ -202,10 +207,7 @@ class HomogeneousForm:
 
     def substitute_linear(self, matrix):
         """Replace x_i by the linear form given by row i of the matrix."""
-        out = HomogeneousForm.zero(self.field, self.nvars, self.degree)
-        for c, image in substituted_terms(self, matrix):
-            out = out + image.scale(c)
-        return out
+        return compose([self], matrix)[0]
 
     def map_coefficients(self, func, field):
         """New form over `field` with every coefficient passed through func."""
@@ -246,48 +248,114 @@ class HomogeneousForm:
         return f"<form deg {self.degree} over {self.field!r}: {self}>"
 
 
-def substituted_terms(form, matrix):
-    """(coefficient, image) for each term of the form, in term order, where
-    the image is the term's monomial with x_i replaced by the linear form
-    of row i of the matrix.  The linear forms and each of their powers are
-    built once, however many terms share them."""
-    nvars = form.nvars
-    rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
-    if len(rows) != nvars or any(len(r) != nvars for r in rows):
-        raise ValueError("substitution matrix must be square of size nvars")
-    lin = []
-    for r in rows:
-        t = {}
-        for j, c in enumerate(r):
-            if c:
-                t[tuple(1 if k == j else 0 for k in range(nvars))] = c
-        lin.append(_raw_form(form.field, nvars, 1, t))
-    powers = [[None, f] for f in lin]     # powers[i][k] = lin[i] ** k
-
-    def lpow(i, k):
-        row = powers[i]
-        while len(row) <= k:
-            row.append(row[-1] * lin[i])
-        return row[k]
-
-    out = []
-    for exps, c in form.terms.items():
-        part = None
-        for i, e in enumerate(exps):
-            if e:
-                part = lpow(i, e) if part is None else part * lpow(i, e)
-        if part is None:
-            # the constant monomial
-            part = _raw_form(form.field, nvars, 0, {exps: form.field.one()})
-        out.append((c, part))
-    return out
-
-
 def _raw_form(field, nvars, degree, terms):
     """Form over an already clean term map, without checks or copying."""
     f = HomogeneousForm.__new__(HomogeneousForm)
     f.field, f.nvars, f.degree, f.terms = field, nvars, degree, terms
     return f
+
+
+class _Slots:
+    """Exponent tuples of `nvars` entries packed into ints with slots of
+    `width` bits; exponents up to `cap` leave the top bit of a slot clear."""
+
+    def __init__(self, nvars, width):
+        self.nvars = nvars
+        self.width = width
+        self.cap = (1 << (width - 1)) - 1
+        self.mask = (1 << width) - 1
+        self.ones = sum(1 << (width * i) for i in range(nvars))
+        self.guard = self.ones << (width - 1)
+        self.top = width * (nvars - 1)
+        self.every = (1 << nvars) - 1
+
+    @classmethod
+    def for_degree(cls, nvars, degree):
+        """Slots with room for twice the given degree."""
+        return cls(nvars, (2 * degree).bit_length() + 1)
+
+    def pack(self, terms):
+        out = {}
+        for exps, c in terms.items():
+            key = 0
+            for e in reversed(exps):
+                key = key << self.width | e
+            out[key] = c
+        return out
+
+    def exponents(self, key):
+        w, mask = self.width, self.mask
+        # from a list: tuple() of a generator shrinks a fresh 10-slot tuple,
+        # and the free list of the final size keeps one per call
+        return tuple([key >> (w * i) & mask for i in range(self.nvars)])
+
+    def unpack(self, terms):
+        return {self.exponents(key): c for key, c in terms.items()}
+
+    def degree(self, key):
+        """Sum of the slots, read from the top slot of key * ones; exact
+        while it is below 2^width, so for the lcm of two keys of degree
+        <= cap."""
+        return key * self.ones >> self.top & self.mask
+
+    def lcm(self, a, b):
+        ge = ((a | self.guard) - b) & self.guard      # guard bit where a_i >= b_i
+        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+    def covered(self, key):
+        """Bit mask of the variables whose pure powers the key holds: bit i
+        for x_i^e with e > 0, every bit for the constant 0, else 0.  The
+        top nonzero bit lies in the slot of the last variable present, so
+        the key is a pure power exactly when nothing lies below that slot."""
+        if not key:
+            return self.every
+        i = (key.bit_length() - 1) // self.width
+        return 0 if key & ((1 << self.width * i) - 1) else 1 << i
+
+
+def compose(forms, matrix):
+    """The forms, all over one field in the same variables, with x_i
+    replaced by the linear form given by row i of the matrix."""
+    nvars = forms[0].nvars
+    rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
+    if len(rows) != nvars or any(len(r) != nvars for r in rows):
+        raise ValueError("substitution matrix must be square of size nvars")
+    slots = _Slots.for_degree(nvars, max(f.degree for f in forms))
+    images = _compose([slots.pack(f.terms) for f in forms], rows, slots, forms[0].field.one())
+    return [_raw_form(f.field, nvars, f.degree, slots.unpack(h))
+            for f, h in zip(forms, images)]
+
+
+def _compose(packed_gens, rows, slots, one):
+    """The packed generators with x_i replaced by the linear form of row i.
+    The image of each monomial is worked out once for all generators, as
+    the image of the monomial with one factor x_i fewer (i its first
+    variable) times the linear form of row i."""
+    w = slots.width
+    linear = [{1 << (w * k): c for k, c in enumerate(row) if c} for row in rows]
+    images = {0: {0: one}}
+
+    def image(m):
+        got = images.get(m)
+        if got is None:
+            i = ((m & -m).bit_length() - 1) // w
+            got = {}
+            for a, ca in image(m - (1 << (w * i))).items():
+                for b, cb in linear[i].items():
+                    cur = got.get(a + b)
+                    got[a + b] = ca * cb if cur is None else cur + ca * cb
+            got = images[m] = {k: v for k, v in got.items() if v}
+        return got
+
+    out = []
+    for g in packed_gens:
+        acc = {}
+        for m, c in g.items():
+            for k, v in image(m).items():
+                cur = acc.get(k)
+                acc[k] = c * v if cur is None else cur + c * v
+        out.append({k: v for k, v in acc.items() if v})
+    return out
 
 
 def coefficients_fixed_by_frobenius(form, k):

@@ -48,7 +48,9 @@ full scan.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
+from itertools import repeat
 from math import gcd, lcm
 
 from .errors import PreconditionViolated, WitnessNotFoundWithinCap
@@ -66,10 +68,9 @@ from .groebner import (
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
     _groebner,
-    _Slots,
     certify_combinations,
 )
-from .multipoly import HomogeneousForm, _raw_form
+from .multipoly import HomogeneousForm, _compose, _raw_form, _Slots
 
 DEFAULT_WITNESS_CAP = 6
 # the primes a rational form is reduced modulo before Buchberger over Q
@@ -418,14 +419,13 @@ def verify_system_K_smooth(system, symmetries=()):
     `moore_symmetries` of a construction; none of them is trusted.  Each
     must be invertible and map the span of the generators onto itself
     under x -> M x, which is checked exactly; then G_i(M x) = sum_j T[i][j]
-    G_j(x), and the member c composed with M is the member c T.  A linear
-    change of coordinates keeps smoothness, so every member of an orbit of
-    the group the T generate on the members gets the verdict of any other.
-    Only the first member of each orbit in enumeration order is certified,
-    and when every one of them is smooth so is every member.  When a matrix
-    fails a check or some first member is not smooth, every member is
-    certified as without symmetries, so a witness always comes from its own
-    member's search and the report is the same either way.
+    G_j(x), and the member c composed with M is the member c T, isomorphic
+    to c over the base field.  So the members of an orbit of the group the
+    T generate share their verdict, and only the first member of each orbit
+    in enumeration order is certified, a singular one with its own witness
+    search.  The first singular member is the first of its orbit, so the
+    report is that of full enumeration.  Without symmetries, or when a
+    matrix fails a check, every member is its own orbit.
     """
     field = system.field
     if not isinstance(field, FieldDescriptor):
@@ -433,15 +433,11 @@ def verify_system_K_smooth(system, symmetries=()):
     certify = certify_combinations(
         [[g, *(g.partial_derivative(i) for i in range(system.nvars))]
          for g in system.generators], field, system.nvars)
-    if symmetries:
-        induced = _induced_matrices(system, symmetries)
-        if induced is not None and all(
-                certify(c) for c in _orbit_representatives(field, system.dim, induced)):
-            count = (field.order ** (system.dim + 1) - 1) // (field.order - 1)
-            return VerifyReport(verdicts=("smooth",) * count, k_smooth=True, witness=None)
+    induced = _induced_matrices(system, symmetries) if symmetries else None
+    orbit_of = array("l")
     verdicts = []
     first_witness = None
-    for coeffs in enumerate_projective_points(field, system.dim):
+    for coeffs in _orbit_representatives(field, system.dim, induced, orbit_of):
         if certify(coeffs):
             verdicts.append("smooth")
             continue
@@ -449,8 +445,8 @@ def verify_system_K_smooth(system, symmetries=()):
         verdicts.append("singular")
         if first_witness is None:
             first_witness = replace(witness, member=tuple(coeffs))
-    return VerifyReport(verdicts=tuple(verdicts), k_smooth=first_witness is None,
-                        witness=first_witness)
+    return VerifyReport(verdicts=tuple([verdicts[k] for k in orbit_of]),
+                        k_smooth=first_witness is None, witness=first_witness)
 
 
 def _induced_matrices(system, symmetries):
@@ -484,7 +480,7 @@ def _induced_matrices(system, symmetries):
         if not FieldMatrix(field, rows).det():
             return None
         t = []
-        for h in _composed(gens, rows, slots, one):
+        for h in _compose(gens, rows, slots, one):
             w = [h.get(m, zero) for m in pivot_keys]
             rest = dict(h)
             for a, row in zip(w, echelon):
@@ -506,55 +502,30 @@ def _induced_matrices(system, symmetries):
     return induced
 
 
-def _composed(gens, rows, slots, one):
-    """The packed generators with x_i replaced by the linear form of row i.
-    The image of each monomial is worked out once for all generators, as
-    the image of the monomial with one factor x_i fewer (i its first
-    variable) times the linear form of row i."""
-    w = slots.width
-    linear = [{1 << (w * k): c for k, c in enumerate(row) if c} for row in rows]
-    images = {0: {0: one}}
-
-    def image(m):
-        got = images.get(m)
-        if got is None:
-            i = ((m & -m).bit_length() - 1) // w
-            got = {}
-            for a, ca in image(m - (1 << (w * i))).items():
-                for b, cb in linear[i].items():
-                    cur = got.get(a + b)
-                    got[a + b] = ca * cb if cur is None else cur + ca * cb
-            got = images[m] = {k: v for k, v in got.items() if v}
-        return got
-
-    out = []
-    for g in gens:
-        acc = {}
-        for m, c in g.items():
-            for k, v in image(m).items():
-                cur = acc.get(k)
-                acc[k] = c * v if cur is None else cur + c * v
-        out.append({k: v for k, v in acc.items() if v})
-    return out
-
-
-def _orbit_representatives(field, r, induced):
+def _orbit_representatives(field, r, induced, orbit_of):
     """The first member, in enumeration order, of each orbit of the group
     generated by the invertible matrices `induced` acting on the members
-    by c -> c T, normalised to a leading 1.  Each T permutes the finite set
-    of members, so an orbit is everything reached from one member by the T
-    alone; the members are walked in order and each one not yet reached
-    starts a new orbit."""
-    seen = set()
-    firsts = []
+    by c -> c T, normalised to a leading 1; `orbit_of`, an empty array,
+    receives for every member the index of its orbit among those yielded.
+    Each T permutes the finite set of members, so an orbit is everything
+    reached from one member by the T alone; the members are walked in
+    order and each one not yet reached starts a new orbit.  Without
+    `induced` every member is its own orbit."""
+    induced = induced or []
+    q = field.order
+    orbit_of.extend(repeat(-1, (q ** (r + 1) - 1) // (q - 1)))
+    # a member with k = r - j coordinates after its leading 1 follows the
+    # (q^k - 1) / (q - 1) with fewer, in the order of those k as base-q
+    # digits: if its coordinates' indices as base-q digits make pos, the
+    # member's index is pos + shift[j]
+    shift = [(q ** (r - j) - 1) // (q - 1) - q ** (r - j) for j in range(r + 1)]
     # scaled[t][i] maps the index of a scalar a to a * T[i], built on first use
     scaled = [[{} for _ in t] for t in induced]
-    for coeffs in enumerate_projective_points(field, r):
-        key = tuple([x.idx for x in coeffs])
-        if key in seen:
+    orbits = 0
+    for i, coeffs in enumerate(enumerate_projective_points(field, r)):
+        if orbit_of[i] >= 0:
             continue
-        firsts.append(coeffs)
-        seen.add(key)
+        orbit_of[i] = orbits
         stack = [coeffs]
         while stack:
             c = stack.pop()
@@ -566,10 +537,15 @@ def _orbit_representatives(field, r, induced):
                         if v is None:
                             v = products[a.idx] = [a * x for x in row]
                         image = v if image is None else [x + y for x, y in zip(image, v)]
-                inv = next(x for x in image if x).inv()
+                lead = next(j for j, x in enumerate(image) if x)
+                inv = image[lead].inv()
                 image = [x * inv for x in image]
-                key = tuple([x.idx for x in image])
-                if key not in seen:
-                    seen.add(key)
+                pos = 0
+                for x in image:
+                    pos = pos * q + x.idx
+                pos += shift[lead]
+                if orbit_of[pos] < 0:
+                    orbit_of[pos] = orbits
                     stack.append(image)
-    return firsts
+        yield coeffs
+        orbits += 1

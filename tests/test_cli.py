@@ -596,6 +596,28 @@ class TestAlphaSymmetries:
         obj = json.loads(self._construct(capsys, tmp_path, 2, 1, 4, 4, 2).read_text())
         assert self._assert_falls_back(capsys, tmp_path, certified_members, obj) == 0
 
+    @pytest.mark.parametrize("r, built", [(1, [(3, 1)]), (2, [(3, 1), (3, 3)])])
+    def test_only_a_full_system_builds_the_big_field(self, capsys, tmp_path, monkeypatch,
+                                                     r, built):
+        path = self._construct(capsys, tmp_path, 3, 1, 2, 2, r)
+        made = []
+        init = FieldDescriptor.__init__
+
+        def counting(desc, p, e=1, *args):
+            made.append((p, e))
+            init(desc, p, e, *args)
+
+        monkeypatch.setattr(fields, "_DESCRIPTOR_CACHE", {})
+        monkeypatch.setattr(fields, "_EMBEDDING_CACHE", {})
+        monkeypatch.setattr(FieldDescriptor, "__init__", counting)
+        assert run(capsys, ["verify", str(path)])[0] == 0
+        assert made == built
+        obj = json.loads(path.read_text())
+        obj["alpha"] = obj["alpha"][1:]
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, ["verify", str(path)])
+        assert code == 2 and '"alpha"' in err
+
     def test_seeded_alpha_mutations_never_raise(self, capsys, tmp_path):
         obj = json.loads(self._construct(capsys, tmp_path, 3, 1, 2, 2, 2).read_text())
         path = tmp_path / "mutant.json"

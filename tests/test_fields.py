@@ -21,6 +21,7 @@ from ksmooth.fields import (
     FieldMatrix,
     _digits,
     _mulmod,
+    _prime_factors,
     element_to_json,
     enumerate_projective_points,
     field_from_json,
@@ -124,6 +125,16 @@ class TestIsPrime:
     def test_bound_is_rejected(self):
         with pytest.raises(ValueError, match="3317044064679887385961981"):
             is_prime(3317044064679887385961981)
+
+
+class TestPrimeFactors:
+    def test_matches_the_definition(self):
+        primes = [r for r in range(2, 5001) if is_prime(r)]
+        for n in range(1, 5001):
+            assert _prime_factors(n) == [r for r in primes if n % r == 0], n
+
+    def test_order_of_the_units_of_gf_2_24(self):
+        assert _prime_factors(2 ** 24 - 1) == [3, 5, 7, 13, 17, 241]
 
 
 class TestFindIrreducible:

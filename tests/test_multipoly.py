@@ -19,13 +19,13 @@ from ksmooth.multipoly import (
     LinearSystemOfForms,
     coefficient_matrix,
     coefficients_fixed_by_frobenius,
+    compose,
     euler_combination,
     form_from_json,
     form_to_json,
     monomial_key,
     monomials_of_degree,
     random_form,
-    substituted_terms,
     system_from_json,
     system_to_json,
 )
@@ -188,10 +188,26 @@ class TestSubstituteLinear:
 
 
 class TestSubstitutedTerms:
+    """`compose` substitutes the rows of one matrix into several forms."""
+
     @staticmethod
     def _matrix(field, rng):
         els = field.elements()
         return [[els[rng.randrange(field.order)] for _ in range(3)] for _ in range(3)]
+
+    @staticmethod
+    def _substituted(f, rows):
+        """f with x_i replaced by row i, term by term with form products."""
+        field = f.field
+        lin = [HomogeneousForm(field, 3, 1, {(1, 0, 0): r[0], (0, 1, 0): r[1],
+                                             (0, 0, 1): r[2]}) for r in rows]
+        total = HomogeneousForm.zero(field, 3, f.degree)
+        for exps, c in f.terms.items():
+            image = HomogeneousForm(field, 3, 0, {(0, 0, 0): field.one()})
+            for x, e in zip(lin, exps):
+                image = image * x ** e
+            total = total + image.scale(c)
+        return total
 
     def test_images_are_the_substituted_monomials(self):
         rng = random.Random(12)
@@ -199,34 +215,22 @@ class TestSubstitutedTerms:
             for _ in range(10):
                 rows = self._matrix(field, rng)
                 f = random_form(field, 3, 3, rng)
-                lin = [HomogeneousForm(field, 3, 1, {(1, 0, 0): r[0], (0, 1, 0): r[1],
-                                                     (0, 0, 1): r[2]}) for r in rows]
-                images = substituted_terms(f, rows)
-                assert [c for c, _ in images] == list(f.terms.values())
-                total = HomogeneousForm.zero(field, 3, 3)
-                for exps, (c, image) in zip(f.terms, images):
-                    expected = HomogeneousForm(field, 3, 0, {(0, 0, 0): field.one()})
-                    for x, e in zip(lin, exps):
-                        expected = expected * x ** e
-                    assert image == expected
-                    total = total + image.scale(c)
-                assert total == f.substitute_linear(rows)
+                # one 1-term form per term of f, and f itself, in one call
+                terms = [HomogeneousForm(field, 3, 3, {m: c}) for m, c in f.terms.items()]
+                *images, whole = compose(terms + [f], rows)
+                for term, image in zip(terms, images):
+                    assert image == self._substituted(term, rows)
+                assert whole == self._substituted(f, rows) == f.substitute_linear(rows)
 
-    def test_each_row_power_is_built_once(self, monkeypatch):
-        # x0^2 x1 + x1^2 x2 + x2^2 x0: three squares and three products
-        template = form(F3, 3, 3, [((2, 1, 0), 1), ((0, 2, 1), 1), ((1, 0, 2), 1)])
-        rows = self._matrix(F3, random.Random(5))
-        calls = 0
-        mul = HomogeneousForm.__mul__
-
-        def counted(a, b):
-            nonlocal calls
-            calls += 1
-            return mul(a, b)
-
-        monkeypatch.setattr(HomogeneousForm, "__mul__", counted)
-        substituted_terms(template, rows)
-        assert calls == 6
+    def test_rational_forms_of_two_degrees(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
+                    for _ in range(3)]
+            forms = [HomogeneousForm(QQ, 3, d, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                                for m in monomials_of_degree(3, d)})
+                     for d in (3, 1)]
+            assert compose(forms, rows) == [self._substituted(f, rows) for f in forms]
 
     def test_constant_form(self):
         c = HomogeneousForm(F3, 2, 0, {(0, 0): F3.from_int(2)})

@@ -5,6 +5,7 @@ extraction and full system verification."""
 import itertools
 import json
 import random
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -33,11 +34,11 @@ from ksmooth.groebner import buchberger, is_projectively_empty, normal_form
 from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
+    compose,
     monomial_key,
     monomials_of_degree,
     random_form,
     random_system,
-    substituted_terms,
 )
 from ksmooth.smoothness import (
     Singular,
@@ -814,18 +815,44 @@ class TestOrbitRoute:
         one = moore.field.one()
         template = HomogeneousForm(moore.field, 3, 4, [
             ((2, 2, 0), one), ((0, 2, 2), one), ((2, 0, 2), one)])
-        raw = [image.scale(c) for c, image in substituted_terms(template, moore.matrix)]
+        raw = compose([HomogeneousForm(moore.field, 3, 4, {m: c})
+                       for m, c in template.terms.items()], moore.matrix)
         system = LinearSystemOfForms(galois_descent(raw, moore))
         symmetries = moore_symmetries(F3, moore.alpha)
         induced = smoothness._induced_matrices(system, symmetries)
         assert induced is not None
-        assert len(smoothness._orbit_representatives(F3, system.dim, induced)) == 1
+        orbit_of = array("l")
+        assert len(list(smoothness._orbit_representatives(F3, system.dim, induced,
+                                                          orbit_of))) == 1
+        assert list(orbit_of) == [0] * 13
         report = verify_system_K_smooth(system, symmetries)
         assert report.verdicts == ("singular",) * 13
-        # the one representative, then every member for its own witness
-        assert len(certified_members) == 1 + 13
+        # the one representative, whose own search gives the witness
+        assert len(certified_members) == 1
         assert (json.dumps(report.to_json())
                 == json.dumps(verify_system_K_smooth(system).to_json()))
+
+    def test_shifted_cubic_nets_certify_one_member_per_orbit(self, certified_members):
+        # G_i = F(x_i, x_(i+1), x_(i+2)): the shift maps each G_i to G_(i+1),
+        # so the 13 members fall into the orbit of (1, 1, 1) and four of 3
+        o, z = F3.one(), F3.zero()
+        shift = [[z, o, z], [z, z, o], [o, z, z]]
+        smooth_counts = set()
+        # seed 0 gives linearly dependent forms
+        for seed in range(1, 40):
+            f = random_form(F3, 3, 3, random.Random(seed))
+            g = f.substitute_linear(shift)
+            system = LinearSystemOfForms([f, g, g.substitute_linear(shift)])
+            certified_members.clear()
+            report = verify_system_K_smooth(system, [shift])
+            assert len(certified_members) == 5, seed
+            assert (json.dumps(report.to_json())
+                    == json.dumps(verify_system_K_smooth(system).to_json())), seed
+            assert not report.k_smooth, seed
+            smooth_counts.add(report.verdicts.count("smooth"))
+        # among the nets: no member smooth, one orbit of 3 smooth, and only
+        # the orbit of (1, 1, 1) singular
+        assert {0, 3, 12} <= smooth_counts
 
     def test_an_arbitrary_invertible_matrix_is_rejected(self, certified_members):
         system, _ = _constructed(3, 1, 2, 2)
