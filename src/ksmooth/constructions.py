@@ -33,6 +33,7 @@ from .fields import (
     get_descriptor,
     get_embedding,
     normalize_projective,
+    poly_gcd,
     sqrt_char2,
 )
 from .multipoly import (
@@ -120,18 +121,36 @@ def moore_matrix(alpha, e, nvars):
 
 def normal_basis_search(p, e, n):
     """First element of GF(q^(n+1)) (canonical order, q = p^e) whose Frobenius
-    orbit is a basis over GF(q), that is whose `moore_matrix` has a nonzero
-    determinant; existence is the normal basis theorem."""
+    orbit is a basis over GF(q), with its `moore_matrix` and the nonzero
+    determinant of that; existence is the normal basis theorem.  The
+    candidates are built one at a time, and each is tested by `_is_normal`,
+    one gcd; the Moore matrix is built for the chosen element only."""
     base = get_descriptor(p, e)
     big = get_descriptor(p, e * (n + 1))
-    for alpha in big.elements():
-        if not alpha:
-            continue
-        matrix = moore_matrix(alpha, e, n + 1)
-        det = matrix.det()
-        if det:
-            return MooreData(field=big, base=base, alpha=alpha, matrix=matrix, det=det)
+    for i in range(1, big.order):
+        alpha = big.element_from_index(i)
+        if _is_normal(alpha, base.order, n + 1):
+            matrix = moore_matrix(alpha, e, n + 1)
+            return MooreData(field=big, base=base, alpha=alpha, matrix=matrix, det=matrix.det())
     raise AssertionError("unreachable: normal elements always exist")
+
+
+def _is_normal(alpha, q, m):
+    """Whether alpha, an element of GF(q^m), is normal over GF(q): exactly
+    when f = sum_i alpha^(q^i) x^(m-1-i) and x^m - 1 are coprime (Lidl and
+    Niederreiter, Finite Fields, Theorem 2.39).  x - 1 divides x^m - 1, so
+    the trace f(1) of alpha must not vanish; that is checked first, and is
+    the whole test when m is a power of p, x^m - 1 then being (x - 1)^m."""
+    orbit = [alpha]
+    for _ in range(m - 1):
+        orbit.append(orbit[-1] ** q)
+    trace = alpha.field.zero()
+    for x in orbit:
+        trace = trace + x
+    if not trace:
+        return False
+    one = alpha.field.one()
+    return len(poly_gcd(orbit[::-1], [-one] + [alpha.field.zero()] * (m - 1) + [one])) == 1
 
 
 def moore_symmetries(base, alpha):

@@ -8,8 +8,10 @@ u^(e-1) read as a base-p integer.  Fields up to order 2^16 intern their
 elements and build an antilog and a Zech list (O(q) entries each) from the
 log to the first generator of the unit group, so every operation (a power
 included) is one or two lookups.  Larger prime fields compute on the index
-mod p and larger extension fields on the digits.  Canonical moduli make
-every derived object bit-reproducible.
+mod p and larger extension fields on the digits.  Inner loops that combine
+many elements work on the indices themselves, through an
+`IndexArithmetic`.  Canonical moduli make every derived object
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -519,6 +521,117 @@ class FieldElement:
         return f"{self}::{self.field!r}"
 
 
+class IndexArithmetic:
+    """The operations of a finite field on the indices of its elements, for
+    inner loops that keep FieldElement at their boundary.  `mul` and `inv`
+    (of a nonzero index) are functions of plain ints, and `combine` takes
+    (c, shift, terms) triples, a nonzero index, an int and a map from ints
+    to nonzero indices, and returns the map of the sum of c times terms
+    with every key moved by shift, zeros dropped:
+    - over GF(p), on ints, reduced mod p once per sum;
+    - over a tabled GF(p^e), e > 1, on logs: a product adds them and reads
+      the antilog list, and a sum is an XOR of indices in characteristic 2
+      and otherwise one Zech lookup on the logs, a + b = a * (1 + b/a);
+    - over an untabled GF(p^e), e > 1, a product by FieldElement
+      arithmetic and a sum digit by digit, as FieldElement adds there.
+    The log and antilog lists are built per instance as ints, O(q) entries,
+    and share the descriptor's ints."""
+
+    __slots__ = ("field", "mul", "inv", "combine")
+
+    def __init__(self, field):
+        self.field = field
+        p, e, n = field.p, field.e, field.order - 1
+        if e == 1:
+            self.mul = lambda a, b: a * b % p
+            self.inv = lambda a: pow(a, -1, p)
+
+            def combine(parts):
+                acc = {}
+                get = acc.get
+                for c, shift, terms in parts:
+                    for k, v in terms.items():
+                        k += shift
+                        acc[k] = get(k, 0) + c * v
+                return {k: r for k, v in acc.items() if (r := v % p)}
+        elif field._exp is not None:
+            # the log of 0 is 2n, which the zero padding of `_exp` absorbs
+            log = [x.log for x in field._elements]
+            exp = [x.idx for x in field._exp]
+            zech = field._zech
+            self.mul = lambda a, b: exp[log[a] + log[b]]
+            self.inv = lambda a: exp[n - log[a]]
+            if p == 2:
+                def combine(parts):
+                    acc = {}
+                    get = acc.get
+                    for c, shift, terms in parts:
+                        c = log[c]
+                        for k, v in terms.items():
+                            k += shift
+                            acc[k] = get(k, 0) ^ exp[c + log[v]]
+                    return {k: v for k, v in acc.items() if v}
+            else:
+                def combine(parts):
+                    acc = {}
+                    get = acc.get
+                    for c, shift, terms in parts:
+                        c = log[c]
+                        for k, v in terms.items():
+                            k += shift
+                            x = c + log[v]
+                            a = get(k)
+                            if a:
+                                a = log[a]
+                                acc[k] = exp[a + zech[x - a]]
+                            else:
+                                acc[k] = exp[x]
+                    return {k: v for k, v in acc.items() if v}
+        else:
+            def mul(a, b):
+                return (FieldElement(field, a) * FieldElement(field, b)).idx
+
+            self.mul = mul
+            self.inv = lambda a: FieldElement(field, a).inv().idx
+
+            def combine(parts):
+                acc = {}
+                get = acc.get
+                for c, shift, terms in parts:
+                    for k, v in terms.items():
+                        k += shift
+                        acc[k] = _digitwise(get(k, 0), mul(c, v), 1, p, e)
+                return {k: v for k, v in acc.items() if v}
+        self.combine = combine
+
+    def rref(self, rows, ncols):
+        """The reduced row echelon form of a matrix of indices with `ncols`
+        columns, its rows given as maps from columns to nonzero entries,
+        pivoting as `FieldMatrix.rref` does; returns the reduced rows, as
+        such maps, and the pivot columns."""
+        combine = self.combine
+        # the index of -1, whose only digit is p - 1
+        minus_one = self.field.p - 1
+        a = list(rows)
+        pivots = []
+        for c in range(ncols):
+            r = len(pivots)
+            if r == len(a):
+                break
+            piv = next((i for i in range(r, len(a)) if c in a[i]), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            if a[r][c] != 1:
+                a[r] = combine([(self.inv(a[r][c]), 0, a[r])])
+            for i, row in enumerate(a):
+                f = row.get(c)
+                if f and i != r:
+                    a[i] = combine([(1, 0, row), (self.mul(f, minus_one), 0, a[r])])
+            pivots.append(c)
+        return a, pivots
+
+
 def frobenius(x, power=1):
     """Apply the p-power Frobenius `power` times: x -> x^(p^power)."""
     if power < 1:
@@ -602,14 +715,16 @@ class FieldMatrix:
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
                 det = -det
-            pv = a[r][c]
+            # the pivot row is zero left of c, so only columns from c change
+            row = a[r]
+            pv = row[c]
             if pv != one:
                 det = det * pv
-                a[r] = [x / pv for x in a[r]]
+                row[c:] = [x / pv for x in row[c:]]
             for i in range(self.nrows):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                f = a[i][c]
+                if i != r and f:
+                    a[i][c:] = [x - f * y if y else x for x, y in zip(a[i][c:], row[c:])]
             pivots.append(c)
             r += 1
         return a, pivots, det

@@ -326,36 +326,49 @@ def compose(forms, matrix):
             for f, h in zip(forms, images)]
 
 
-def _compose(packed_gens, rows, slots, one):
+def _combine(parts):
+    """The terms of the sum of c times terms with every key moved by shift,
+    zeros dropped, for the (c, shift, terms) in parts, with coefficients
+    FieldElements or Fractions (see `IndexArithmetic.combine` for element
+    indices)."""
+    acc = {}
+    get = acc.get
+    for c, shift, terms in parts:
+        for k, v in terms.items():
+            k += shift
+            cur = get(k)
+            acc[k] = c * v if cur is None else cur + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def _compose(packed_gens, rows, slots, one, combine=_combine):
     """The packed generators with x_i replaced by the linear form of row i.
     The image of each monomial is worked out once for all generators, as
     the image of the monomial with one factor x_i fewer (i its first
-    variable) times the linear form of row i."""
+    variable) times the linear form of row i; a permutation matrix only
+    moves exponents.  `combine` takes the linear combinations: `_combine`
+    for FieldElements and Fractions, or `IndexArithmetic.combine` for
+    element indices, `one` then being 1."""
     w = slots.width
     linear = [{1 << (w * k): c for k, c in enumerate(row) if c} for row in rows]
+    # for a row that is one variable with coefficient one, that variable's key
+    single = [next(iter(row)) if list(row.values()) == [one] else None for row in linear]
+    if None not in single and len(set(single)) == len(single):
+        # the exponent of each x_i moves to the slot of the variable of row i
+        mask = (1 << w) - 1
+        return [{sum((m >> (w * i) & mask) * b for i, b in enumerate(single)): c
+                 for m, c in g.items()} for g in packed_gens]
     images = {0: {0: one}}
 
     def image(m):
         got = images.get(m)
         if got is None:
             i = ((m & -m).bit_length() - 1) // w
-            got = {}
-            for a, ca in image(m - (1 << (w * i))).items():
-                for b, cb in linear[i].items():
-                    cur = got.get(a + b)
-                    got[a + b] = ca * cb if cur is None else cur + ca * cb
-            got = images[m] = {k: v for k, v in got.items() if v}
+            rest = image(m - (1 << (w * i)))
+            got = images[m] = combine([(c, b, rest) for b, c in linear[i].items()])
         return got
 
-    out = []
-    for g in packed_gens:
-        acc = {}
-        for m, c in g.items():
-            for k, v in image(m).items():
-                cur = acc.get(k)
-                acc[k] = c * v if cur is None else cur + c * v
-        out.append({k: v for k, v in acc.items() if v})
-    return out
+    return [combine([(c, 0, image(m)) for m, c in g.items()]) for g in packed_gens]
 
 
 def coefficients_fixed_by_frobenius(form, k):

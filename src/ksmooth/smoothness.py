@@ -48,15 +48,18 @@ full scan.
 
 from __future__ import annotations
 
+import operator
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import repeat
 from math import gcd, lcm
 
-from .errors import PreconditionViolated, WitnessNotFoundWithinCap
+from .errors import DescriptorMismatch, PreconditionViolated, WitnessNotFoundWithinCap
 from .fields import (
     FieldDescriptor,
     FieldMatrix,
+    IndexArithmetic,
     element_to_json,
     enumerate_projective_points,
     field_to_json,
@@ -451,101 +454,162 @@ def verify_system_K_smooth(system, symmetries=()):
 
 def _induced_matrices(system, symmetries):
     """For each matrix M of `symmetries` the square matrix T, one row and
-    column per generator, with G_i(M x) = sum_j T[i][j] G_j(x), or None
-    when some M is not invertible or maps a generator out of the span.
+    column per generator, with G_i(M x) = sum_j T[i][j] G_j(x), as element
+    indices, or None when some M is not invertible or maps a generator out
+    of the span.
 
     The generators' coefficients C, over the monomials they use, are reduced
     once together with an identity block, to [R | E] with R = E C in
-    reduced echelon form.  A form h lies in the span exactly when it uses
-    no other monomial and equals sum_k h[p_k] R_k, p_k the pivot of row k,
-    and then its coordinates are sum_k h[p_k] E_k."""
+    reduced echelon form.  A form h of the span is sum_k h[p_k] R_k, p_k
+    the pivot of row k, so it lies in the span exactly when it equals
+    sum_j t_j G_j for t = sum_k h[p_k] E_k, and t is then its row of T.
+    Past the boundary, where the generators and each M become element
+    indices, all of it runs on the ints of an `IndexArithmetic`."""
     field, nvars = system.field, system.nvars
-    zero, one = field.zero(), field.one()
+    arith = IndexArithmetic(field)
+    combine = arith.combine
     slots = _Slots.for_degree(nvars, system.degree)
-    gens = [slots.pack(g.terms) for g in system.generators]
+    gens = [{m: c.idx for m, c in slots.pack(g.terms).items()} for g in system.generators]
     count = len(gens)
     columns = sorted({m for g in gens for m in g})
     width = len(columns)
-    reduced, pivots, _ = FieldMatrix(field, [
-        [g.get(m, zero) for m in columns] + [one if j == i else zero for j in range(count)]
-        for i, g in enumerate(gens)]).rref()
-    # the nonzero entries of each R_k, by monomial
-    echelon = [{m: c for m, c in zip(columns, row) if c} for row in reduced]
+    column = {m: k for k, m in enumerate(columns)}
+    reduced, pivots = arith.rref([{**{column[m]: c for m, c in g.items()}, width + i: 1}
+                                  for i, g in enumerate(gens)], width + count)
+    # E_k, by generator
+    coordinates = [{k - width: c for k, c in row.items() if k >= width} for row in reduced]
     pivot_keys = [columns[k] for k in pivots]
     induced = []
     for matrix in symmetries:
         rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
         if len(rows) != nvars or any(len(r) != nvars for r in rows):
             raise ValueError("a symmetry must be a square matrix of size nvars")
-        if not FieldMatrix(field, rows).det():
+        if {x.field.key for row in rows for x in row} != {field.key}:
+            raise DescriptorMismatch(f"a symmetry must be a matrix over {field!r}")
+        rows = [[x.idx for x in row] for row in rows]
+        if len(arith.rref([{k: x for k, x in enumerate(row) if x} for row in rows],
+                          nvars)[1]) < nvars:
             return None
         t = []
-        for h in _compose(gens, rows, slots, one):
-            w = [h.get(m, zero) for m in pivot_keys]
-            rest = dict(h)
-            for a, row in zip(w, echelon):
-                if a:
-                    for m, c in row.items():
-                        v = rest.get(m, zero) - a * c
-                        if v:
-                            rest[m] = v
-                        else:
-                            rest.pop(m, None)
-            if rest:
+        for h in _compose(gens, rows, slots, 1, combine):
+            coords = combine([(a, 0, row) for m, row in zip(pivot_keys, coordinates)
+                              if (a := h.get(m))])
+            if combine([(a, 0, gens[j]) for j, a in coords.items()]) != h:
                 return None
-            coords = [zero] * count
-            for a, row in zip(w, reduced):
-                if a:
-                    coords = [x + a * y for x, y in zip(coords, row[width:])]
-            t.append(coords)
+            t.append([coords.get(j, 0) for j in range(count)])
         induced.append(t)
     return induced
 
 
 def _orbit_representatives(field, r, induced, orbit_of):
     """The first member, in enumeration order, of each orbit of the group
-    generated by the invertible matrices `induced` acting on the members
-    by c -> c T, normalised to a leading 1; `orbit_of`, an empty array,
-    receives for every member the index of its orbit among those yielded.
-    Each T permutes the finite set of members, so an orbit is everything
-    reached from one member by the T alone; the members are walked in
-    order and each one not yet reached starts a new orbit.  Without
-    `induced` every member is its own orbit."""
-    induced = induced or []
+    generated by the invertible matrices `induced` (element indices, as
+    `_induced_matrices` gives them) acting on the members by c -> c T,
+    normalised to a leading 1; `orbit_of`, an empty array, receives for
+    every member the index of its orbit among those yielded.  Each T
+    permutes the finite set of members, so an orbit is everything reached
+    from one member by the T alone; the members are walked in order and
+    each one not yet reached starts a new orbit, which is collected by
+    reading the `_image_tables` of the T: int lookups only.  Once the tables
+    so far join every member into one orbit, no further table is built.
+    Without `induced` every member is its own orbit."""
     q = field.order
-    orbit_of.extend(repeat(-1, (q ** (r + 1) - 1) // (q - 1)))
-    # a member with k = r - j coordinates after its leading 1 follows the
-    # (q^k - 1) / (q - 1) with fewer, in the order of those k as base-q
-    # digits: if its coordinates' indices as base-q digits make pos, the
-    # member's index is pos + shift[j]
-    shift = [(q ** (r - j) - 1) // (q - 1) - q ** (r - j) for j in range(r + 1)]
-    # scaled[t][i] maps the index of a scalar a to a * T[i], built on first use
-    scaled = [[{} for _ in t] for t in induced]
+    count = (q ** (r + 1) - 1) // (q - 1)
+    tables = []
+    for table in _image_tables(IndexArithmetic(field), r, induced) if induced else ():
+        tables.append(table)
+        if len(tables) < len(induced) and len(_orbit(0, tables)) == count:
+            break
+    orbit_of.extend(repeat(-1, count))
     orbits = 0
     for i, coeffs in enumerate(enumerate_projective_points(field, r)):
-        if orbit_of[i] >= 0:
-            continue
-        orbit_of[i] = orbits
-        stack = [coeffs]
-        while stack:
-            c = stack.pop()
-            for t, rows in zip(induced, scaled):
-                image = None
-                for a, row, products in zip(c, t, rows):
-                    if a:
-                        v = products.get(a.idx)
-                        if v is None:
-                            v = products[a.idx] = [a * x for x in row]
-                        image = v if image is None else [x + y for x, y in zip(image, v)]
-                lead = next(j for j, x in enumerate(image) if x)
-                inv = image[lead].inv()
-                image = [x * inv for x in image]
-                pos = 0
-                for x in image:
-                    pos = pos * q + x.idx
-                pos += shift[lead]
-                if orbit_of[pos] < 0:
-                    orbit_of[pos] = orbits
-                    stack.append(image)
-        yield coeffs
-        orbits += 1
+        if orbit_of[i] < 0:
+            for j in _orbit(i, tables):
+                orbit_of[j] = orbits
+            yield coeffs
+            orbits += 1
+
+
+def _orbit(start, tables):
+    """The members the tables reach from `start`, itself included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        j = stack.pop()
+        for table in tables:
+            k = table[j]
+            if k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return seen
+
+
+def _image_tables(arith, r, matrices):
+    """For each square invertible matrix T of element indices in
+    `matrices`, in turn, an array holding, at the index of each member c of
+    P^r over the field of `arith`, the index of the member c T normalised
+    to a leading 1.
+
+    The members with their leading 1 at position j come in the base-q
+    order of their coordinates t_(j+1), ..., t_r, after the
+    (q^(r-j) - 1) / (q - 1) members with fewer coordinates after it.  So
+    their images T_j + sum_k t_k T_k are built by linearity, in that order,
+    one position k at a time: each partial sum followed by it plus t T_k
+    for every t, one vector addition each.  A vector is one int there,
+    with a slot for each base-p digit of each coordinate, the first
+    coordinate's top digit in the top slot.  In characteristic 2 a slot is
+    one bit, the int is the base-q number whose digits are the indices of
+    the coordinates, and a sum is an XOR.  Otherwise a slot has room for
+    r + 1 digits, a sum is `+`, and each image reduces its slots mod p to
+    that number.  An image is then scaled to a leading 1 and read as the
+    index of a member."""
+    field = arith.field
+    q, p, e = field.order, field.p, field.e
+    mul, inv = arith.mul, arith.inv
+    width = 1 if p == 2 else ((r + 1) * (p - 1)).bit_length()
+    mask = (1 << width) - 1
+    # an element's base-p digits in their slots, by index
+    spread = list(range(q))
+    if width > 1 and e > 1:
+        spread = [sum(x // p ** i % p << width * i for i in range(e)) for x in spread]
+    powers = [q ** k for k in range(r + 1)]
+    # the index of a member with k coordinates after its leading 1, from
+    # its base-q number
+    shift = [(q ** k - 1) // (q - 1) - q ** k for k in range(r + 1)]
+
+    def packed(coords):
+        v = 0
+        for x in coords:
+            v = v << width * e | spread[x]
+        return v
+
+    def index(v):
+        if width > 1:
+            v, u, power = 0, v, 1
+            while u:
+                v += (u & mask) % p * power
+                u >>= width
+                power *= p
+        k = bisect_right(powers, v) - 1
+        lead = v // powers[k]
+        if lead != 1:
+            s = inv(lead)
+            u, v, power = v, 0, 1
+            for _ in range(k + 1):
+                u, x = divmod(u, q)
+                v += mul(s, x) * power
+                power *= q
+        return v + shift[k]
+
+    vadd = operator.xor if p == 2 else operator.add
+    for t in matrices:
+        # s T_k for every s, for the positions k > 0 that take any coordinate
+        multiples = [None] + [[packed([mul(s, x) for x in row]) for s in range(q)]
+                              for row in t[1:]]
+        table = array("l")
+        for j in range(r, -1, -1):
+            level = [packed(t[j])]
+            for k in range(j + 1, r + 1):
+                level = [vadd(u, v) for u in level for v in multiples[k]]
+            table.extend(map(index, level))
+        yield table

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ksmooth import smoothness
+from ksmooth import fields, smoothness
 
 
 @pytest.fixture
@@ -22,3 +22,17 @@ def certified_members(monkeypatch):
 
     monkeypatch.setattr(smoothness, "certify_combinations", counting)
     return calls
+
+
+@pytest.fixture
+def untabled(monkeypatch):
+    """A function building GF(p^e), with its canonical modulus, above a
+    lowered table limit, so that it computes on the digits of its indices
+    like a field of more than 2^16 elements."""
+    def build(p, e):
+        with monkeypatch.context() as patch:
+            patch.setattr(fields, "_TABLE_LIMIT", 1)
+            field = fields.FieldDescriptor(p, e)
+        assert field._exp is None
+        return field
+    return build

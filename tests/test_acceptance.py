@@ -16,8 +16,9 @@ from ksmooth.constructions import (
     builtin_example_f3,
     char2_find_singular_member,
     char2_quadric_singular_point,
-    construct_smooth_system,
+    construct_system_with_details,
     lift_to_char_zero,
+    moore_symmetries,
     normal_basis_search,
 )
 from ksmooth.fields import (
@@ -75,21 +76,24 @@ def test_criterion_1_builtin_example_reproduction(capsys):
 
 
 def test_criterion_2_constructions_verified_on_the_full_grid():
+    # n <= 3 by full enumeration, the oracle of the orbit route; n = 4 and
+    # n = 5 through the `moore_symmetries` of the normal element
     start = time.perf_counter()
     combos = []
-    for p, e, n, d in itertools.product((2, 3), (1, 2), (1, 2, 3), (2, 3, 4)):
-        q = p ** e
-        if gcd(d, n + 1) % p == 0:
+    for p, e, n, d in itertools.product((2, 3, 5), (1, 2), (1, 2, 3, 4, 5), (2, 3, 4)):
+        if p == 5 and n <= 3:
             continue
-        if q ** (n + 1) > 4096:
+        if gcd(d, n + 1) % p == 0 or (p ** e) ** (n + 1) > 4096:
             continue
         combos.append((p, e, n, d))
+    assert sum(n >= 4 for _, _, n, _ in combos) == 16
     total_members = 0
     failures = []
     for p, e, n, d in combos:
         q = p ** e
-        system = construct_smooth_system(p, e, n, d, n)
-        result = verify_system_K_smooth(system)
+        system, result = construct_system_with_details(p, e, n, d, n)
+        symmetries = moore_symmetries(system.field, result.moore.alpha) if n >= 4 else ()
+        result = verify_system_K_smooth(system, symmetries)
         expected = (q ** (n + 1) - 1) // (q - 1)
         total_members += result.member_count
         if not (result.k_smooth and result.member_count == expected):

@@ -11,6 +11,7 @@ import pytest
 
 from ksmooth.constructions import (
     _check_equal_span,
+    _is_normal,
     builtin_example_f3,
     char2_find_singular_member,
     char2_quadric_singular_point,
@@ -35,7 +36,7 @@ from ksmooth.errors import (
     ShapeViolated,
     ZeroCoefficient,
 )
-from ksmooth.fields import QQ, get_descriptor, get_embedding
+from ksmooth.fields import QQ, get_descriptor, get_embedding, is_prime
 from ksmooth.multipoly import (
     HomogeneousForm,
     coefficients_fixed_by_frobenius,
@@ -126,6 +127,24 @@ class TestNormalBasisSearch:
         for j in range(1, n + 1):
             assert md.matrix.rows[j] == [frobenius(c, e) for c in md.matrix.rows[j - 1]]
         assert first[0] == md.alpha
+
+
+    # every (p, e, n) with q^(n+1) <= 1024
+    NORMALITY_CASES = [(p, e, n) for p in range(2, 32) if is_prime(p)
+                       for e in range(1, 11) for n in range(1, 10) if p ** (e * (n + 1)) <= 1024]
+
+    @pytest.mark.parametrize("p, e, n", NORMALITY_CASES)
+    def test_gcd_test_agrees_with_the_moore_determinant(self, p, e, n):
+        big = get_descriptor(p, e * (n + 1))
+        for x in big.elements()[1:]:
+            assert _is_normal(x, p ** e, n + 1) == bool(moore_matrix(x, e, n + 1).det()), x
+
+    def test_large_cases_keep_their_alpha(self):
+        # the first normal element of GF(2^16) over GF(2) has index 2^11, so
+        # 2,047 candidates come before it; that of GF(2^24) over GF(2^12) is u
+        for (p, e, n), idx in (((2, 1, 15), 2 ** 11), ((2, 12, 1), 2)):
+            md = normal_basis_search(p, e, n)
+            assert md.alpha.idx == idx and md.det == moore_matrix(md.alpha, e, n + 1).det()
 
 
 class TestMooreSymmetries:

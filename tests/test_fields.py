@@ -19,6 +19,7 @@ from ksmooth.fields import (
     FieldDescriptor,
     FieldEmbedding,
     FieldMatrix,
+    IndexArithmetic,
     _digits,
     _mulmod,
     _prime_factors,
@@ -36,6 +37,7 @@ from ksmooth.fields import (
     poly_gcd,
     sqrt_char2,
 )
+from ksmooth.multipoly import _combine
 
 F2 = get_descriptor(2)
 F3 = get_descriptor(3)
@@ -347,6 +349,62 @@ class TestUntabledFields:
             powers = ["1" if i == 0 else "u" if i == 1 else f"u^{i}"
                       for i in reversed(range(16)) if digits[i]]
             assert str(x) == ("+".join(powers) or "0")
+
+
+class TestIndexArithmetic:
+    """The operations on element indices agree with FieldElement arithmetic
+    on every path: ints mod p, log and Zech lists, and untabled fields."""
+
+    @staticmethod
+    def _field(name, untabled):
+        if name.startswith("untabled"):
+            return untabled(*map(int, name.split()[1:]))
+        return get_descriptor(*map(int, name.split()))
+
+    @pytest.mark.parametrize("name", ["2 1", "3 1", "5 1", "2 2", "2 3", "3 2", "2 4", "5 2",
+                                      "untabled 2 3", "untabled 3 2"])
+    def test_every_pair(self, name, untabled):
+        field = self._field(name, untabled)
+        arith = IndexArithmetic(field)
+        els = field.elements()
+        for a, b in itertools.product(els, repeat=2):
+            assert arith.mul(a.idx, b.idx) == (a * b).idx
+            total = arith.combine([(x.idx, 0, {0: 1}) for x in (a, b) if x])
+            assert total.get(0, 0) == (a + b).idx
+        for a in els[1:]:
+            assert arith.inv(a.idx) == a.inv().idx
+
+    @pytest.mark.parametrize("p, e", [(65537, 1), (2, 17), (7, 6)])
+    def test_sampled_pairs_of_untabled_fields(self, p, e):
+        field = get_descriptor(p, e)
+        arith = IndexArithmetic(field)
+        rng = random.Random(21)
+        for _ in range(200):
+            a, b = (field.element_from_index(rng.randrange(1, field.order)) for _ in range(2))
+            assert arith.mul(a.idx, b.idx) == (a * b).idx
+            assert arith.combine([(a.idx, 0, {0: 1}), (b.idx, 0, {0: 1})]).get(0, 0) == (a + b).idx
+            assert arith.inv(a.idx) == a.inv().idx
+
+    @pytest.mark.parametrize("name", ["3 1", "65537 1", "2 2", "3 2", "untabled 3 2"])
+    def test_combine_and_rref(self, name, untabled):
+        field = self._field(name, untabled)
+        arith = IndexArithmetic(field)
+        rng = random.Random(22)
+
+        def element():
+            return field.element_from_index(rng.randrange(min(field.order, 4)))
+
+        for _ in range(30):
+            parts = [(field.element_from_index(rng.randrange(1, field.order)), rng.randrange(3),
+                      {k: x for k in range(6) if (x := element())}) for _ in range(3)]
+            expected = {k: x.idx for k, x in _combine(parts).items()}
+            assert arith.combine([(c.idx, shift, {k: x.idx for k, x in terms.items()})
+                                  for c, shift, terms in parts]) == expected
+            rows = [[element() for _ in range(5)] for _ in range(3)]
+            reduced, pivots, _ = FieldMatrix(field, rows).rref()
+            assert arith.rref([{k: x.idx for k, x in enumerate(row) if x} for row in rows],
+                              5) == ([{k: x.idx for k, x in enumerate(row) if x}
+                                      for row in reduced], pivots)
 
 
 class TestFrobenius:

@@ -13,10 +13,12 @@ from ksmooth.errors import (
     DependentGenerators,
     DescriptorMismatch,
 )
-from ksmooth.fields import QQ, FieldMatrix, get_descriptor
+from ksmooth.fields import QQ, FieldMatrix, IndexArithmetic, get_descriptor
 from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
+    _compose,
+    _Slots,
     coefficient_matrix,
     coefficients_fixed_by_frobenius,
     compose,
@@ -209,9 +211,15 @@ class TestSubstitutedTerms:
             total = total + image.scale(c)
         return total
 
-    def test_images_are_the_substituted_monomials(self):
+    @staticmethod
+    def _fields(untabled):
+        """GF(p) on both sides of the table limit, a tabled GF(p^e) and an
+        untabled one."""
+        return [F3, get_descriptor(65537), F4, get_descriptor(3, 2), untabled(3, 2)]
+
+    def test_images_are_the_substituted_monomials(self, untabled):
         rng = random.Random(12)
-        for field in (F3, F4):
+        for field in self._fields(untabled):
             for _ in range(10):
                 rows = self._matrix(field, rng)
                 f = random_form(field, 3, 3, rng)
@@ -221,6 +229,40 @@ class TestSubstitutedTerms:
                 for term, image in zip(terms, images):
                     assert image == self._substituted(term, rows)
                 assert whole == self._substituted(f, rows) == f.substitute_linear(rows)
+
+    def test_element_indices_give_the_same_forms(self, untabled):
+        # `_compose` on indices, as the symmetry check runs it, against
+        # `compose` on FieldElements, for dense, monomial, permutation and
+        # singular matrices
+        rng = random.Random(15)
+        for field in self._fields(untabled):
+            arith = IndexArithmetic(field)
+            zero, one = field.zero(), field.one()
+            unit = field.element_from_index(rng.randrange(1, field.order))
+            matrices = [self._matrix(field, rng) for _ in range(4)] + [
+                [[zero, one, zero], [zero, zero, one], [one, zero, zero]],
+                [[zero, unit, zero], [zero, zero, one], [one, zero, zero]],
+                [[one, zero, zero], [one, zero, zero], [zero, zero, one]],
+                [[zero] * 3] * 3]
+            forms = [random_form(field, 3, d, rng) for d in (3, 3, 2)]
+            for rows in matrices:
+                slots = _Slots.for_degree(3, 3)
+                images = _compose([{m: c.idx for m, c in slots.pack(f.terms).items()}
+                                   for f in forms], [[x.idx for x in row] for row in rows],
+                                  slots, 1, arith.combine)
+                assert [slots.unpack(h) for h in images] == [
+                    {m: c.idx for m, c in g.terms.items()} for g in compose(forms, rows)]
+
+    def test_permutations_and_repeated_variables(self):
+        f = form(F3, 3, 2, [((2, 0, 0), 1), ((1, 1, 0), 2), ((0, 1, 1), 1)])
+        o, z = F3.one(), F3.zero()
+        cycle = [[z, o, z], [z, z, o], [o, z, z]]
+        assert f.substitute_linear(cycle) == form(
+            F3, 3, 2, [((0, 2, 0), 1), ((0, 1, 1), 2), ((1, 0, 1), 1)])
+        # x0 and x1 both become x1: x1^2 + 2 x1^2 + x1 x2 = x1 x2 over GF(3)
+        repeated = [[z, o, z], [z, o, z], [z, z, o]]
+        assert f.substitute_linear(repeated) == form(F3, 3, 2, [((0, 1, 1), 1)])
+        assert f.substitute_linear(repeated) == self._substituted(f, repeated)
 
     def test_rational_forms_of_two_degrees(self):
         rng = random.Random(13)

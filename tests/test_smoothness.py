@@ -28,6 +28,7 @@ from ksmooth.fields import (
     enumerate_projective_points,
     get_descriptor,
     get_embedding,
+    normalize_projective,
 )
 from ksmooth import groebner, smoothness
 from ksmooth.groebner import buchberger, is_projectively_empty, normal_form
@@ -890,6 +891,109 @@ class TestOrbitRoute:
         report = verify_system_K_smooth(system, symmetries)
         assert len(certified_members) == 13
         assert report == verify_system_K_smooth(system)
+
+
+def _brute_force_orbits(field, r, matrices):
+    """The first member and the orbit index of every member, as
+    `_orbit_representatives` gives them, for the group the matrices (rows
+    of FieldElements) generate acting by c -> c T: every member's image
+    worked out with FieldElement arithmetic, normalised, and merged by
+    union-find, each class keeping its first member as its root."""
+    members = list(enumerate_projective_points(field, r))
+    index = {c: i for i, c in enumerate(members)}
+    parent = list(range(len(members)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for t in matrices:
+        for i, c in enumerate(members):
+            image = [field.zero()] * (r + 1)
+            for a, row in zip(c, t):
+                image = [x + a * y for x, y in zip(image, row)]
+            a, b = sorted((find(i), find(index[normalize_projective(image)])))
+            parent[b] = a
+    firsts, orbit_of = [], []
+    for i, c in enumerate(members):
+        if find(i) == i:
+            firsts.append(c)
+        orbit_of.append(len(firsts) - 1 if find(i) == i else orbit_of[find(i)])
+    return firsts, orbit_of
+
+
+def _random_invertible(field, size, rng):
+    while True:
+        rows = [[field.element_from_index(rng.randrange(field.order)) for _ in range(size)]
+                for _ in range(size)]
+        if FieldMatrix(field, rows).det():
+            return rows
+
+
+class TestOrbitWalk:
+    """The walk on member-index tables gives the representatives and
+    orbits of a brute-force walk on FieldElements, on every coefficient
+    path: ints mod p (above 2^16 too), log and Zech lists, and untabled
+    extension fields."""
+
+    @staticmethod
+    def _check(field, r, matrices):
+        orbit_of = array("l")
+        induced = [[[x.idx for x in row] for row in t] for t in matrices]
+        firsts = list(smoothness._orbit_representatives(field, r, induced, orbit_of))
+        assert (firsts, list(orbit_of)) == _brute_force_orbits(field, r, matrices)
+        return len(firsts)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_small_fields(self, q, r):
+        p = 2 if q in (2, 4, 8) else q if q in (3, 5) else 3
+        field = get_descriptor(p, {2: 1, 3: 1, 4: 2, 5: 1, 8: 3, 9: 2}[q])
+        rng = random.Random(100 * q + r)
+        for count in (1, 2):
+            self._check(field, r, [_random_invertible(field, r + 1, rng) for _ in range(count)])
+
+    def test_scalar_matrix_fixes_every_member(self):
+        field = get_descriptor(3, 2)
+        s = field.element_from_index(5)
+        t = [[s if i == j else field.zero() for j in range(3)] for i in range(3)]
+        assert self._check(field, 2, [t]) == 91
+
+    def test_gf256(self):
+        field = get_descriptor(2, 8)
+        rng = random.Random(256)
+        self._check(field, 1, [_random_invertible(field, 2, rng) for _ in range(2)])
+
+    def test_prime_field_above_the_table_limit(self):
+        field = get_descriptor(65537)
+        assert field._exp is None
+        self._check(field, 1, [_random_invertible(field, 2, random.Random(65537))])
+
+    @pytest.mark.parametrize("p, e", [(2, 3), (3, 2)])
+    def test_untabled_extension_fields(self, p, e, untabled):
+        field = untabled(p, e)
+        rng = random.Random(p ** e)
+        for r in (1, 2):
+            self._check(field, r, [_random_invertible(field, r + 1, rng) for _ in range(2)])
+
+    def test_symmetry_check_on_an_untabled_field(self, untabled):
+        # the same system and symmetries over GF(9) with and without tables
+        # have the same element indices, so the same induced matrices
+        system, symmetries = _constructed(3, 2, 2, 4)
+        field = untabled(3, 2)
+
+        def moved(x):
+            return field.element_from_index(x.idx)
+
+        copy = LinearSystemOfForms([g.map_coefficients(moved, field) for g in system.generators])
+        moved_symmetries = [[list(map(moved, row)) for row in m.rows] for m in symmetries]
+        induced = smoothness._induced_matrices(system, symmetries)
+        assert smoothness._induced_matrices(copy, moved_symmetries) == induced
+        orbit_of = array("l")
+        assert len(list(smoothness._orbit_representatives(field, 2, induced, orbit_of))) == 1
+        assert verify_system_K_smooth(copy, moved_symmetries).verdicts == ("smooth",) * 91
 
 
 class TestDiagonalAndCyclicFamilies:
