@@ -6,7 +6,6 @@ refutation machinery, and a built-in cubic system over GF(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .fields import (
     FieldDescriptor,
-    FieldElement,
     FieldMatrix,
     QQ,
     _first_of_full_order,
@@ -45,6 +43,7 @@ from .multipoly import (
     frobenius_twist,
     system_to_json,
 )
+from .records import Record
 from .smoothness import (
     SingularWitness,
     singular_member_at_base_point,
@@ -95,17 +94,19 @@ def klein_form(coefficients, degree):
     return HomogeneousForm(field, nv, degree, terms)
 
 
-@dataclass(frozen=True)
-class MooreData:
+class MooreData(Record):
     """A normal-basis element alpha of GF(q^(n+1)) over GF(q) with its Moore
     matrix A[j][i] = alpha^(q^(j+i)); row j applied to (x0, ..., xn) is the
     coordinate change y_j."""
 
-    field: FieldDescriptor
-    base: FieldDescriptor
-    alpha: FieldElement
-    matrix: FieldMatrix
-    det: FieldElement
+    __slots__ = ("field", "base", "alpha", "matrix", "det")
+
+    def __init__(self, field, base, alpha, matrix, det):
+        self.field = field
+        self.base = base
+        self.alpha = alpha
+        self.matrix = matrix
+        self.det = det
 
 
 def moore_matrix(alpha, e, nvars):
@@ -195,17 +196,19 @@ def moore_symmetries(base, alpha):
     return FieldMatrix(base, m), FieldMatrix(base, shift)
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(Record):
     """Raw big-field generators, their descent to the base field, the Moore
     data used and the returned system of the first r+1 descended generators;
     case 1 = diagonal powers, case 2 = cyclic products."""
 
-    case: int
-    moore: MooreData
-    raw_generators: tuple
-    generators: tuple
-    system: LinearSystemOfForms
+    __slots__ = ("case", "moore", "raw_generators", "generators", "system")
+
+    def __init__(self, case, moore, raw_generators, generators, system):
+        self.case = case
+        self.moore = moore
+        self.raw_generators = raw_generators
+        self.generators = generators
+        self.system = system
 
 
 def _check_equal_span(family_a, family_b):
@@ -370,17 +373,19 @@ def char2_quadric_singular_point(form):
     return witness
 
 
-@dataclass(frozen=True)
-class SingularMemberResult:
+class SingularMemberResult(Record):
     """A rational singular member of a quadric system, its witness point, and
     which branch produced it: "kernel" when the base-point truncation kills a
     member outright, "preimage" when the member with truncation x0^2 is
     singular by the Hessian argument."""
 
-    coefficients: tuple
-    member: HomogeneousForm
-    witness: SingularWitness
-    branch: str
+    __slots__ = ("coefficients", "member", "witness", "branch")
+
+    def __init__(self, coefficients, member, witness, branch):
+        self.coefficients = coefficients
+        self.member = member
+        self.witness = witness
+        self.branch = branch
 
 
 def char2_find_singular_member(system):
@@ -405,7 +410,7 @@ def char2_find_singular_member(system):
     except PreconditionViolated:
         coeffs = truncation_matrix(system).solve([one] + [zero] * n)
         member = system.member(coeffs)
-        witness = replace(char2_quadric_singular_point(member), member=tuple(coeffs))
+        witness = char2_quadric_singular_point(member).for_member(tuple(coeffs))
         return SingularMemberResult(tuple(coeffs), member, witness, "preimage")
     witness = SingularWitness(point=(one,) + (zero,) * n, field=field,
                               member=tuple(coeffs))

@@ -22,11 +22,14 @@ width.  The public functions take and return exponent tuples.
 Every element of a run is monic, over a finite field and over Q alike: the
 inputs and each new element are scaled once by the inverse of their leading
 coefficient.  An S-polynomial is then the difference of two shifted elements,
-and a reduction step subtracts the divisor times the reducee's coefficient, so
-the loop itself never divides.  Over a prime field GF(p) a coefficient inside
-a run is the element's index, a plain int in [0, p) reduced mod p after each
-update; over Q and over GF(p^e) with e > 1 the same loop runs on `Fraction`s
-and `FieldElement`s.  `normal_form` and `s_polynomial` always run on the
+and a reduction step adds the divisor's other terms times minus the reducee's
+coefficient, so the loop itself never divides.  Over a prime field GF(p) a
+coefficient inside a run is the element's index, a plain int in [0, p); in
+`_reduce_full`, the one reduction loop, it grows without reduction and is
+taken mod p when its term is popped.  Over Q and over GF(p^e) with e > 1 the
+same loop runs on `Fraction`s and `FieldElement`s.  A run remembers, for
+every monomial it has reduced, the first element whose leader divides it
+(see `_reduce_full`).  `normal_form` and `s_polynomial` always run on the
 given coefficients.
 
 A pair is popped in normal selection order and skipped, without forming its
@@ -38,12 +41,12 @@ counts popped pairs, skipped ones included.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import BudgetExceeded, NotHomogeneous
 from .fields import element_to_json, field_to_json
 from .multipoly import HomogeneousForm, _Slots, monomial_key
+from .records import Record
 
 DEFAULT_STEP_BUDGET = 1_000_000
 
@@ -71,9 +74,13 @@ def _degree(terms):
 
 
 def _make_monic(terms, p):
-    """Packed terms scaled so that the leading coefficient is 1: ints mod
-    the prime p, or field elements or Fractions when p is 0."""
-    lc = terms[min(terms)]
+    """Packed terms scaled so that the leading coefficient is 1, with the
+    leading term first (`_reduce_full` skips it): ints mod the prime p, or
+    field elements or Fractions when p is 0."""
+    lm = min(terms)
+    lc = terms[lm]
+    if next(iter(terms)) != lm:
+        terms = {lm: lc, **terms}
     if p:
         inv = pow(lc, -1, p)
         return terms if inv == 1 else {m: c * inv % p for m, c in terms.items()}
@@ -81,32 +88,59 @@ def _make_monic(terms, p):
     return {m: c * inv for m, c in terms.items()}
 
 
-def _reduce_full(work, gens, lms, guard, p):
+def _reduce_full(work, gens, lms, guard, p, divisor):
     """Full remainder of multivariate division of packed `work` by `gens`
-    (packed, homogeneous and monic, with leading keys `lms`), with
-    coefficients as in `_make_monic`; consumes `work`."""
+    (packed, homogeneous and monic, with leading keys `lms`, each leading
+    term first), with coefficients as in `_make_monic`; consumes `work`.
+    The remainder lists its terms in ascending key order, so a nonzero
+    remainder has its leading term first.
+
+    The keys of `work` are popped from a heap in ascending order, which is
+    degrevlex order from the top.  A step at the key lm with coefficient c
+    adds -c times the other terms of the divisor g, shifted by lm - LM(g);
+    their keys are all above lm, so each key is pushed at most once, and
+    g's leading term, which would only cancel c, is skipped.  Over GF(p)
+    the step adds p - c times those terms and reduces nothing: a
+    coefficient is taken mod p when its key is popped.  A coefficient that
+    is zero when popped is dropped, for every coefficient kind.
+
+    `divisor` maps a key to the index of the first element whose leader
+    divides it, or to ~n when none of the first n does, and the search for
+    the key resumes from there; one map serves every call on elements that
+    only grow by appending, as in `_run`.
+    """
+    heap = list(work)
+    heapify(heap)
+    n = len(lms)
     rem = {}
-    while work:
-        lm = min(work)
-        c = work[lm]
-        for g, glm in zip(gens, lms):
-            shift = lm - glm
-            if shift & guard:
-                continue
-            # g is monic, so its leading term cancels the term at lm
-            for m, gc in g.items():
-                mm = m + shift
-                cur = work.get(mm)
-                v = -(c * gc) if cur is None else cur - c * gc
-                if p:
-                    v %= p
-                if v:
-                    work[mm] = v
-                elif cur is not None:
-                    del work[mm]
-            break
-        else:
-            rem[lm] = work.pop(lm)
+    while heap:
+        lm = heappop(heap)
+        c = work.pop(lm)
+        if p:
+            c %= p
+        if not c:
+            continue
+        k = divisor.get(lm, -1)
+        if k < 0:
+            k = ~k
+            while k < n and (lm - lms[k]) & guard:
+                k += 1
+            divisor[lm] = k if k < n else ~n
+        if k == n:
+            rem[lm] = c
+            continue
+        c = p - c if p else -c
+        shift = lm - lms[k]
+        terms = iter(gens[k].items())
+        next(terms)
+        for m, gc in terms:
+            m += shift
+            cur = work.get(m)
+            if cur is None:
+                heappush(heap, m)
+                work[m] = c * gc
+            else:
+                work[m] = cur + c * gc
     return rem
 
 
@@ -162,9 +196,10 @@ def normal_form(f, basis, field=None):
                               max([*components, *(_degree(g) for g in gens)]))
     gens = [_make_monic(slots.pack(g), 0) for g in gens]
     lms = [min(g) for g in gens]
+    divisor = {}
     rem = {}
     for d in sorted(components, reverse=True):
-        rem.update(_reduce_full(slots.pack(components[d]), gens, lms, slots.guard, 0))
+        rem.update(_reduce_full(slots.pack(components[d]), gens, lms, slots.guard, 0, divisor))
     return slots.unpack(rem)
 
 
@@ -177,8 +212,7 @@ def s_polynomial(f, g, field):
     return slots.unpack(_s_poly(f, lf, g, lg, slots.lcm(lf, lg), 0))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Elements of a homogeneous ideal under the fixed degrevlex order.
 
     Every element is monic.  From `buchberger` this is the reduced Groebner
@@ -189,9 +223,12 @@ class GroebnerBasis:
     Groebner basis.
     """
 
-    field: object
-    nvars: int
-    elements: tuple
+    __slots__ = ("field", "nvars", "elements")
+
+    def __init__(self, field, nvars, elements):
+        self.field = field
+        self.nvars = nvars
+        self.elements = elements
 
     @property
     def leading_monomials(self):
@@ -216,6 +253,8 @@ def _run(basis, p, slots, step_budget, stop):
     """
     guard, cap, lcm, degree = slots.guard, slots.cap, slots.lcm, slots.degree
     lms = [min(g) for g in basis]
+    # key -> its first divisor among the elements, see `_reduce_full`
+    divisor = {}
     covered = 0
 
     def covers_all(lm):
@@ -238,12 +277,12 @@ def _run(basis, p, slots, step_budget, stop):
 
     for j in range(len(basis)):
         for i in range(j):
-            heapq.heappush(heap, (degree(lcm(lms[i], lms[j])), i, j))
+            heappush(heap, (degree(lcm(lms[i], lms[j])), i, j))
             pending.add((i, j))
 
     steps = 0
     while heap:
-        d, i, j = heapq.heappop(heap)
+        d, i, j = heappop(heap)
         pending.remove((i, j))
         steps += 1
         if steps > step_budget:
@@ -254,7 +293,8 @@ def _run(basis, p, slots, step_budget, stop):
             continue
         if d > cap:
             raise _SlotOverflow
-        r = _reduce_full(_s_poly(basis[i], li, basis[j], lj, l, p), basis, lms, guard, p)
+        r = _reduce_full(_s_poly(basis[i], li, basis[j], lj, l, p), basis, lms, guard, p,
+                         divisor)
         if r:
             r = _make_monic(r, p)
             lm = min(r)
@@ -264,7 +304,7 @@ def _run(basis, p, slots, step_budget, stop):
                 return basis, True
             k = len(basis) - 1
             for t in range(k):
-                heapq.heappush(heap, (degree(lcm(lms[t], lm)), t, k))
+                heappush(heap, (degree(lcm(lms[t], lm)), t, k))
                 pending.add((t, k))
 
     # minimal basis: keep elements whose leading monomial no other kept
@@ -282,7 +322,7 @@ def _run(basis, p, slots, step_budget, stop):
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
         olms = klms[:i] + klms[i + 1:]
-        kept[i] = _reduce_full(dict(kept[i]), others, olms, guard, p)
+        kept[i] = _reduce_full(dict(kept[i]), others, olms, guard, p, {})
     return kept, False
 
 

@@ -51,7 +51,6 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from itertools import repeat
 from math import gcd, lcm
 
@@ -74,25 +73,31 @@ from .groebner import (
     certify_combinations,
 )
 from .multipoly import HomogeneousForm, _compose, _raw_form, _Slots
+from .records import Record
 
 DEFAULT_WITNESS_CAP = 6
 # the primes a rational form is reduced modulo before Buchberger over Q
 _REDUCTION_PRIMES = (2, 3, 5, 7)
 
 
-@dataclass(frozen=True)
-class SingularWitness:
+class SingularWitness(Record):
     """A projective point (normalized tuple) at which a form is singular,
     together with the field its coordinates live in; `member` carries the
     coefficient tuple when the witness refutes a whole system."""
 
-    point: tuple
-    field: object
-    member: tuple | None = None
+    __slots__ = ("point", "field", "member")
+
+    def __init__(self, point, field, member=None):
+        self.point = point
+        self.field = field
+        self.member = member
+
+    def for_member(self, member):
+        """The same point and field, refuting the given member."""
+        return SingularWitness(self.point, self.field, member)
 
 
-@dataclass(frozen=True)
-class Smooth:
+class Smooth(Record):
     """A smoothness verdict.  `certificate` holds the elements of the
     Jacobian ideal that Buchberger had built when every variable first had a
     pure-power leading monomial among them (see `certificate_basis`); they
@@ -101,12 +106,20 @@ class Smooth:
     over GF(l) instead, its `field` naming l: it is then that of the form's
     primitive integer reduction mod l (see `is_smooth`)."""
 
-    certificate: GroebnerBasis
+    __slots__ = ("certificate",)
+
+    def __init__(self, certificate):
+        self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class Singular:
-    witness: SingularWitness | None
+class Singular(Record):
+    """A singularity verdict, with the witness found, or None when the
+    refutation is exact but names no point (over Q)."""
+
+    __slots__ = ("witness",)
+
+    def __init__(self, witness):
+        self.witness = witness
 
 
 def jacobian_generators(form):
@@ -376,13 +389,15 @@ def singular_member_at_base_point(system):
     return coeffs, member
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Outcome of checking every rational member of a linear system."""
 
-    verdicts: tuple
-    k_smooth: bool
-    witness: SingularWitness | None
+    __slots__ = ("verdicts", "k_smooth", "witness")
+
+    def __init__(self, verdicts, k_smooth, witness):
+        self.verdicts = verdicts
+        self.k_smooth = k_smooth
+        self.witness = witness
 
     @property
     def member_count(self):
@@ -447,7 +462,7 @@ def verify_system_K_smooth(system, symmetries=()):
         witness = _certified_witness(system.member(coeffs), DEFAULT_WITNESS_CAP)
         verdicts.append("singular")
         if first_witness is None:
-            first_witness = replace(witness, member=tuple(coeffs))
+            first_witness = witness.for_member(tuple(coeffs))
     return VerifyReport(verdicts=tuple([verdicts[k] for k in orbit_of]),
                         k_smooth=first_witness is None, witness=first_witness)
 

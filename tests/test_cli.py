@@ -348,6 +348,18 @@ def _run_alone(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+class TestImportCost:
+    def test_no_dataclasses_or_inspect(self):
+        # dataclasses imports inspect, which imports dis and tokenize: several
+        # ms and about half a MB of every CLI call
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys, ksmooth, ksmooth.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout.strip() == "[]"
+
+
 class TestParserReuse:
     def test_calls_in_one_process_match_calls_alone(self, capsys, tmp_path):
         path = tmp_path / "s.json"

@@ -3,16 +3,22 @@ criterion, determinism, budgets, the packed-monomial kernel and the projective
 emptiness certificate."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from ksmooth.constructions import construct_smooth_system, lift_to_char_zero
 from ksmooth.errors import BudgetExceeded, NotHomogeneous
-from ksmooth.fields import QQ, get_descriptor
+from ksmooth.fields import QQ, enumerate_projective_points, get_descriptor
 from ksmooth.groebner import (
     GroebnerBasis,
+    _make_monic,
+    _reduce_full,
+    _run_prime,
+    _run_terms,
     _Slots,
     basis_to_json,
     buchberger,
@@ -24,16 +30,18 @@ from ksmooth.groebner import (
 )
 from ksmooth.multipoly import (
     HomogeneousForm,
+    monomial_key,
     monomials_of_degree,
     random_element,
     random_form,
 )
-from ksmooth.smoothness import jacobian_generators
+from ksmooth.smoothness import is_smooth, jacobian_generators
 
 F2 = get_descriptor(2)
 F3 = get_descriptor(3)
 F4 = get_descriptor(2, 2)
 F5 = get_descriptor(5)
+F9 = get_descriptor(3, 2)
 F65537 = get_descriptor(65537)
 
 
@@ -340,6 +348,216 @@ class TestPackedKernel:
     def test_rejects_inhomogeneous_generators(self):
         with pytest.raises(NotHomogeneous):
             buchberger([poly(F2, {(2, 0): 1, (0, 1): 1})], field=F2, nvars=2)
+
+
+def _divide(f, divisors):
+    """Remainder of the term dict f on exponent tuples under division by
+    the divisors, each with leading coefficient 1: the largest term left is
+    cancelled by the first divisor in list order whose leader divides it,
+    or else moved to the remainder."""
+    f, rem = dict(f), {}
+    leads = [max(g, key=monomial_key) for g in divisors]
+    while f:
+        m = max(f, key=monomial_key)
+        c = f.pop(m)
+        for g, lead in zip(divisors, leads):
+            if all(a >= b for a, b in zip(m, lead)):
+                for mg, cg in g.items():
+                    mm = tuple(a + b - e for a, b, e in zip(m, mg, lead))
+                    if mm != m:
+                        v = f.get(mm)
+                        v = -(c * cg) if v is None else v - c * cg
+                        if v:
+                            f[mm] = v
+                        else:
+                            del f[mm]
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _sparse_form(field, degree, rng):
+    """A nonzero term dict in three variables holding about half of the
+    monomials of the degree, with nonzero coefficients, so that leaders
+    vary."""
+    while True:
+        terms = {}
+        for m in monomials_of_degree(3, degree):
+            if rng.random() < 0.5:
+                if field is QQ:
+                    terms[m] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 5))
+                else:
+                    terms[m] = field.element_from_index(rng.randrange(1, field.order))
+        if terms:
+            return terms
+
+
+def _monic(terms):
+    inv = terms[max(terms, key=monomial_key)] ** -1
+    return {m: c * inv for m, c in terms.items()}
+
+
+class _Kernel:
+    """`_reduce_full` on exponent-tuple inputs, all with the same slots and
+    one divisor map, as in a run of the Buchberger loop."""
+
+    def __init__(self, field, nvars, degree):
+        self.field, self.p = field, _run_prime(field)
+        self.slots = _Slots.for_degree(nvars, degree)
+        self.divisor = {}
+
+    def key(self, exps):
+        (key,) = self.slots.pack({exps: 1})
+        return key
+
+    def remainder(self, f, divisors):
+        pack = lambda t: self.slots.pack(_run_terms(t, self.p))
+        gens = [_make_monic(pack(g), self.p) for g in divisors]
+        rem = _reduce_full(pack(f), gens, [min(g) for g in gens], self.slots.guard, self.p,
+                           self.divisor)
+        rem = self.slots.unpack(rem)
+        if self.p:
+            rem = {m: self.field.element_from_index(c) for m, c in rem.items()}
+        return rem
+
+
+class TestReductionKernel:
+    """`_reduce_full` against `_divide`: the same divisor at every step and
+    exact arithmetic give the same remainder, term for term."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F4, QQ], ids=str)
+    def test_remainders_match_plain_division(self, field):
+        rng = random.Random(17)
+        for _ in range(12):
+            divisors = [_monic(_sparse_form(field, rng.choice((1, 2, 2, 3)), rng))
+                        for _ in range(rng.randint(1, 4))]
+            f = _sparse_form(field, 5, rng)
+            # a fresh divisor map per call, as in the tail reduction
+            assert _Kernel(field, 3, 5).remainder(f, divisors) == _divide(f, divisors)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F4, QQ], ids=str)
+    def test_one_divisor_map_while_the_divisors_grow(self, field):
+        rng = random.Random(23)
+        kernel = _Kernel(field, 3, 4)
+        divisors = [_monic(_sparse_form(field, 2, rng))]
+        resumed = 0
+        for _ in range(6):
+            unresolved = {key for key, k in kernel.divisor.items() if k < 0}
+            for _ in range(3):
+                f = _sparse_form(field, 4, rng)
+                assert kernel.remainder(f, divisors) == _divide(f, divisors)
+            # keys recorded as having no divisor that an appended one divides
+            resumed += sum(kernel.divisor[key] >= 0 for key in unresolved)
+            divisors.append(_monic(_sparse_form(field, rng.choice((2, 3)), rng)))
+        assert resumed
+
+    def test_a_key_without_a_divisor_is_reduced_once_one_is_appended(self):
+        kernel = _Kernel(F3, 3, 2)
+        g1 = poly(F3, {(0, 2, 0): 1, (0, 0, 2): 1})       # y^2 + z^2
+        g2 = poly(F3, {(2, 0, 0): 1, (0, 1, 1): 2})       # x^2 + 2yz
+        x2 = kernel.key((2, 0, 0))
+        f = poly(F3, {(2, 0, 0): 1, (1, 1, 0): 1})
+        assert kernel.remainder(f, [g1]) == f
+        assert kernel.divisor[x2] == ~1
+        f = poly(F3, {(2, 0, 0): 1, (0, 0, 2): 1})
+        assert kernel.remainder(f, [g1, g2]) == poly(F3, {(0, 1, 1): 1, (0, 0, 2): 1})
+        assert kernel.divisor[x2] == 1
+
+    def test_coefficients_are_reduced_when_popped(self):
+        # every step adds (p - c) times a tail, so the remainder's
+        # coefficients pass p before they are taken mod p
+        kernel = _Kernel(F2, 3, 6)
+        x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        divisors = [poly(F2, {x: 1, y: 1, z: 1})]
+        f = poly(F2, {(6, 0, 0): 1})
+        rem = kernel.remainder(f, divisors)
+        assert rem == _divide(f, divisors)
+        # (y + z)^6 = (y^2 + z^2)^3 over GF(2)
+        assert set(rem) == {(0, a, 6 - a) for a in (0, 2, 4, 6)}
+
+
+def _digest(basis):
+    text = json.dumps(basis_to_json(basis), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _smooth_jacobian(make, rng):
+    """The Jacobian generators of the first form make(rng) whose
+    certificate run stops at the pure-power test."""
+    while True:
+        gens = jacobian_generators(make(rng))
+        if is_projectively_empty(certificate_basis(gens)):
+            return gens
+
+
+def _lifted_member(spec):
+    """A fixed rational member of the lift of the (p, e, n, d) system."""
+    p, e, n, d = spec
+    lifted = lift_to_char_zero(construct_smooth_system(p, e, n, d, n))
+    return lifted.member([Fraction(c) for c in (1, -2, 3, 1)[:len(lifted.generators)]])
+
+
+def _certificate_inputs():
+    """Name -> function building a certificate that stops before the full
+    run: the elements are whatever the loop's reductions left, so their
+    bytes depend on which divisor each reduction step used."""
+    rng = random.Random(2026)
+    inputs = {}
+    for name, make in (("gf2-quartic", lambda r: random_form(F2, 3, 4, r)),
+                       ("gf2-cubic-surface", lambda r: random_form(F2, 4, 3, r)),
+                       ("gf3-quartic", lambda r: random_form(F3, 3, 4, r)),
+                       ("gf4-cubic-surface", lambda r: random_form(F4, 4, 3, r)),
+                       ("gf9-quartic", lambda r: random_form(F9, 3, 4, r)),
+                       ("qq-quartic", lambda r: _rational_form(3, 4, r, 3))):
+        gens = _smooth_jacobian(make, rng)
+        inputs[name] = lambda gens=gens: certificate_basis(gens)
+
+    for (p, e, n, d), index in (((3, 1, 4, 3), 7), ((3, 1, 3, 5), 20), ((2, 1, 4, 4), 0)):
+        def member(p=p, e=e, n=n, d=d, index=index):
+            system = construct_smooth_system(p, e, n, d, n)
+            points = enumerate_projective_points(system.field, system.dim)
+            return system.member(next(itertools.islice(points, index, None)))
+
+        inputs[f"gf{p}-member-{p}{e}{n}{d}"] = lambda member=member: is_smooth(member()).certificate
+    for spec in ((2, 1, 2, 4), (2, 1, 3, 3)):
+        label = "".join(map(str, spec))
+        # is_smooth certifies the member by a reduction mod a small prime
+        inputs[f"lift{label}-modular"] = lambda spec=spec: is_smooth(_lifted_member(spec)).certificate
+        inputs[f"lift{label}-qq"] = lambda spec=spec: certificate_basis(
+            jacobian_generators(_lifted_member(spec)))
+    return inputs
+
+
+# sha256 of json.dumps(basis_to_json(...), sort_keys=True), recorded with the
+# reduction loop that searched every leader for each term (min of the
+# remainder at each step, mod p after each update)
+PINNED_CERTIFICATES = {
+    "gf2-quartic": "db432341ff626cbc1c78111dad9f30720a0389727747d65e3a2fd1d922e1cde9",
+    "gf2-cubic-surface": "43e9a1c1ca1be68c9d35687eb7aacc99f347daf372572f7dd0baf8679d6ace1c",
+    "gf3-quartic": "8e5a69bd841e1b19c9d49ab5ba0cf1a6a8f020293175ec297519029d215aef61",
+    "gf4-cubic-surface": "1cc46a58d60cbe81fdc8a73635b99090b7bb022151d9c35b7f4b242264442174",
+    "gf9-quartic": "08b10f006a9fe55ee35b53eca93fd9c322e482b960c8708e1204439f4b661f33",
+    "qq-quartic": "3b17a388b393b7609dda2eb63ea1f95b2f14cb476c082365e84d0c4cfd7ec004",
+    "gf3-member-3143": "f05300f7429cb8ed343b0fe7690acec31d32d55c363c4a849a997cf1ed874744",
+    "gf3-member-3135": "4aaa840b5c42d81523064e05623eb83c6c6abd26b3faaf92c157b4f7c8284209",
+    "gf2-member-2144": "2c999518add481772a234c0b4a3a1a1074ecbbc6fc44e467c9ae0090812485a0",
+    "lift2124-modular": "99d270cc3cc8e81362c7f828913b70c1476ae667728fe18b29b461b88b21195b",
+    "lift2124-qq": "94c2ffc1bfabcca8941a051b6688efe6e7244e4526d28bbfa1659b2e16be06f3",
+    "lift2133-modular": "dc487ec18b56b85bc893c7342927c7c5524b2bce55776cd4e60239ddb9ebe632",
+    "lift2133-qq": "0bdce4ad63a97b3add44cd3d5a7321ce1787f9e07da3316099cf1f66231950c7",
+}
+
+
+class TestCertificateBytes:
+    """Certificates are not canonical, unlike reduced bases: these pins
+    catch a reduction loop that picks another divisor or drops a term."""
+
+    @pytest.mark.parametrize("name", list(PINNED_CERTIFICATES))
+    def test_certificate_bytes_are_pinned(self, name):
+        basis = _certificate_inputs()[name]()
+        assert is_projectively_empty(basis)
+        assert _digest(basis) == PINNED_CERTIFICATES[name]
 
 
 class TestCertificateBasis:

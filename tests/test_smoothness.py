@@ -6,7 +6,6 @@ import itertools
 import json
 import random
 from array import array
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -706,7 +705,7 @@ def _reference_report(system):
         else:
             verdicts.append("singular")
             if first is None:
-                first = replace(verdict.witness, member=tuple(coeffs))
+                first = verdict.witness.for_member(tuple(coeffs))
     return VerifyReport(verdicts=tuple(verdicts), k_smooth=first is None, witness=first)
 
 
