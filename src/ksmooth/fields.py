@@ -101,6 +101,16 @@ def _index(digits, p):
     return idx
 
 
+def _spread(values, k, scale):
+    """The sum of values[d_i] * scale^i over the base-b digits d_i of m,
+    b = len(values), for every m below b^k in order."""
+    out, power = [0], 1
+    for _ in range(k):
+        out = [x + v * power for v in values for x in out]
+        power *= scale
+    return out
+
+
 def _digitwise(a, b, sign, p, e):
     """a + sign*b on e-digit base-p indices, digit by digit mod p (no carry):
     the sum (sign 1) or difference (sign -1) in GF(p^e); XOR for p = 2 and
@@ -285,22 +295,62 @@ class FieldDescriptor:
         unit group, and build the antilog list `_exp` (doubled, then padded
         with zeros so that the log 2(q-1) of zero absorbs any sum or
         difference of logs) and the Zech list `_zech[k] = log(1 + g^k)`
-        (doubled, so that a negative index wraps mod q-1)."""
+        (doubled, so that a negative index wraps mod q-1).
+
+        `_exp` walks x -> g x from 1.  g x adds the images under x -> g x of
+        the low ceil(e/2) and the high base-p digits of x, which `_mulmod`
+        tabulates: XOR for p = 2, else `+` on digit slots, one lookup per
+        chunk reducing them mod p."""
         p, e, red = self.p, self.e, self._red
         n = self.order - 1
-        # the tables do not exist yet, so the candidates are untabled elements
-        gd = _first_of_full_order((FieldElement(self, g) for g in range(1, n + 1)), n).coeffs
-        exp, x = [], _digits(1, p, e)
-        for _ in range(n):
-            exp.append(_index(x, p))
-            x = _mulmod(gd, x, red, p)
+        # the tables do not exist yet, so the candidates are untabled
+        # elements; for e > 1 those below p lie in GF(p), of order < n
+        first = p if e > 1 else 1
+        g = _first_of_full_order((FieldElement(self, x) for x in range(first, n + 1)), n).idx
+        exp = [1]
+        step = exp.append
+        if e == 1:
+            x = 1
+            for _ in range(n - 1):
+                x = x * g % p
+                step(x)
+        else:
+            c = (e + 1) // 2
+            width = 1 if p == 2 else (2 * (p - 1)).bit_length()
+            gd = _digits(g, p, e)
+
+            # g x u^shift for every x of k digits, its digits in slots
+            def images(k, shift):
+                return [_index(_mulmod(gd, _digits(x * p ** shift, p, e), red, p), 1 << width)
+                        for x in range(p ** k)]
+
+            low, high = images(c, 0), images(e - c, c)
+            if p == 2:
+                mask, x = (1 << c) - 1, 1
+                for _ in range(n - 1):
+                    x = low[x & mask] ^ high[x >> c]
+                    step(x)
+            else:
+                # fold[s] is the index of the chunk whose digits, mod p, sit
+                # in the slots of s; it serves both chunks, the high one
+                # having at most c digits
+                digit_sums = range(2 * p - 1)
+                fold = dict(zip(_spread(digit_sums, c, 1 << width),
+                                _spread([d % p for d in digit_sums], c, p)))
+                mask, shift, size = (1 << width * c) - 1, width * c, p ** c
+                lo, hi = 1, 0
+                for _ in range(n - 1):
+                    s = low[lo] + high[hi]
+                    lo = fold[s & mask]
+                    hi = fold[s >> shift]
+                    step(lo + size * hi)
         log = [2 * n] * (n + 1)
         for i, j in enumerate(exp):
             log[j] = i
         # 1 + g^k adds 1 to the constant digit of the index of g^k
         self._zech = [log[j - j % p + (j + 1) % p] for j in exp] * 2
         self._neg_log = log[p - 1]
-        els = self._elements = [FieldElement(self, i, log[i]) for i in range(n + 1)]
+        els = self._elements = list(map(FieldElement, itertools.repeat(self), range(n + 1), log))
         self._exp = [els[j] for j in exp] * 2 + [els[0]] * (2 * n + 1)
 
     # -- public element constructors -------------------------------------
@@ -812,15 +862,20 @@ class FieldEmbedding:
         n = small.order - 1
         h = _first_of_full_order((big.element_from_index(i) ** ((big.order - 1) // n)
                                   for i in range(2, big.order)), n)
-        cand = big.one()
-        for _ in range(n):
-            acc = big.zero()
-            for c in reversed(small.modulus):
-                acc = acc * cand + big.from_int(c)
-            if not acc:
-                conjugates = (frobenius(cand, k) for k in range(1, small.e + 1))
-                return min(conjugates, key=lambda r: r.idx)
-            cand = cand * h
+        # the modulus at h^k is its constant term plus one running term
+        # c_i h^(k i) for each other nonzero coefficient, advanced by h^i
+        const = big.from_int(small.modulus[0])
+        terms, steps, power = [], [], big.one()
+        for c in small.modulus[1:]:
+            power = power * h
+            if c:
+                terms.append(big.from_int(c))
+                steps.append(power)
+        for k in range(n):
+            if not sum(terms, const):
+                root = h ** k
+                return min((frobenius(root, j) for j in range(1, small.e + 1)), key=lambda r: r.idx)
+            terms = [t * s for t, s in zip(terms, steps)]
         raise AssertionError("unreachable: the modulus splits in the big field")
 
     def up(self, x):

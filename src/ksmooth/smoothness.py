@@ -59,6 +59,7 @@ from .fields import (
     FieldDescriptor,
     FieldMatrix,
     IndexArithmetic,
+    _spread,
     element_to_json,
     enumerate_projective_points,
     field_to_json,
@@ -584,9 +585,7 @@ def _image_tables(arith, r, matrices):
     width = 1 if p == 2 else ((r + 1) * (p - 1)).bit_length()
     mask = (1 << width) - 1
     # an element's base-p digits in their slots, by index
-    spread = list(range(q))
-    if width > 1 and e > 1:
-        spread = [sum(x // p ** i % p << width * i for i in range(e)) for x in spread]
+    spread = _spread(range(p), e, 1 << width)
     powers = [q ** k for k in range(r + 1)]
     # the index of a member with k coordinates after its leading 1, from
     # its base-q number

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from ksmooth import fields
 from ksmooth.errors import (
     DescriptorMismatch,
     DivisionByZero,
@@ -21,6 +22,7 @@ from ksmooth.fields import (
     FieldMatrix,
     IndexArithmetic,
     _digits,
+    _index,
     _mulmod,
     _prime_factors,
     element_to_json,
@@ -46,6 +48,18 @@ F8 = get_descriptor(2, 3)
 F9 = get_descriptor(3, 2)
 
 SMALL_FIELDS = [F2, F3, F4, F8, F9, get_descriptor(5), get_descriptor(2, 4)]
+
+
+def count_mulmod_calls(monkeypatch):
+    """A one-item list counting the `_mulmod` calls made from now on."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return _mulmod(*args)
+
+    monkeypatch.setattr(fields, "_mulmod", counting)
+    return calls
 
 
 def brute_force_irreducibles(p, k):
@@ -349,6 +363,63 @@ class TestUntabledFields:
             powers = ["1" if i == 0 else "u" if i == 1 else f"u^{i}"
                       for i in reversed(range(16)) if digits[i]]
             assert str(x) == ("+".join(powers) or "0")
+
+
+class TestTableBuild:
+    """The log, antilog and Zech lists against a walk of one `_mulmod` per
+    step from the first generator, found here as the first index whose
+    powers reach every unit."""
+
+    @staticmethod
+    def _reference_walk(field):
+        p, e, red = field.p, field.e, field._red
+        n = field.order - 1
+        one = _digits(1, p, e)
+        for g in range(1, n + 1):
+            gd, x, exp = _digits(g, p, e), one, []
+            while True:
+                exp.append(_index(x, p))
+                x = _mulmod(gd, x, red, p)
+                if x == one:
+                    break
+            if len(exp) == n:
+                return exp
+        raise AssertionError("no generator")
+
+    @pytest.mark.parametrize("p, e", [(p, e) for p in range(2, 65) if is_prime(p)
+                                      for e in range(2, 13) if p ** e <= 4096])
+    def test_tables_match_the_reference_walk(self, p, e):
+        field = FieldDescriptor(p, e)
+        n = field.order - 1
+        exp = self._reference_walk(field)
+        log = [2 * n] * (n + 1)
+        for k, j in enumerate(exp):
+            log[j] = k
+        assert [x.idx for x in field._exp] == exp * 2 + [0] * (2 * n + 1)
+        assert [x.log for x in field.elements()] == log
+        # 1 + x adds 1 to the constant digit of x
+        plus_one = [_index(((d[0] + 1) % p,) + d[1:], p) for d in (_digits(j, p, e) for j in exp)]
+        assert field._zech == [log[j] for j in plus_one] * 2
+        assert field._neg_log == log[_index((p - 1,) + (0,) * (e - 1), p)]
+
+    @pytest.mark.parametrize("p, e", [(2, 16), (3, 10)])
+    def test_largest_fields_walk_their_generator(self, p, e):
+        field = get_descriptor(p, e)
+        n, red = field.order - 1, field._red
+        exp = [x.idx for x in field._exp[:n]]
+        assert sorted(exp) == list(range(1, n + 1))
+        gd = _digits(exp[1], p, e)
+        rng = random.Random(19)
+        for k in rng.sample(range(n), 2000):
+            nxt = exp[(k + 1) % n]
+            assert _index(_mulmod(gd, _digits(exp[k], p, e), red, p), p) == nxt
+            assert field.element_from_index(nxt).log == (k + 1) % n
+
+    def test_mulmod_calls(self, monkeypatch):
+        # far below the 65,535 steps of the walk, so no step is a product
+        calls = count_mulmod_calls(monkeypatch)
+        FieldDescriptor(2, 16)
+        assert 0 < calls[0] <= 2000
 
 
 class TestIndexArithmetic:
@@ -659,6 +730,15 @@ class TestEmbedding:
                     acc = acc * emb.root + big.from_int(c)
                 horner.append(acc)
             assert emb._image == horner, (small, big)
+
+    def test_untabled_root_search_mulmod_calls(self, monkeypatch):
+        # a Horner evaluation of the 13 coefficients at each power of h
+        # scanned would take several thousand
+        small, big = FieldDescriptor(2, 12), FieldDescriptor(2, 24)
+        calls = count_mulmod_calls(monkeypatch)
+        emb = FieldEmbedding(small, big)
+        assert 0 < calls[0] <= 2500
+        assert emb.root.idx == 595469
 
     def test_down_rejects_outside_subfield(self):
         big = get_descriptor(2, 4)
