@@ -37,7 +37,7 @@ from .fields import (
 from .multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
-    coefficient_matrix,
+    coefficient_rank,
     coefficients_fixed_by_frobenius,
     compose,
     frobenius_twist,
@@ -215,7 +215,7 @@ def _check_equal_span(family_a, family_b):
     """Certify that both families are independent with one span:
     rank A = rank B = rank of both families together = the size of A."""
     both = list(family_a) + list(family_b)
-    if {coefficient_matrix(f).rank() for f in (family_a, family_b, both)} != {len(family_a)}:
+    if {coefficient_rank(f) for f in (family_a, family_b, both)} != {len(family_a)}:
         raise AssertionError("descent changed the span of the family or it is dependent")
 
 

@@ -1,5 +1,5 @@
 """Exact arithmetic in prime fields, extension fields GF(p^e) and the
-rationals, plus the small dense linear algebra the constructions need.
+rationals, and one Gauss-Jordan elimination for all of them.
 
 Extension fields are presented as F_p[u]/(modulus); a prime field is
 F_p[u]/(u), so one multiply serves every field and the irreducibility test.
@@ -9,14 +9,16 @@ elements and build an antilog and a Zech list (O(q) entries each) from the
 log to the first generator of the unit group, so every operation (a power
 included) is one or two lookups.  Larger prime fields compute on the index
 mod p and larger extension fields on the digits.  Inner loops that combine
-many elements work on the indices themselves, through an
-`IndexArithmetic`.  Canonical moduli make every derived object
-bit-reproducible.
+many elements, and the linear algebra of `FieldMatrix`, work on the
+indices themselves (over Q on the Fractions), through the one
+`IndexArithmetic` each field builds.  Canonical moduli make every derived
+object bit-reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -258,7 +260,7 @@ class FieldDescriptor:
     """Finite field GF(p^e), presented as F_p[u]/(modulus) for e >= 2."""
 
     __slots__ = ("p", "e", "modulus", "order", "key", "_red", "_elements",
-                 "_exp", "_zech", "_neg_log")
+                 "_exp", "_zech", "_neg_log", "_arith")
 
     def __init__(self, p, e=1, modulus=None):
         p = int(p)
@@ -286,7 +288,7 @@ class FieldDescriptor:
         self.order = p ** e
         self.key = (p, e, self.modulus)
         self._red = _reduction_rows(self.modulus or (0, 1), p)
-        self._elements = self._exp = self._zech = self._neg_log = None
+        self._elements = self._exp = self._zech = self._neg_log = self._arith = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -353,6 +355,13 @@ class FieldDescriptor:
         els = self._elements = list(map(FieldElement, itertools.repeat(self), range(n + 1), log))
         self._exp = [els[j] for j in exp] * 2 + [els[0]] * (2 * n + 1)
 
+    @property
+    def arithmetic(self):
+        """The field's one `IndexArithmetic`, built on first use."""
+        if self._arith is None:
+            self._arith = IndexArithmetic(self)
+        return self._arith
+
     # -- public element constructors -------------------------------------
 
     def element(self, coeffs):
@@ -406,6 +415,8 @@ class RationalField:
     modulus = None
     order = None
     key = ("QQ",)
+    _arith = None
+    arithmetic = FieldDescriptor.arithmetic
 
     def zero(self):
         return Fraction(0)
@@ -572,12 +583,14 @@ class FieldElement:
 
 
 class IndexArithmetic:
-    """The operations of a finite field on the indices of its elements, for
-    inner loops that keep FieldElement at their boundary.  `mul` and `inv`
-    (of a nonzero index) are functions of plain ints, and `combine` takes
-    (c, shift, terms) triples, a nonzero index, an int and a map from ints
-    to nonzero indices, and returns the map of the sum of c times terms
-    with every key moved by shift, zeros dropped:
+    """The operations of a coefficient field on the indices of its elements,
+    for inner loops and linear algebra that keep FieldElement at their
+    boundary, where `index` and `element` convert; over Q an index is the
+    Fraction itself.  `mul` and `inv` (of a nonzero index) are functions of
+    indices, and `combine` takes (c, shift, terms) triples, a nonzero index,
+    an int and a map from ints to nonzero indices, and returns the map of
+    the sum of c times terms with every key moved by shift, zeros dropped:
+    - over Q, on Fractions;
     - over GF(p), on ints, reduced mod p once per sum;
     - over a tabled GF(p^e), e > 1, on logs: a product adds them and reads
       the antilog list, and a sum is an XOR of indices in characteristic 2
@@ -585,14 +598,24 @@ class IndexArithmetic:
     - over an untabled GF(p^e), e > 1, a product by FieldElement
       arithmetic and a sum digit by digit, as FieldElement adds there.
     The log and antilog lists are built per instance as ints, O(q) entries,
-    and share the descriptor's ints."""
+    and share the descriptor's ints, so each field builds its arithmetic
+    once, as its `arithmetic`."""
 
-    __slots__ = ("field", "mul", "inv", "combine")
+    __slots__ = ("field", "index", "element", "mul", "inv", "combine")
 
     def __init__(self, field):
         self.field = field
-        p, e, n = field.p, field.e, field.order - 1
-        if e == 1:
+        p, e = field.p, field.e
+        if p:
+            def index(x):
+                if x.field is not field and x.field.key != field.key:
+                    raise DescriptorMismatch(f"{x!r} is not an element of {field!r}")
+                return x.idx
+
+            self.index, self.element = index, field.element_from_index
+        else:
+            self.index = self.element = Fraction
+        if p and e == 1:
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, -1, p)
 
@@ -604,8 +627,9 @@ class IndexArithmetic:
                         k += shift
                         acc[k] = get(k, 0) + c * v
                 return {k: r for k, v in acc.items() if (r := v % p)}
-        elif field._exp is not None:
+        elif p and field._exp is not None:
             # the log of 0 is 2n, which the zero padding of `_exp` absorbs
+            n = field.order - 1
             log = [x.log for x in field._elements]
             exp = [x.idx for x in field._exp]
             zech = field._zech
@@ -638,11 +662,18 @@ class IndexArithmetic:
                                 acc[k] = exp[x]
                     return {k: v for k, v in acc.items() if v}
         else:
-            def mul(a, b):
-                return (FieldElement(field, a) * FieldElement(field, b)).idx
+            if p:
+                def mul(a, b):
+                    return (FieldElement(field, a) * FieldElement(field, b)).idx
 
+                def add(a, b):
+                    return _digitwise(a, b, 1, p, e)
+
+                self.inv = lambda a: FieldElement(field, a).inv().idx
+            else:
+                mul, add = operator.mul, operator.add
+                self.inv = lambda a: 1 / a
             self.mul = mul
-            self.inv = lambda a: FieldElement(field, a).inv().idx
 
             def combine(parts):
                 acc = {}
@@ -650,20 +681,24 @@ class IndexArithmetic:
                 for c, shift, terms in parts:
                     for k, v in terms.items():
                         k += shift
-                        acc[k] = _digitwise(get(k, 0), mul(c, v), 1, p, e)
+                        acc[k] = add(get(k, 0), mul(c, v))
                 return {k: v for k, v in acc.items() if v}
         self.combine = combine
 
     def rref(self, rows, ncols):
         """The reduced row echelon form of a matrix of indices with `ncols`
-        columns, its rows given as maps from columns to nonzero entries,
-        pivoting as `FieldMatrix.rref` does; returns the reduced rows, as
-        such maps, and the pivot columns."""
-        combine = self.combine
+        columns, its rows given as maps from columns to nonzero entries, by
+        Gauss-Jordan elimination that takes as pivot of each column the
+        first nonzero entry at or below the current row.  Returns the
+        reduced rows, as such maps, the pivot columns, and the product of
+        the pivots signed by the row swaps: the determinant of a square
+        matrix with a pivot in every column."""
+        combine, mul = self.combine, self.mul
         # the index of -1, whose only digit is p - 1
         minus_one = self.field.p - 1
         a = list(rows)
         pivots = []
+        det = 1
         for c in range(ncols):
             r = len(pivots)
             if r == len(a):
@@ -671,15 +706,19 @@ class IndexArithmetic:
             piv = next((i for i in range(r, len(a)) if c in a[i]), None)
             if piv is None:
                 continue
-            a[r], a[piv] = a[piv], a[r]
-            if a[r][c] != 1:
-                a[r] = combine([(self.inv(a[r][c]), 0, a[r])])
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                det = mul(det, minus_one)
+            pv = a[r][c]
+            if pv != 1:
+                det = mul(det, pv)
+                a[r] = combine([(self.inv(pv), 0, a[r])])
             for i, row in enumerate(a):
                 f = row.get(c)
                 if f and i != r:
-                    a[i] = combine([(1, 0, row), (self.mul(f, minus_one), 0, a[r])])
+                    a[i] = combine([(1, 0, row), (mul(f, minus_one), 0, a[r])])
             pivots.append(c)
-        return a, pivots
+        return a, pivots, det
 
 
 def frobenius(x, power=1):
@@ -726,11 +765,9 @@ def normalize_projective(point):
 
 
 class FieldMatrix:
-    """Dense rectangular matrix over one coefficient field.
-
-    Exact Gaussian elimination with leftmost-nonzero pivoting; also usable
-    with Fraction entries over the rationals.
-    """
+    """Dense rectangular matrix over one coefficient field, iterable over
+    its rows.  Its linear algebra converts the rows to element indices, runs
+    the field's one `IndexArithmetic.rref` and converts the result back."""
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
@@ -742,6 +779,9 @@ class FieldMatrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
+    def __iter__(self):
+        return iter(self.rows)
+
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
@@ -751,33 +791,12 @@ class FieldMatrix:
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot column indices, the
         product of the pivots signed by the row swaps)."""
-        a = [list(r) for r in self.rows]
-        one = self.field.one()
-        det = one
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            piv = next((i for i in range(r, self.nrows) if a[i][c]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                det = -det
-            # the pivot row is zero left of c, so only columns from c change
-            row = a[r]
-            pv = row[c]
-            if pv != one:
-                det = det * pv
-                row[c:] = [x / pv for x in row[c:]]
-            for i in range(self.nrows):
-                f = a[i][c]
-                if i != r and f:
-                    a[i][c:] = [x - f * y if y else x for x, y in zip(a[i][c:], row[c:])]
-            pivots.append(c)
-            r += 1
-        return a, pivots, det
+        arith = self.field.arithmetic
+        index, element = arith.index, arith.element
+        reduced, pivots, det = arith.rref(
+            [{k: index(x) for k, x in enumerate(row) if x} for row in self.rows], self.ncols)
+        return ([[element(row.get(k, 0)) for k in range(self.ncols)] for row in reduced],
+                pivots, element(det))
 
     def rank(self):
         return len(self.rref()[1])
@@ -786,17 +805,13 @@ class FieldMatrix:
         """Basis of the right kernel in reduced echelon form, one vector per
         free column, ordered by free column index."""
         a, pivots, _ = self.rref()
-        zero = self.field.zero()
-        one = self.field.one()
-        pivset = set(pivots)
+        zero, one = self.field.zero(), self.field.one()
         basis = []
-        for fcol in range(self.ncols):
-            if fcol in pivset:
-                continue
+        for fcol in sorted(set(range(self.ncols)) - set(pivots)):
             v = [zero] * self.ncols
             v[fcol] = one
-            for i, pc in enumerate(pivots):
-                v[pc] = -a[i][fcol]
+            for row, pc in zip(a, pivots):
+                v[pc] = -row[fcol]
             basis.append(tuple(v))
         return basis
 
@@ -805,14 +820,12 @@ class FieldMatrix:
         rhs = list(rhs)
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has the wrong length")
-        aug = FieldMatrix(self.field, [row + [b] for row, b in zip(self.rows, rhs)])
-        a, pivots, _ = aug.rref()
+        a, pivots, _ = FieldMatrix(self.field, [row + [b] for row, b in zip(self.rows, rhs)]).rref()
         if pivots and pivots[-1] == self.ncols:
             raise NoSolution("inconsistent linear system")
-        zero = self.field.zero()
-        x = [zero] * self.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = a[i][self.ncols]
+        x = [self.field.zero()] * self.ncols
+        for row, pc in zip(a, pivots):
+            x[pc] = row[-1]
         return tuple(x)
 
 

@@ -9,7 +9,8 @@ leading terms.
 Inner loops take a monomial packed into one int (`_Slots`): the exponent of
 x_i sits in slot i (x_n in the top slot), and each slot has a guard bit above
 the exponent.  A product is `+` and "a divides b" is `(b - a) & guard == 0`.
-A linear substitution works on packed terms too (`_compose`).
+A linear substitution works on packed terms too (`_compose`), with
+element indices for coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
 )
 from .fields import (
     FieldDescriptor,
-    FieldMatrix,
     element_from_json,
     element_to_json,
     field_from_json,
@@ -315,50 +315,41 @@ class _Slots:
 
 def compose(forms, matrix):
     """The forms, all over one field in the same variables, with x_i
-    replaced by the linear form given by row i of the matrix."""
-    nvars = forms[0].nvars
-    rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
-    if len(rows) != nvars or any(len(r) != nvars for r in rows):
-        raise ValueError("substitution matrix must be square of size nvars")
-    slots = _Slots.for_degree(nvars, max(f.degree for f in forms))
-    images = _compose([slots.pack(f.terms) for f in forms], rows, slots, forms[0].field.one())
-    return [_raw_form(f.field, nvars, f.degree, slots.unpack(h))
+    replaced by the linear form given by row i of the matrix; runs
+    `_compose` on element indices."""
+    arith = forms[0].field.arithmetic
+    index, element = arith.index, arith.element
+    slots = _Slots.for_degree(forms[0].nvars, max(f.degree for f in forms))
+    images = _compose([{m: index(c) for m, c in slots.pack(f.terms).items()} for f in forms],
+                      matrix, slots, arith)
+    return [_raw_form(f.field, f.nvars, f.degree,
+                      {slots.exponents(m): element(c) for m, c in h.items()})
             for f, h in zip(forms, images)]
 
 
-def _combine(parts):
-    """The terms of the sum of c times terms with every key moved by shift,
-    zeros dropped, for the (c, shift, terms) in parts, with coefficients
-    FieldElements or Fractions (see `IndexArithmetic.combine` for element
-    indices)."""
-    acc = {}
-    get = acc.get
-    for c, shift, terms in parts:
-        for k, v in terms.items():
-            k += shift
-            cur = get(k)
-            acc[k] = c * v if cur is None else cur + c * v
-    return {k: v for k, v in acc.items() if v}
-
-
-def _compose(packed_gens, rows, slots, one, combine=_combine):
-    """The packed generators with x_i replaced by the linear form of row i.
-    The image of each monomial is worked out once for all generators, as
-    the image of the monomial with one factor x_i fewer (i its first
-    variable) times the linear form of row i; a permutation matrix only
-    moves exponents.  `combine` takes the linear combinations: `_combine`
-    for FieldElements and Fractions, or `IndexArithmetic.combine` for
-    element indices, `one` then being 1."""
+def _compose(packed_gens, matrix, slots, arith):
+    """The packed generators, their coefficients element indices of the
+    field of `arith`, with x_i replaced by the linear form of row i of the
+    matrix, a FieldMatrix or a sequence of rows over that field, square of
+    size nvars.  The image of each monomial is worked out once for all
+    generators, as the image of the monomial with one factor x_i fewer (i
+    its first variable) times the linear form of row i, one `combine`; a
+    permutation matrix only moves exponents."""
+    index = arith.index
+    rows = [[index(x) for x in row] for row in matrix]
+    if len(rows) != slots.nvars or any(len(r) != slots.nvars for r in rows):
+        raise ValueError("a substitution matrix must be square of size nvars")
+    combine = arith.combine
     w = slots.width
     linear = [{1 << (w * k): c for k, c in enumerate(row) if c} for row in rows]
     # for a row that is one variable with coefficient one, that variable's key
-    single = [next(iter(row)) if list(row.values()) == [one] else None for row in linear]
+    single = [next(iter(row)) if list(row.values()) == [1] else None for row in linear]
     if None not in single and len(set(single)) == len(single):
         # the exponent of each x_i moves to the slot of the variable of row i
         mask = (1 << w) - 1
         return [{sum((m >> (w * i) & mask) * b for i, b in enumerate(single)): c
                  for m, c in g.items()} for g in packed_gens]
-    images = {0: {0: one}}
+    images = {0: {0: 1}}
 
     def image(m):
         got = images.get(m)
@@ -418,7 +409,7 @@ class LinearSystemOfForms:
         self.nvars = first.nvars
         self.degree = first.degree
         self.generators = gens
-        if coefficient_matrix(gens).rank() != len(gens):
+        if coefficient_rank(gens) != len(gens):
             raise DependentGenerators("generators are linearly dependent")
 
     @property
@@ -441,13 +432,15 @@ class LinearSystemOfForms:
                 f"P^{self.nvars - 1} over {self.field!r}>")
 
 
-def coefficient_matrix(forms):
-    """Matrix whose rows are the forms' coefficient vectors over the
-    monomials they use."""
-    field = forms[0].field
-    monos = sorted({m for f in forms for m in f.terms})
-    zero = field.zero()
-    return FieldMatrix(field, [[f.terms.get(m, zero) for m in monos] for f in forms])
+def coefficient_rank(forms):
+    """The rank of the forms' coefficient vectors, each read straight from
+    its terms as one sparse row of element indices."""
+    arith = forms[0].field.arithmetic
+    index = arith.index
+    column = {}
+    rows = [{column.setdefault(m, len(column)): index(c) for m, c in f.terms.items()}
+            for f in forms]
+    return len(arith.rref(rows, len(column))[1])
 
 
 def random_element(field, rng):

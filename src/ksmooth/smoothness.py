@@ -54,11 +54,10 @@ from bisect import bisect_right
 from itertools import repeat
 from math import gcd, lcm
 
-from .errors import DescriptorMismatch, PreconditionViolated, WitnessNotFoundWithinCap
+from .errors import PreconditionViolated, WitnessNotFoundWithinCap
 from .fields import (
     FieldDescriptor,
     FieldMatrix,
-    IndexArithmetic,
     _spread,
     element_to_json,
     enumerate_projective_points,
@@ -480,9 +479,9 @@ def _induced_matrices(system, symmetries):
     the pivot of row k, so it lies in the span exactly when it equals
     sum_j t_j G_j for t = sum_k h[p_k] E_k, and t is then its row of T.
     Past the boundary, where the generators and each M become element
-    indices, all of it runs on the ints of an `IndexArithmetic`."""
+    indices, all of it runs on the ints of the field's `IndexArithmetic`."""
     field, nvars = system.field, system.nvars
-    arith = IndexArithmetic(field)
+    arith = field.arithmetic
     combine = arith.combine
     slots = _Slots.for_degree(nvars, system.degree)
     gens = [{m: c.idx for m, c in slots.pack(g.terms).items()} for g in system.generators]
@@ -490,24 +489,18 @@ def _induced_matrices(system, symmetries):
     columns = sorted({m for g in gens for m in g})
     width = len(columns)
     column = {m: k for k, m in enumerate(columns)}
-    reduced, pivots = arith.rref([{**{column[m]: c for m, c in g.items()}, width + i: 1}
-                                  for i, g in enumerate(gens)], width + count)
+    reduced, pivots, _ = arith.rref([{**{column[m]: c for m, c in g.items()}, width + i: 1}
+                                     for i, g in enumerate(gens)], width + count)
     # E_k, by generator
     coordinates = [{k - width: c for k, c in row.items() if k >= width} for row in reduced]
     pivot_keys = [columns[k] for k in pivots]
     induced = []
     for matrix in symmetries:
-        rows = matrix.rows if isinstance(matrix, FieldMatrix) else [list(r) for r in matrix]
-        if len(rows) != nvars or any(len(r) != nvars for r in rows):
-            raise ValueError("a symmetry must be a square matrix of size nvars")
-        if {x.field.key for row in rows for x in row} != {field.key}:
-            raise DescriptorMismatch(f"a symmetry must be a matrix over {field!r}")
-        rows = [[x.idx for x in row] for row in rows]
-        if len(arith.rref([{k: x for k, x in enumerate(row) if x} for row in rows],
-                          nvars)[1]) < nvars:
+        images = _compose(gens, matrix, slots, arith)
+        if FieldMatrix(field, matrix).rank() < nvars:
             return None
         t = []
-        for h in _compose(gens, rows, slots, 1, combine):
+        for h in images:
             coords = combine([(a, 0, row) for m, row in zip(pivot_keys, coordinates)
                               if (a := h.get(m))])
             if combine([(a, 0, gens[j]) for j, a in coords.items()]) != h:
@@ -532,7 +525,7 @@ def _orbit_representatives(field, r, induced, orbit_of):
     q = field.order
     count = (q ** (r + 1) - 1) // (q - 1)
     tables = []
-    for table in _image_tables(IndexArithmetic(field), r, induced) if induced else ():
+    for table in _image_tables(field.arithmetic, r, induced) if induced else ():
         tables.append(table)
         if len(tables) < len(induced) and len(_orbit(0, tables)) == count:
             break

@@ -22,6 +22,7 @@ from ksmooth.fields import (
     FieldMatrix,
     IndexArithmetic,
     _digits,
+    _digitwise,
     _index,
     _mulmod,
     _prime_factors,
@@ -39,7 +40,6 @@ from ksmooth.fields import (
     poly_gcd,
     sqrt_char2,
 )
-from ksmooth.multipoly import _combine
 
 F2 = get_descriptor(2)
 F3 = get_descriptor(3)
@@ -48,6 +48,32 @@ F8 = get_descriptor(2, 3)
 F9 = get_descriptor(3, 2)
 
 SMALL_FIELDS = [F2, F3, F4, F8, F9, get_descriptor(5), get_descriptor(2, 4)]
+
+
+def reference_combine(parts):
+    """The terms of the sum of c times terms with every key moved by shift,
+    zeros dropped, for the (c, shift, terms) in parts: a plain loop on
+    FieldElements or Fractions."""
+    acc = {}
+    for c, shift, terms in parts:
+        for k, v in terms.items():
+            k += shift
+            acc[k] = acc[k] + c * v if k in acc else c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def leibniz_det(rows):
+    """The determinant of a square matrix of FieldElements or Fractions as
+    the signed sum over all permutations."""
+    total = None
+    for perm in itertools.permutations(range(len(rows))):
+        term = rows[0][perm[0]]
+        for i in range(1, len(rows)):
+            term = term * rows[i][perm[i]]
+        if sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def count_mulmod_calls(monkeypatch):
@@ -456,26 +482,110 @@ class TestIndexArithmetic:
             assert arith.combine([(a.idx, 0, {0: 1}), (b.idx, 0, {0: 1})]).get(0, 0) == (a + b).idx
             assert arith.inv(a.idx) == a.inv().idx
 
-    @pytest.mark.parametrize("name", ["3 1", "65537 1", "2 2", "3 2", "untabled 3 2"])
+    @pytest.mark.parametrize("name", ["2 1", "3 1", "65537 1", "2 2", "3 2", "untabled 3 2", "QQ"])
     def test_combine_and_rref(self, name, untabled):
-        field = self._field(name, untabled)
+        # element arithmetic is the reference: `reference_combine`, the
+        # defining properties of the reduced echelon form and the Leibniz
+        # expansion of the determinant
+        field = QQ if name == "QQ" else self._field(name, untabled)
         arith = IndexArithmetic(field)
         rng = random.Random(22)
+        if field is QQ:
+            def index(x):
+                return x
 
-        def element():
-            return field.element_from_index(rng.randrange(min(field.order, 4)))
+            def element(small=True):
+                return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+
+            to_element = Fraction
+        else:
+            def index(x):
+                return x.idx
+
+            # small indices often give zeros and repeated rows
+            def element(small=True):
+                return field.element_from_index(rng.randrange(min(field.order, 4) if small
+                                                              else field.order))
+
+            to_element = field.element_from_index
+
+        def nonzero():
+            while not (x := element(small=False)):
+                pass
+            return x
 
         for _ in range(30):
-            parts = [(field.element_from_index(rng.randrange(1, field.order)), rng.randrange(3),
-                      {k: x for k in range(6) if (x := element())}) for _ in range(3)]
-            expected = {k: x.idx for k, x in _combine(parts).items()}
-            assert arith.combine([(c.idx, shift, {k: x.idx for k, x in terms.items()})
-                                  for c, shift, terms in parts]) == expected
-            rows = [[element() for _ in range(5)] for _ in range(3)]
-            reduced, pivots, _ = FieldMatrix(field, rows).rref()
-            assert arith.rref([{k: x.idx for k, x in enumerate(row) if x} for row in rows],
-                              5) == ([{k: x.idx for k, x in enumerate(row) if x}
-                                      for row in reduced], pivots)
+            parts = [(nonzero(), rng.randrange(3), {k: x for k in range(6) if (x := element())})
+                     for _ in range(3)]
+            assert arith.combine([(index(c), shift, {k: index(x) for k, x in terms.items()})
+                                  for c, shift, terms in parts]) == {
+                k: index(x) for k, x in reference_combine(parts).items()}
+
+        zero = field.zero()
+        for size in range(1, 5):
+            for _ in range(12):
+                ncols = rng.randrange(1, 6) if rng.randrange(2) else size
+                small = rng.randrange(2)
+                rows = [[element(small) for _ in range(ncols)] for _ in range(size)]
+                reduced, pivots, det = arith.rref(
+                    [{k: index(x) for k, x in enumerate(row) if x} for row in rows], ncols)
+                dense = [[to_element(row.get(k, 0)) for k in range(ncols)] for row in reduced]
+                assert len(dense) == size and pivots == sorted(set(pivots))
+                assert all(not any(row) for row in dense[len(pivots):])
+                for k, pk in enumerate(pivots):
+                    assert [row[pk] for row in dense] == [field.one() if j == k else zero
+                                                          for j in range(size)]
+                    assert not any(dense[k][:pk])
+                for row in rows:
+                    total = [zero] * ncols
+                    for pk, r in zip(pivots, dense):
+                        total = [t + row[pk] * x for t, x in zip(total, r)]
+                    assert total == row
+                if ncols == size:
+                    expected = leibniz_det(rows)
+                    assert bool(expected) == (len(pivots) == size)
+                    if expected:
+                        assert to_element(det) == expected
+
+    def test_rationals(self):
+        # over Q an index is the Fraction itself
+        arith = IndexArithmetic(QQ)
+        rng = random.Random(23)
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        for _ in range(200):
+            a, b = rational(), rational()
+            assert arith.mul(a, b) == a * b
+            if a:
+                assert arith.inv(a) == 1 / a and type(arith.inv(a)) is Fraction
+            parts = [(c, rng.randrange(3), {k: x for k in range(4) if (x := rational())})
+                     for c in (a, b) if c]
+            expected = reference_combine(parts)
+            assert arith.combine(parts) == expected
+            assert all(type(x) is Fraction for x in arith.combine(parts).values())
+        assert arith.index(3) == Fraction(3) and type(arith.element(1)) is Fraction
+
+    def test_each_field_builds_its_arithmetic_once(self, untabled):
+        # the untabled GF(3^2) has the key of the tabled GF(9) but must keep
+        # its own arithmetic, which adds digit by digit
+        f9, u9 = get_descriptor(3, 2), untabled(3, 2)
+        arith = u9.arithmetic
+        assert arith is u9.arithmetic and arith.field is u9
+        assert arith is not f9.arithmetic and f9.arithmetic.field is f9
+        assert QQ.arithmetic is QQ.arithmetic
+        for a, b in itertools.product(range(1, 9), repeat=2):
+            assert arith.combine([(a, 0, {0: 1}), (b, 0, {0: 1})]).get(0, 0) == _digitwise(
+                a, b, 1, 3, 2)
+            assert arith.mul(a, b) == _index(_mulmod(_digits(a, 3, 2), _digits(b, 3, 2),
+                                                     u9._red, 3), 3)
+
+    def test_an_element_of_another_field_is_rejected(self):
+        with pytest.raises(DescriptorMismatch):
+            F4.arithmetic.index(F2.one())
+        with pytest.raises(DescriptorMismatch):
+            FieldMatrix(F4, [[F2.one()]]).det()
 
 
 class TestFrobenius:
@@ -597,6 +707,20 @@ class TestMatrices:
         m = FieldMatrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
         assert m.det() == Fraction(-2)
         assert m.rank() == 2
+        assert m.solve([Fraction(1), Fraction(1)]) == (Fraction(-1), Fraction(1))
+        assert m.kernel() == []
+        half = Fraction(1, 2)
+        singular = FieldMatrix(QQ, [[half, Fraction(1), 3 * half],
+                                    [Fraction(1), Fraction(2), Fraction(3)]])
+        assert singular.rank() == 1
+        assert singular.kernel() == [(Fraction(-2), Fraction(1), Fraction(0)),
+                                     (Fraction(-3), Fraction(0), Fraction(1))]
+        x = singular.solve([Fraction(1), Fraction(2)])
+        assert x == (Fraction(2), Fraction(0), Fraction(0))
+        assert all(type(v) is Fraction for v in x + singular.kernel()[0])
+        with pytest.raises(NoSolution):
+            singular.solve([Fraction(1), Fraction(1)])
+        assert type(FieldMatrix(QQ, [[1, 0], [0, 1]]).det()) is Fraction
 
 
 class TestEnumeration:

@@ -19,7 +19,7 @@ from ksmooth.multipoly import (
     LinearSystemOfForms,
     _compose,
     _Slots,
-    coefficient_matrix,
+    coefficient_rank,
     coefficients_fixed_by_frobenius,
     compose,
     euler_combination,
@@ -232,8 +232,8 @@ class TestSubstitutedTerms:
 
     def test_element_indices_give_the_same_forms(self, untabled):
         # `_compose` on indices, as the symmetry check runs it, against
-        # `compose` on FieldElements, for dense, monomial, permutation and
-        # singular matrices
+        # form products, for dense, monomial, permutation and singular
+        # matrices
         rng = random.Random(15)
         for field in self._fields(untabled):
             arith = IndexArithmetic(field)
@@ -248,10 +248,10 @@ class TestSubstitutedTerms:
             for rows in matrices:
                 slots = _Slots.for_degree(3, 3)
                 images = _compose([{m: c.idx for m, c in slots.pack(f.terms).items()}
-                                   for f in forms], [[x.idx for x in row] for row in rows],
-                                  slots, 1, arith.combine)
+                                   for f in forms], rows, slots, arith)
                 assert [slots.unpack(h) for h in images] == [
-                    {m: c.idx for m, c in g.terms.items()} for g in compose(forms, rows)]
+                    {m: c.idx for m, c in self._substituted(f, rows).terms.items()}
+                    for f in forms]
 
     def test_permutations_and_repeated_variables(self):
         f = form(F3, 3, 2, [((2, 0, 0), 1), ((1, 1, 0), 2), ((0, 1, 1), 1)])
@@ -336,7 +336,7 @@ class TestLinearSystem:
         rng = random.Random(23)
         from ksmooth.multipoly import random_system
         system = random_system(F3, 3, 2, 4, rng)
-        assert coefficient_matrix(system.generators).rank() == 4
+        assert coefficient_rank(system.generators) == 4
 
     def test_member_combination(self):
         f = form(F3, 2, 2, [((2, 0), 1)])

@@ -21,9 +21,11 @@ from ksmooth.constructions import (
     normal_basis_search,
 )
 from ksmooth.errors import PreconditionViolated
+from ksmooth.errors import DescriptorMismatch
 from ksmooth.fields import (
     QQ,
     FieldMatrix,
+    IndexArithmetic,
     enumerate_projective_points,
     get_descriptor,
     get_embedding,
@@ -874,6 +876,36 @@ class TestOrbitRoute:
         system, _ = _constructed(3, 1, 2, 2)
         with pytest.raises(ValueError, match="size nvars"):
             verify_system_K_smooth(system, [[[F3.one()]]])
+
+    def test_a_matrix_over_another_field_is_an_error(self):
+        system, _ = _constructed(3, 1, 2, 2)
+        f9 = get_descriptor(3, 2)
+        o, z = f9.one(), f9.zero()
+        with pytest.raises(DescriptorMismatch):
+            verify_system_K_smooth(system, [[[z, o, z], [z, z, o], [o, z, z]]])
+
+    def test_each_field_builds_one_arithmetic(self, monkeypatch):
+        # construct, the symmetries and two verifies, with no arithmetic
+        # built beforehand: one per field, the base field's shared by the
+        # symmetry check and the orbit walk of both verifies
+        built = []
+        real = IndexArithmetic.__init__
+
+        def counting(self, field):
+            built.append(field)
+            real(self, field)
+
+        monkeypatch.setattr(IndexArithmetic, "__init__", counting)
+        base, big = get_descriptor(2), get_descriptor(2, 5)
+        for field in (base, big):
+            monkeypatch.setattr(field, "_arith", None)
+        system, symmetries = _constructed(2, 1, 4, 4)
+        assert sorted(map(repr, built)) == ["GF(2)", "GF(2^5)"]
+        del built[:]
+        monkeypatch.setattr(base, "_arith", None)
+        for _ in range(2):
+            assert verify_system_K_smooth(system, symmetries).k_smooth
+        assert len(built) == 1 and built[0] is base
 
     def test_subsystem_falls_back(self, certified_members):
         _, symmetries = _constructed(2, 1, 4, 4)
