@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DescriptorMismatch,
@@ -589,8 +590,9 @@ class IndexArithmetic:
     Fraction itself.  `mul` and `inv` (of a nonzero index) are functions of
     indices, and `combine` takes (c, shift, terms) triples, a nonzero index,
     an int and a map from ints to nonzero indices, and returns the map of
-    the sum of c times terms with every key moved by shift, zeros dropped:
-    - over Q, on Fractions;
+    the sum of c times terms with every key moved by shift, zeros dropped,
+    added into a copy of the map `start` when given:
+    - over Q, on integer numerators over one common denominator;
     - over GF(p), on ints, reduced mod p once per sum;
     - over a tabled GF(p^e), e > 1, on logs: a product adds them and reads
       the antilog list, and a sum is an XOR of indices in characteristic 2
@@ -614,13 +616,13 @@ class IndexArithmetic:
 
             self.index, self.element = index, field.element_from_index
         else:
-            self.index = self.element = Fraction
+            self.index = self.element = lambda x: x if x.__class__ is Fraction else Fraction(x)
         if p and e == 1:
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, -1, p)
 
-            def combine(parts):
-                acc = {}
+            def combine(parts, start=()):
+                acc = dict(start)
                 get = acc.get
                 for c, shift, terms in parts:
                     for k, v in terms.items():
@@ -636,8 +638,8 @@ class IndexArithmetic:
             self.mul = lambda a, b: exp[log[a] + log[b]]
             self.inv = lambda a: exp[n - log[a]]
             if p == 2:
-                def combine(parts):
-                    acc = {}
+                def combine(parts, start=()):
+                    acc = dict(start)
                     get = acc.get
                     for c, shift, terms in parts:
                         c = log[c]
@@ -646,8 +648,8 @@ class IndexArithmetic:
                             acc[k] = get(k, 0) ^ exp[c + log[v]]
                     return {k: v for k, v in acc.items() if v}
             else:
-                def combine(parts):
-                    acc = {}
+                def combine(parts, start=()):
+                    acc = dict(start)
                     get = acc.get
                     for c, shift, terms in parts:
                         c = log[c]
@@ -661,28 +663,36 @@ class IndexArithmetic:
                             else:
                                 acc[k] = exp[x]
                     return {k: v for k, v in acc.items() if v}
-        else:
-            if p:
-                def mul(a, b):
-                    return (FieldElement(field, a) * FieldElement(field, b)).idx
+        elif p:
+            def mul(a, b):
+                return (FieldElement(field, a) * FieldElement(field, b)).idx
 
-                def add(a, b):
-                    return _digitwise(a, b, 1, p, e)
-
-                self.inv = lambda a: FieldElement(field, a).inv().idx
-            else:
-                mul, add = operator.mul, operator.add
-                self.inv = lambda a: 1 / a
             self.mul = mul
+            self.inv = lambda a: FieldElement(field, a).inv().idx
 
-            def combine(parts):
-                acc = {}
+            def combine(parts, start=()):
+                acc = dict(start)
                 get = acc.get
                 for c, shift, terms in parts:
                     for k, v in terms.items():
                         k += shift
-                        acc[k] = add(get(k, 0), mul(c, v))
+                        acc[k] = _digitwise(get(k, 0), mul(c, v), 1, p, e)
                 return {k: v for k, v in acc.items() if v}
+        else:
+            self.mul = operator.mul
+            self.inv = lambda a: 1 / a
+
+            def combine(parts, start=()):
+                parts = [(1, 0, start), *parts] if start else parts
+                den = lcm(*[c.denominator * v.denominator for c, _, t in parts for v in t.values()])
+                acc = {}
+                get = acc.get
+                for c, shift, terms in parts:
+                    s = c.numerator * (den // c.denominator)
+                    for k, v in terms.items():
+                        k += shift
+                        acc[k] = get(k, 0) + s * v.numerator // v.denominator
+                return {k: Fraction(v, den) for k, v in acc.items() if v}
         self.combine = combine
 
     def rref(self, rows, ncols):
@@ -716,7 +726,7 @@ class IndexArithmetic:
             for i, row in enumerate(a):
                 f = row.get(c)
                 if f and i != r:
-                    a[i] = combine([(1, 0, row), (mul(f, minus_one), 0, a[r])])
+                    a[i] = combine([(mul(f, minus_one), 0, a[r])], row)
             pivots.append(c)
         return a, pivots, det
 

@@ -32,6 +32,11 @@ every monomial it has reduced, the first element whose leader divides it
 (see `_reduce_full`).  `normal_form` and `s_polynomial` always run on the
 given coefficients.
 
+Field elements stay at the boundary of a run: both certificate entry
+points, `smoothness.is_smooth` and `certify_combinations`, differentiate
+on run coefficients (`_jacobian`), and a basis from a run unpacks its
+elements only when they are first read (see `GroebnerBasis`).
+
 A pair is popped in normal selection order and skipped, without forming its
 S-polynomial, when the leaders are coprime (the product criterion) or when a
 third element's leader divides the pair's lcm and neither of its pairs with
@@ -221,14 +226,29 @@ class GroebnerBasis(Record):
     the pure-power stop, which generate the ideal and hold a pure-power
     leading monomial for every variable, but are neither reduced nor a
     Groebner basis.
+
+    A basis from a run keeps its slots and packed elements, which `elements`
+    unpacks on first read; equality, hash and repr read `elements`.
     """
 
-    __slots__ = ("field", "nvars", "elements")
+    __slots__ = ("field", "nvars", "_elements", "_packed")
+    _names = ("field", "nvars", "elements")
 
     def __init__(self, field, nvars, elements):
         self.field = field
         self.nvars = nvars
-        self.elements = elements
+        self._elements = elements
+        self._packed = None
+
+    @property
+    def elements(self):
+        if self._packed is not None:
+            slots, packed = self._packed
+            element = self.field.element_from_index if _run_prime(self.field) else None
+            self._elements, self._packed = tuple([
+                {slots.exponents(m): element(c) if element else c for m, c in t.items()}
+                for t in packed]), None
+        return self._elements
 
     @property
     def leading_monomials(self):
@@ -338,6 +358,22 @@ def _run_terms(terms, p):
     return {m: c.idx for m, c in terms.items()} if p else terms
 
 
+def _jacobian(terms, field):
+    """[F, dF/dx0, ..., dF/dxn], a zero partial empty, for a nonzero
+    homogeneous term map F with the coefficients of a run over the field,
+    each partial's terms in F's order; a partial multiplies by the exponent
+    as an int (mod p over GF(p)), or as an element over GF(p^e)."""
+    p, exps = _run_prime(field), next(iter(terms))
+    scalar = range(sum(exps) + 1)
+    scalar = [field.from_int(e) for e in scalar] if field.e > 1 else scalar
+    partials = [{} for _ in exps]
+    for m, c in terms.items():
+        for i, e in enumerate(m):
+            if e and (v := c * scalar[e] % p if p else c * scalar[e]):
+                partials[i][m[:i] + (e - 1,) + m[i + 1:]] = v
+    return [terms, *partials]
+
+
 def _packed_run(pack, nvars, degree, p, step_budget, stop):
     """`_run` on the generators `pack(slots)` returns for the given slots:
     packed, homogeneous, nonzero and of degree at most `degree`, with
@@ -357,55 +393,43 @@ def _packed_run(pack, nvars, degree, p, step_budget, stop):
 def certify_combinations(rows, field, nvars):
     """Projective emptiness of the ideals of linear combinations of rows.
 
-    `rows` holds one list of homogeneous forms or term maps per summand,
-    all lists of the same length.  The returned function takes
+    `rows` holds one list of homogeneous forms, or of term maps with run
+    coefficients as `_jacobian` gives them, per summand, all lists of the
+    same length.  The returned function takes
     coefficients (a_0, a_1, ...) in the field and says whether the nonzero
     ones among the forms sum_i a_i rows[i][k], in order of k, generate an
     ideal with empty zero set in P^n.  It runs the loop of
     `certificate_basis` on them, which decides the answer by whether its
     pure-power stop fires, and so agrees with `is_projectively_empty` of
     that basis; when every combined form is zero the answer is False.  The
-    rows are turned into run coefficients once and packed once per slot
-    width; each call combines them on the packed keys.
+    rows are turned into element indices once and packed once per slot
+    width; each call combines them on the packed keys with `combine`.
     """
     p = _run_prime(field)
-    rows = [[_run_terms(_terms_of(f), p) for f in row] for row in rows]
+    rows = [[_run_terms(f.terms, p) if isinstance(f, HomogeneousForm) else f for f in row]
+            for row in rows]
     degree = max(_degree(t) for row in rows for t in row if t)
+    # `combine` takes element indices, and a run over GF(p^e), e > 1, elements
+    elements = field.p and not p
+    if elements:
+        rows = [[_run_terms(t, field.p) for t in row] for row in rows]
+    combine, element = field.arithmetic.combine, field.arithmetic.element
     packed = {}     # slot width -> the rows packed
 
     def combined(scale, slots):
         got = packed.get(slots.width)
         if got is None:
             got = packed[slots.width] = [[slots.pack(t) for t in row] for row in rows]
-        return _combine(scale, got, p)
+        forms = [f for parts in zip(*got)
+                 if (f := combine([(a, 0, terms) for a, terms in zip(scale, parts) if a]))]
+        return [{m: element(c) for m, c in f.items()} for f in forms] if elements else forms
 
     def certify(coeffs):
-        scale = [a.idx for a in coeffs] if p else coeffs
+        scale = [a.idx for a in coeffs] if field.p else coeffs
         return _packed_run(lambda slots: combined(scale, slots), nvars, degree, p,
                            DEFAULT_STEP_BUDGET, True)[2]
 
     return certify
-
-
-def _combine(scale, rows, p):
-    """The nonzero ones among the forms sum_i scale[i] * rows[i][k], in
-    order of k, on packed term maps, with coefficients as in
-    `_make_monic`."""
-    out = []
-    for parts in zip(*rows):
-        acc = {}
-        for a, terms in zip(scale, parts):
-            if a:
-                for m, c in terms.items():
-                    v = acc.get(m)
-                    acc[m] = a * c if v is None else v + a * c
-        if p:
-            acc = {m: r for m, v in acc.items() if (r := v % p)}
-        else:
-            acc = {m: v for m, v in acc.items() if v}
-        if acc:
-            out.append(acc)
-    return out
 
 
 def _groebner(generators, field, nvars, step_budget, stop):
@@ -429,13 +453,18 @@ def _groebner(generators, field, nvars, step_budget, stop):
     if nvars is None:
         nvars = len(next(iter(gens[0])))
     p = _run_prime(field)
-    gens = [_run_terms(g, p) for g in gens]
+    return _run_basis([_run_terms(g, p) for g in gens], field, nvars,
+                      max(_degree(g) for g in gens), step_budget, stop)
+
+
+def _run_basis(gens, field, nvars, degree, step_budget, stop):
+    """`_groebner` on nonzero homogeneous term maps with run coefficients,
+    of degree at most `degree`."""
+    basis = GroebnerBasis(field, nvars, None)
     slots, elements, stopped = _packed_run(lambda slots: [slots.pack(g) for g in gens], nvars,
-                                           max(_degree(g) for g in gens), p, step_budget, stop)
-    elements = [slots.unpack(t) for t in elements]
-    if p:
-        elements = [{m: field.element_from_index(c) for m, c in t.items()} for t in elements]
-    return GroebnerBasis(field=field, nvars=nvars, elements=tuple(elements)), stopped
+                                           degree, _run_prime(field), step_budget, stop)
+    basis._packed = slots, elements
+    return basis, stopped
 
 
 def buchberger(generators, field=None, nvars=None, step_budget=DEFAULT_STEP_BUDGET):

@@ -394,7 +394,7 @@ def euler_combination(form):
 class LinearSystemOfForms:
     """Linear system spanned by r+1 independent homogeneous generators."""
 
-    __slots__ = ("field", "nvars", "degree", "generators")
+    __slots__ = ("field", "nvars", "degree", "generators", "_monomials", "_rows")
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -409,7 +409,8 @@ class LinearSystemOfForms:
         self.nvars = first.nvars
         self.degree = first.degree
         self.generators = gens
-        if coefficient_rank(gens) != len(gens):
+        self._monomials, self._rows = _index_rows(gens)
+        if len(self.field.arithmetic.rref(self._rows, len(self._monomials))[1]) != len(gens):
             raise DependentGenerators("generators are linearly dependent")
 
     @property
@@ -418,29 +419,38 @@ class LinearSystemOfForms:
         return len(self.generators) - 1
 
     def member(self, coeffs):
+        """sum_i coeffs[i] * G_i, one `IndexArithmetic.combine` of the
+        generators' index rows."""
         coeffs = tuple(coeffs)
         if len(coeffs) != len(self.generators):
             raise ValueError("one coefficient per generator required")
-        out = HomogeneousForm.zero(self.field, self.nvars, self.degree)
-        for a, g in zip(coeffs, self.generators):
-            if a:
-                out = out + g.scale(a)
-        return out
+        arith = self.field.arithmetic
+        index, element = arith.index, arith.element
+        terms = arith.combine([(index(a), 0, row) for a, row in zip(coeffs, self._rows) if a])
+        monomials = self._monomials
+        return _raw_form(self.field, self.nvars, self.degree,
+                         {monomials[k]: element(v) for k, v in terms.items()})
 
     def __repr__(self):
         return (f"<system of {len(self.generators)} forms, deg {self.degree}, "
                 f"P^{self.nvars - 1} over {self.field!r}>")
 
 
-def coefficient_rank(forms):
-    """The rank of the forms' coefficient vectors, each read straight from
-    its terms as one sparse row of element indices."""
-    arith = forms[0].field.arithmetic
-    index = arith.index
+def _index_rows(forms):
+    """The forms' monomials in order of first use, and each form's
+    coefficients as a sparse row of element indices over them."""
+    index = forms[0].field.arithmetic.index
     column = {}
     rows = [{column.setdefault(m, len(column)): index(c) for m, c in f.terms.items()}
             for f in forms]
-    return len(arith.rref(rows, len(column))[1])
+    return list(column), rows
+
+
+def coefficient_rank(forms):
+    """The rank of the forms' coefficient vectors, each read straight from
+    its terms as one sparse row of element indices."""
+    monomials, rows = _index_rows(forms)
+    return len(forms[0].field.arithmetic.rref(rows, len(monomials))[1])
 
 
 def random_element(field, rng):

@@ -68,11 +68,13 @@ from .fields import (
 )
 from .groebner import (
     DEFAULT_STEP_BUDGET,
-    GroebnerBasis,
-    _groebner,
+    _jacobian,
+    _run_basis,
+    _run_prime,
+    _run_terms,
     certify_combinations,
 )
-from .multipoly import HomogeneousForm, _compose, _raw_form, _Slots
+from .multipoly import HomogeneousForm, _compose, _Slots
 from .records import Record
 
 DEFAULT_WITNESS_CAP = 6
@@ -291,25 +293,31 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
     Q itself, so a singular verdict over Q always comes from there; it
     carries no witness: the refutation is exact but explicit algebraic
     points are out of scope.
+
+    The run and its Jacobian forms are on ints mod p over GF(p), and the
+    certificate builds field elements only when its `elements` are read.
     """
+    if not form:
+        raise ValueError("zero form has no smoothness question")
     if isinstance(form.field, FieldDescriptor):
-        basis, empty = _certificate(form)
+        basis, empty = _certificate(form, form.field, _run_terms(form.terms, _run_prime(form.field)))
         return Smooth(basis) if empty else Singular(_certified_witness(form, witness_cap))
     integral = _primitive_integer_terms(form.terms)
     for ell in _REDUCTION_PRIMES:
-        desc = get_descriptor(ell)
-        reduced = {m: desc.element_from_index(r) for m, c in integral.items() if (r := c % ell)}
-        basis, empty = _certificate(_raw_form(desc, form.nvars, form.degree, reduced))
+        reduced = {m: r for m, c in integral.items() if (r := c % ell)}
+        basis, empty = _certificate(form, get_descriptor(ell), reduced)
         if empty:
             return Smooth(basis)
-    basis, empty = _certificate(form)
+    basis, empty = _certificate(form, form.field, form.terms)
     return Smooth(basis) if empty else Singular(None)
 
 
-def _certificate(form):
-    """The `certificate_basis` of the form's Jacobian generators and whether
-    it certifies an empty zero set, read off the run's pure-power stop."""
-    return _groebner(jacobian_generators(form), None, None, DEFAULT_STEP_BUDGET, True)
+def _certificate(form, field, terms):
+    """The `certificate_basis` of the Jacobian generators of the nonzero
+    form, with its terms given as run terms over the field, and whether it
+    certifies an empty zero set, read off the run's pure-power stop."""
+    return _run_basis([t for t in _jacobian(terms, field) if t], field, form.nvars, form.degree,
+                      DEFAULT_STEP_BUDGET, True)
 
 
 def _primitive_integer_terms(terms):
@@ -448,9 +456,9 @@ def verify_system_K_smooth(system, symmetries=()):
     field = system.field
     if not isinstance(field, FieldDescriptor):
         raise ValueError("member enumeration requires a finite base field")
-    certify = certify_combinations(
-        [[g, *(g.partial_derivative(i) for i in range(system.nvars))]
-         for g in system.generators], field, system.nvars)
+    p = _run_prime(field)
+    certify = certify_combinations([_jacobian(_run_terms(g.terms, p), field)
+                                    for g in system.generators], field, system.nvars)
     induced = _induced_matrices(system, symmetries) if symmetries else None
     orbit_of = array("l")
     verdicts = []

@@ -1,6 +1,7 @@
 """Field arithmetic, linear algebra, enumeration and embedding tests."""
 
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -546,6 +547,34 @@ class TestIndexArithmetic:
                     assert bool(expected) == (len(pivots) == size)
                     if expected:
                         assert to_element(det) == expected
+
+    @pytest.mark.parametrize("name", ["2 1", "3 1", "65537 1", "2 2", "3 2", "untabled 3 2", "QQ"])
+    def test_combine_adds_into_a_copy_of_start(self, name, untabled):
+        # the sum with `start` is the sum with start as a part times one,
+        # which is how `rref` updated a row before
+        field = QQ if name == "QQ" else self._field(name, untabled)
+        arith = IndexArithmetic(field)
+        rng = random.Random(24)
+        if field is QQ:
+            def element():
+                return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+
+            index = to_element = Fraction
+        else:
+            def element():
+                return field.element_from_index(rng.randrange(min(field.order, 4)))
+
+            index, to_element = operator.attrgetter("idx"), field.element_from_index
+        for _ in range(30):
+            parts = [(c, rng.randrange(3), {k: x for k in range(6) if (x := element())})
+                     for _ in range(rng.randrange(3)) if (c := element())]
+            start = {k: x for k in range(6) if (x := element())}
+            start_indices = {k: index(x) for k, x in start.items()}
+            got = arith.combine([(index(c), shift, {k: index(x) for k, x in terms.items()})
+                                 for c, shift, terms in parts], start_indices)
+            assert {k: to_element(v) for k, v in got.items()} == reference_combine(
+                [(field.one(), 0, start), *parts])
+            assert start_indices == {k: index(x) for k, x in start.items()}
 
     def test_rationals(self):
         # over Q an index is the Fraction itself

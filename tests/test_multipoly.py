@@ -346,6 +346,81 @@ class TestLinearSystem:
         assert member == form(F3, 2, 2, [((2, 0), 2), ((0, 2), 1)])
 
 
+def reference_member(system, coeffs):
+    """sum_i coeffs[i] * G_i by scaling each generator and adding the forms
+    in turn."""
+    out = HomogeneousForm.zero(system.field, system.nvars, system.degree)
+    for a, g in zip(coeffs, system.generators):
+        if a:
+            out = out + g.scale(a)
+    return out
+
+
+class TestMember:
+    """`member`, one `combine` of the generators' index rows, against
+    scale-then-add on the forms."""
+
+    @staticmethod
+    def _agrees(system, coeffs):
+        member = system.member(coeffs)
+        assert member == reference_member(system, coeffs), coeffs
+        assert all(member.terms.values())
+        kind = Fraction if system.field is QQ else type(system.field.one())
+        assert all(type(c) is kind for c in member.terms.values())
+        if kind is not Fraction:
+            assert all(c.field is system.field for c in member.terms.values())
+        return member
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 17)], ids=str)
+    def test_finite_fields(self, p, e):
+        from ksmooth.multipoly import random_element, random_system
+        field = get_descriptor(p, e)
+        # GF(2^17) is above the table limit: its arithmetic is on digits
+        assert (field._exp is None) == (field.order > 2 ** 16)
+        rng = random.Random(31)
+        system = random_system(field, 3, 2, 3, rng)
+        for _ in range(20):
+            coeffs = [random_element(field, rng) for _ in range(3)]
+            if any(coeffs):
+                self._agrees(system, coeffs)
+        # a zero coefficient and the zero member
+        self._agrees(system, [field.zero(), field.one(), field.zero()])
+        assert not self._agrees(system, [field.zero()] * 3)
+
+    def test_rationals(self):
+        q = Fraction
+        g0 = HomogeneousForm(QQ, 3, 2, {(2, 0, 0): q(1), (0, 1, 1): q(-3, 4),
+                                        (0, 0, 2): q(5, 6)})
+        g1 = HomogeneousForm(QQ, 3, 2, {(2, 0, 0): q(2), (1, 1, 0): q(7, 3)})
+        g2 = HomogeneousForm(QQ, 3, 2, {(0, 2, 0): q(-1, 2), (0, 0, 2): q(5, 9)})
+        system = LinearSystemOfForms([g0, g1, g2])
+        for coeffs in ([q(1), q(1), q(1)], [q(-2, 3), q(5, 7), q(0)], [q(0), q(-1), q(3, 2)],
+                       [q(3), q(-7, 11), q(-1, 5)]):
+            self._agrees(system, coeffs)
+        # x0^2 cancels, and so does x2^2
+        member = self._agrees(system, [q(-2), q(1), q(3)])
+        assert (2, 0, 0) not in member.terms and (0, 0, 2) not in member.terms
+        assert not self._agrees(system, [q(0)] * 3)
+
+    def test_rational_members_of_seeded_integer_systems(self):
+        rng = random.Random(32)
+        system = LinearSystemOfForms(
+            [HomogeneousForm(QQ, 3, 3, {m: Fraction(c) for m in monomials_of_degree(3, 3)
+                                        if (c := rng.randint(-3, 3))}) for _ in range(3)])
+        for _ in range(30):
+            self._agrees(system, [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                                  for _ in range(3)])
+
+    @pytest.mark.parametrize("field", [F3, QQ], ids=str)
+    def test_wrong_coefficient_count(self, field):
+        f = HomogeneousForm(field, 2, 2, {(2, 0): field.one()})
+        g = HomogeneousForm(field, 2, 2, {(0, 2): field.one()})
+        system = LinearSystemOfForms([f, g])
+        for coeffs in ([field.one()], [field.one()] * 3):
+            with pytest.raises(ValueError):
+                system.member(coeffs)
+
+
 class TestJson:
     def test_form_round_trip_over_f4(self):
         f = HomogeneousForm(F4, 3, 2, {(2, 0, 0): U, (0, 1, 1): F4.one()})

@@ -24,6 +24,8 @@ from ksmooth.errors import PreconditionViolated
 from ksmooth.errors import DescriptorMismatch
 from ksmooth.fields import (
     QQ,
+    FieldDescriptor,
+    FieldElement,
     FieldMatrix,
     IndexArithmetic,
     enumerate_projective_points,
@@ -32,7 +34,13 @@ from ksmooth.fields import (
     normalize_projective,
 )
 from ksmooth import groebner, smoothness
-from ksmooth.groebner import buchberger, is_projectively_empty, normal_form
+from ksmooth.groebner import (
+    basis_to_json,
+    buchberger,
+    certificate_basis,
+    is_projectively_empty,
+    normal_form,
+)
 from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
@@ -346,6 +354,117 @@ class TestModularRoute:
         assert is_smooth(self._qq(3, 2, [((2, 0, 0), 1)])) == Singular(None)
         # a run mod 2, 3, 5 and 7, then the run over Q (p = 0)
         assert primes == [2, 3, 5, 7, 0]
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
+def _fixed_members():
+    """The fixed lifted (3,1,3,4) member of the lift_rational benchmark and
+    member #7 of the (3,1,4,3) system over GF(3)."""
+    lifted = lift_to_char_zero(construct_smooth_system(3, 1, 3, 4, 3))
+    system = construct_smooth_system(3, 1, 4, 3, 4)
+    points = enumerate_projective_points(F3, system.dim)
+    return {"lift3134": lifted.member([Fraction(c) for c in (0, -2, 1, 0)]),
+            "gf3-member-3143": system.member(next(itertools.islice(points, 7, None)))}
+
+
+class TestCertificateOnRead:
+    """`is_smooth` takes the Jacobian forms on run coefficients and builds
+    no field element until its certificate's `elements` are read; the
+    certificate then reads exactly as `certificate_basis` of
+    `jacobian_generators` of the form it certifies."""
+
+    @staticmethod
+    def _count_elements(monkeypatch):
+        """A list whose length is the number of FieldElements built or
+        looked up by index from now on."""
+        calls = []
+        init, from_index = FieldElement.__init__, FieldDescriptor.element_from_index
+
+        def counting_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        def counting_from_index(self, idx):
+            calls.append(idx)
+            return from_index(self, idx)
+
+        monkeypatch.setattr(FieldElement, "__init__", counting_init)
+        monkeypatch.setattr(FieldDescriptor, "element_from_index", counting_from_index)
+        return calls
+
+    @staticmethod
+    def _certified_form(form, certificate):
+        """The form the certificate certifies: the form, or over Q the
+        primitive reduction mod the certificate's l."""
+        if form.field is QQ and certificate.field is not QQ:
+            return primitive_reduction(form, certificate.field.p)
+        return form
+
+    def _assert_reads_as_certificate_basis(self, form):
+        eager = certificate_basis(jacobian_generators(self._certified_form(
+            form, is_smooth(form).certificate)))
+        # a fresh certificate for each read, as each read unpacks it
+        assert is_smooth(form).certificate == eager
+        assert eager == is_smooth(form).certificate
+        assert _hash_or_error(is_smooth(form).certificate) == _hash_or_error(eager)
+        assert repr(is_smooth(form).certificate) == repr(eager)
+        assert (json.dumps(basis_to_json(is_smooth(form).certificate))
+                == json.dumps(basis_to_json(eager)))
+        assert is_smooth(form) == Smooth(eager)
+
+    @pytest.mark.parametrize("name", ["lift3134", "gf3-member-3143"])
+    def test_no_field_element_before_the_certificate_is_read(self, name, monkeypatch):
+        form = _fixed_members()[name]
+        for ell in (2, 3, 5, 7):
+            get_descriptor(ell)
+        built = self._count_elements(monkeypatch)
+        verdict = is_smooth(form)
+        assert isinstance(verdict, Smooth)
+        assert verdict.certificate.field in (F2, F3)
+        assert built == []
+        assert verdict.certificate.elements
+        assert built
+        monkeypatch.undo()
+        self._assert_reads_as_certificate_basis(form)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F4, get_descriptor(3, 2)], ids=str)
+    def test_seeded_forms_over_finite_fields(self, field):
+        rng = random.Random(41)
+        smooth = 0
+        for _ in range(12):
+            form = random_form(field, 3, 3, rng)
+            if isinstance(is_smooth(form), Smooth):
+                smooth += 1
+                self._assert_reads_as_certificate_basis(form)
+        assert smooth
+
+    def test_seeded_forms_over_q(self):
+        # certified by a reduction mod 2, 3, 5 or 7, or by the run over Q
+        rng = random.Random(42)
+        forms = [HomogeneousForm(QQ, 3, 2, {(2, 0, 0): Fraction(210), (0, 2, 0): Fraction(1),
+                                            (0, 0, 2): Fraction(1)})]
+        for _ in range(10):
+            forms.append(HomogeneousForm(QQ, 3, 3, {
+                m: c for m in monomials_of_degree(3, 3)
+                if (c := Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))}))
+        fields = set()
+        for form in forms:
+            if isinstance(is_smooth(form), Smooth):
+                fields.add(is_smooth(form).certificate.field)
+                self._assert_reads_as_certificate_basis(form)
+        assert QQ in fields and fields & {F2, F3, F5}
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, get_descriptor(3, 2), get_descriptor(2, 17),
+                                       QQ], ids=str)
+    def test_zero_form_is_an_error(self, field):
+        with pytest.raises(ValueError):
+            is_smooth(HomogeneousForm.zero(field, 3, 2))
 
 
 class TestSearchSingularPoint:
