@@ -1,0 +1,199 @@
+"""The operations of a coefficient field on the indices of its elements:
+one `IndexArithmetic` per field, built on first use as the field's
+`arithmetic`, which is when `fields` first imports this module."""
+
+import operator
+from fractions import Fraction
+from math import lcm
+
+from .errors import DescriptorMismatch
+from .fields import _digits, _digitwise, _index, _monic_gcd, _mulmod, _powmod
+
+
+def _first_root(f, order, mul, add):
+    """The first index t below `order` with f(t) = 0 by Horner's rule, f an
+    index list (low degree first; 0 for f = []), or None."""
+    for t in range(order):
+        v = 0
+        for c in reversed(f):
+            v = add(mul(v, t), c)
+        if not v:
+            return t
+    return None
+
+
+class IndexArithmetic:
+    """The operations of a coefficient field on the indices of its elements,
+    for inner loops and linear algebra that keep FieldElement at their
+    boundary, where `index` and `element` convert; over Q an index is the
+    Fraction itself.  `mul` and `inv` (of a nonzero index) are functions of
+    indices, and `combine` takes (c, shift, terms) triples, a nonzero index,
+    an int and a map from ints to nonzero indices, and returns the map of
+    the sum of c times terms with every key moved by shift, zeros dropped,
+    added into a copy of the map `start` when given:
+    - over Q, on integer numerators over one common denominator;
+    - over GF(p), on ints, reduced mod p once per sum;
+    - over a tabled GF(p^e), e > 1, on logs: a product adds them and reads
+      the antilog list, and a sum is an XOR of indices in characteristic 2
+      and otherwise one Zech lookup on the logs, a + b = a * (1 + b/a);
+    - over an untabled GF(p^e), e > 1, a product by `_mulmod` on the digits
+      and a sum digit by digit, as FieldElement computes there.
+    A finite field also has `add` and `power(a, k)` (k >= 0) on indices,
+    and the univariate kernel of the line scan on index lists (low degree
+    first): `gcd(a, b)`, the monic gcd by the one Euclid loop `_monic_gcd`
+    ([] when both are zero), and `root(f)`, the first index t in canonical
+    order with f(t) = 0 by Horner's rule (`_first_root`).  The log and
+    antilog lists are built per instance as ints, O(q) entries, and share
+    the descriptor's ints, so each field builds its arithmetic once, as its
+    `arithmetic`; no operation but `element` builds a FieldElement."""
+
+    __slots__ = ("field", "index", "element", "mul", "inv", "combine", "add", "power", "gcd",
+                 "root")
+
+    def __init__(self, field):
+        self.field = field
+        p, e = field.p, field.e
+        if p:
+            def index(x):
+                if x.field is not field and x.field.key != field.key:
+                    raise DescriptorMismatch(f"{x!r} is not an element of {field!r}")
+                return x.idx
+
+            self.index, self.element = index, field.element_from_index
+        else:
+            self.index = self.element = lambda x: x if x.__class__ is Fraction else Fraction(x)
+        if p and e == 1:
+            self.mul = lambda a, b: a * b % p
+            self.inv = lambda a: pow(a, -1, p)
+            self.add = lambda a, b: (a + b) % p
+            self.power = lambda a, k: pow(a, k, p)
+
+            def combine(parts, start=()):
+                acc = dict(start)
+                get = acc.get
+                for c, shift, terms in parts:
+                    for k, v in terms.items():
+                        k += shift
+                        acc[k] = get(k, 0) + c * v
+                return {k: r for k, v in acc.items() if (r := v % p)}
+        elif p and field._exp is not None:
+            # the log of 0 is 2n, which the zero padding of `_exp` absorbs
+            n = field.order - 1
+            log = [x.log for x in field._elements]
+            exp = [x.idx for x in field._exp]
+            zech = field._zech
+            self.mul = lambda a, b: exp[log[a] + log[b]]
+            self.inv = lambda a: exp[n - log[a]]
+            self.power = lambda a, k: exp[log[a] * k % n] if a else int(not k)
+            if p == 2:
+                self.add = operator.xor
+
+                def combine(parts, start=()):
+                    acc = dict(start)
+                    get = acc.get
+                    for c, shift, terms in parts:
+                        c = log[c]
+                        for k, v in terms.items():
+                            k += shift
+                            acc[k] = get(k, 0) ^ exp[c + log[v]]
+                    return {k: v for k, v in acc.items() if v}
+            else:
+                def add(a, b):
+                    if not a or not b:
+                        return a or b
+                    a = log[a]
+                    return exp[a + zech[log[b] - a]]
+
+                self.add = add
+
+                def combine(parts, start=()):
+                    acc = dict(start)
+                    get = acc.get
+                    for c, shift, terms in parts:
+                        c = log[c]
+                        for k, v in terms.items():
+                            k += shift
+                            x = c + log[v]
+                            a = get(k)
+                            if a:
+                                a = log[a]
+                                acc[k] = exp[a + zech[x - a]]
+                            else:
+                                acc[k] = exp[x]
+                    return {k: v for k, v in acc.items() if v}
+        elif p:
+            red, q = field._red, field.order
+
+            def mul(a, b):
+                return _index(_mulmod(_digits(a, p, e), _digits(b, p, e), red, p), p)
+
+            def power(a, k):
+                return _index(_powmod(_digits(a, p, e), k, red, p), p)
+
+            self.mul, self.power = mul, power
+            self.inv = lambda a: power(a, q - 2)
+            self.add = lambda a, b: _digitwise(a, b, 1, p, e)
+
+            def combine(parts, start=()):
+                acc = dict(start)
+                get = acc.get
+                for c, shift, terms in parts:
+                    for k, v in terms.items():
+                        k += shift
+                        acc[k] = _digitwise(get(k, 0), mul(c, v), 1, p, e)
+                return {k: v for k, v in acc.items() if v}
+        else:
+            self.mul = operator.mul
+            self.inv = lambda a: 1 / a
+
+            def combine(parts, start=()):
+                parts = [(1, 0, start), *parts] if start else parts
+                den = lcm(*[c.denominator * v.denominator for c, _, t in parts for v in t.values()])
+                acc = {}
+                get = acc.get
+                for c, shift, terms in parts:
+                    s = c.numerator * (den // c.denominator)
+                    for k, v in terms.items():
+                        k += shift
+                        acc[k] = get(k, 0) + s * v.numerator // v.denominator
+                return {k: Fraction(v, den) for k, v in acc.items() if v}
+        self.combine = combine
+        if p:
+            mul, inv, add, q = self.mul, self.inv, self.add, field.order
+            self.gcd = lambda a, b: _monic_gcd(a, b, mul, inv, add, p - 1)
+            self.root = lambda f: _first_root(f, q, mul, add)
+
+    def rref(self, rows, ncols):
+        """The reduced row echelon form of a matrix of indices with `ncols`
+        columns, its rows given as maps from columns to nonzero entries, by
+        Gauss-Jordan elimination that takes as pivot of each column the
+        first nonzero entry at or below the current row.  Returns the
+        reduced rows, as such maps, the pivot columns, and the product of
+        the pivots signed by the row swaps: the determinant of a square
+        matrix with a pivot in every column."""
+        combine, mul = self.combine, self.mul
+        # the index of -1, whose only digit is p - 1
+        minus_one = self.field.p - 1
+        a = list(rows)
+        pivots = []
+        det = 1
+        for c in range(ncols):
+            r = len(pivots)
+            if r == len(a):
+                break
+            piv = next((i for i in range(r, len(a)) if c in a[i]), None)
+            if piv is None:
+                continue
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                det = mul(det, minus_one)
+            pv = a[r][c]
+            if pv != 1:
+                det = mul(det, pv)
+                a[r] = combine([(self.inv(pv), 0, a[r])])
+            for i, row in enumerate(a):
+                f = row.get(c)
+                if f and i != r:
+                    a[i] = combine([(mul(f, minus_one), 0, a[r])], row)
+            pivots.append(c)
+        return a, pivots, det

@@ -52,8 +52,36 @@ def _load(path):
         return json.load(fh)
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+# the C encoder of a list of scalars at each depth, by depth
+_LIST_ENCODERS = {}
+
+
+def _dumps(obj, depth=0):
+    """json.dumps(obj, indent=2), byte for byte, for JSON data with string
+    keys, with each list of scalars written by the C encoder in one call:
+    its item separator carries the newline and the indentation (json.dumps
+    with an indent takes the pure Python encoder for the whole document)."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + ",".join(pad + json.dumps(k) + ": " + _dumps(v, depth + 1)
+                              for k, v in obj.items()) + pad[:-2] + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _SCALARS.issuperset(map(type, obj)):
+            encode = _LIST_ENCODERS.get(depth)
+            if encode is None:
+                encode = _LIST_ENCODERS[depth] = json.JSONEncoder(separators=("," + pad, ": ")).encode
+            return "[" + pad + encode(obj)[1:-1] + pad[:-2] + "]"
+        return "[" + ",".join(pad + _dumps(v, depth + 1) for v in obj) + pad[:-2] + "]"
+    return json.dumps(obj)
+
+
 def _emit_json(obj):
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
 
 
 def _point_str(point):
@@ -72,8 +100,7 @@ def _cmd_construct(args):
     obj = construction_to_json(result)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+            fh.write(_dumps(obj) + "\n")
     if args.json:
         _emit_json(obj)
     else:

@@ -9,18 +9,17 @@ elements and build an antilog and a Zech list (O(q) entries each) from the
 log to the first generator of the unit group, so every operation (a power
 included) is one or two lookups.  Larger prime fields compute on the index
 mod p and larger extension fields on the digits.  Inner loops that combine
-many elements, and the linear algebra of `FieldMatrix`, work on the
-indices themselves (over Q on the Fractions), through the one
-`IndexArithmetic` each field builds.  Canonical moduli make every derived
-object bit-reproducible.
+many elements, the linear algebra of `FieldMatrix` and the univariate gcd
+and root search of the point search work on the indices themselves (over
+Q on the Fractions), through the one `IndexArithmetic` each field builds.
+Canonical moduli make every derived object bit-reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
-from math import lcm
+from math import prod
 
 from .errors import (
     DescriptorMismatch,
@@ -83,9 +82,16 @@ def _prime_factors(n):
 
 def _first_of_full_order(candidates, n):
     """The first candidate x, a unit of a field with x^n = 1, of order
-    exactly n: x^(n/r) != 1 for every prime r dividing n."""
+    exactly n: x^(n/r) != 1 for every prime r dividing n.  The powers share
+    one chain: y = x^(n/s), s the product of the primes, then y^(s/r) for
+    each r, the smallest (most often failing) first."""
     primes = _prime_factors(n)
-    return next(x for x in candidates if all((x ** (n // r)).idx != 1 for r in primes))
+    s = prod(primes)
+    for x in candidates:
+        y = x ** (n // s)
+        if all((y ** (s // r)).idx != 1 for r in primes):
+            return x
+    raise AssertionError("unreachable: no candidate of full order")
 
 
 def _digits(idx, p, k):
@@ -162,14 +168,16 @@ def _mulmod(a, b, rows, p):
 
 
 def _powmod(a, k, rows, p):
-    result = (1,) + (0,) * (len(a) - 1)
+    """a^k for k >= 0, squaring only below the top bit of k and starting
+    from the first power taken instead of multiplying 1 by it."""
+    result = None
     while k:
         if k & 1:
-            result = _mulmod(result, a, rows, p)
+            result = a if result is None else _mulmod(result, a, rows, p)
         k >>= 1
         if k:
             a = _mulmod(a, a, rows, p)
-    return result
+    return (1,) + (0,) * (len(a) - 1) if result is None else result
 
 
 def _poly_trim(a):
@@ -178,44 +186,41 @@ def _poly_trim(a):
     return a
 
 
-def _poly_gcd(a, b, p):
-    """Monic gcd of two coefficient lists (low degree first) over F_p."""
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
+def _monic_gcd(a, b, mul, inv, add, minus_one):
+    """The one Euclid loop: the monic gcd of two polynomials given as lists
+    of element indices (low degree first), [] when both are zero, with a
+    field's `mul`, `inv` and `add` on indices and the index of -1."""
+    a = _poly_trim(list(a))
+    b = _poly_trim(list(b))
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        r = a
-        for i in range(len(r) - 1, len(bm) - 2, -1):
-            c = r[i]
+        s = mul(inv(b[-1]), minus_one)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i]
             if c:
-                off = i - (len(bm) - 1)
-                for j in range(len(bm)):
-                    r[off + j] = (r[off + j] - c * bm[j]) % p
-        a, b = bm, _poly_trim(r)
+                c = mul(c, s)
+                off = i - db
+                for j in range(db):
+                    if b[j]:
+                        a[off + j] = add(a[off + j], mul(c, b[j]))
+        a, b = b, _poly_trim(a[:db])
+    if a and a[-1] != 1:
+        s = inv(a[-1])
+        a = [mul(c, s) for c in a]
     return a
 
 
 def poly_gcd(a, b):
     """Monic gcd of two univariate polynomials over one finite field, given
-    as lists of FieldElements (low degree first); [] when both are zero."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        inv = b[-1].inv()
-        db = len(b) - 1
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                c = c * inv
-                off = i - db
-                for j in range(db):
-                    a[off + j] = a[off + j] - c * b[j]
-        a, b = b, _poly_trim(a[:db])
-    if a:
-        inv = a[-1].inv()
-        a = [c * inv for c in a]
-    return a
+    as lists of FieldElements (low degree first); [] when both are zero.
+    It runs the field's `IndexArithmetic.gcd` on the elements' indices."""
+    field = next((c.field for c in (*a, *b)), None)
+    if field is None:
+        return []
+    arith = field.arithmetic
+    index = arith.index
+    return list(map(field.element_from_index,
+                    arith.gcd([index(c) for c in a], [index(c) for c in b])))
 
 
 def is_irreducible(coeffs, p):
@@ -234,7 +239,8 @@ def is_irreducible(coeffs, p):
         t = _powmod(t, p, rows, p)
         diff = list(t)
         diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(coeffs, diff, p)) > 1:
+        if len(_monic_gcd(coeffs, diff, lambda a, b: a * b % p, lambda a: pow(a, -1, p),
+                          lambda a, b: (a + b) % p, p - 1)) > 1:
             return False
     return True
 
@@ -360,6 +366,8 @@ class FieldDescriptor:
     def arithmetic(self):
         """The field's one `IndexArithmetic`, built on first use."""
         if self._arith is None:
+            # imported here: `arithmetic` reads this module's digit helpers
+            from .arithmetic import IndexArithmetic
             self._arith = IndexArithmetic(self)
         return self._arith
 
@@ -546,13 +554,9 @@ class FieldElement:
             return self.inv() ** (-n)
         if not self.idx:
             return self if n else f.one()
-        result, base = f.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if f.e == 1:
+            return FieldElement(f, pow(self.idx, n, f.p))
+        return FieldElement(f, _index(_powmod(self.coeffs, n, f._red, f.p), f.p))
 
     def __bool__(self):
         return self.idx != 0
@@ -581,154 +585,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self}::{self.field!r}"
-
-
-class IndexArithmetic:
-    """The operations of a coefficient field on the indices of its elements,
-    for inner loops and linear algebra that keep FieldElement at their
-    boundary, where `index` and `element` convert; over Q an index is the
-    Fraction itself.  `mul` and `inv` (of a nonzero index) are functions of
-    indices, and `combine` takes (c, shift, terms) triples, a nonzero index,
-    an int and a map from ints to nonzero indices, and returns the map of
-    the sum of c times terms with every key moved by shift, zeros dropped,
-    added into a copy of the map `start` when given:
-    - over Q, on integer numerators over one common denominator;
-    - over GF(p), on ints, reduced mod p once per sum;
-    - over a tabled GF(p^e), e > 1, on logs: a product adds them and reads
-      the antilog list, and a sum is an XOR of indices in characteristic 2
-      and otherwise one Zech lookup on the logs, a + b = a * (1 + b/a);
-    - over an untabled GF(p^e), e > 1, a product by FieldElement
-      arithmetic and a sum digit by digit, as FieldElement adds there.
-    The log and antilog lists are built per instance as ints, O(q) entries,
-    and share the descriptor's ints, so each field builds its arithmetic
-    once, as its `arithmetic`."""
-
-    __slots__ = ("field", "index", "element", "mul", "inv", "combine")
-
-    def __init__(self, field):
-        self.field = field
-        p, e = field.p, field.e
-        if p:
-            def index(x):
-                if x.field is not field and x.field.key != field.key:
-                    raise DescriptorMismatch(f"{x!r} is not an element of {field!r}")
-                return x.idx
-
-            self.index, self.element = index, field.element_from_index
-        else:
-            self.index = self.element = lambda x: x if x.__class__ is Fraction else Fraction(x)
-        if p and e == 1:
-            self.mul = lambda a, b: a * b % p
-            self.inv = lambda a: pow(a, -1, p)
-
-            def combine(parts, start=()):
-                acc = dict(start)
-                get = acc.get
-                for c, shift, terms in parts:
-                    for k, v in terms.items():
-                        k += shift
-                        acc[k] = get(k, 0) + c * v
-                return {k: r for k, v in acc.items() if (r := v % p)}
-        elif p and field._exp is not None:
-            # the log of 0 is 2n, which the zero padding of `_exp` absorbs
-            n = field.order - 1
-            log = [x.log for x in field._elements]
-            exp = [x.idx for x in field._exp]
-            zech = field._zech
-            self.mul = lambda a, b: exp[log[a] + log[b]]
-            self.inv = lambda a: exp[n - log[a]]
-            if p == 2:
-                def combine(parts, start=()):
-                    acc = dict(start)
-                    get = acc.get
-                    for c, shift, terms in parts:
-                        c = log[c]
-                        for k, v in terms.items():
-                            k += shift
-                            acc[k] = get(k, 0) ^ exp[c + log[v]]
-                    return {k: v for k, v in acc.items() if v}
-            else:
-                def combine(parts, start=()):
-                    acc = dict(start)
-                    get = acc.get
-                    for c, shift, terms in parts:
-                        c = log[c]
-                        for k, v in terms.items():
-                            k += shift
-                            x = c + log[v]
-                            a = get(k)
-                            if a:
-                                a = log[a]
-                                acc[k] = exp[a + zech[x - a]]
-                            else:
-                                acc[k] = exp[x]
-                    return {k: v for k, v in acc.items() if v}
-        elif p:
-            def mul(a, b):
-                return (FieldElement(field, a) * FieldElement(field, b)).idx
-
-            self.mul = mul
-            self.inv = lambda a: FieldElement(field, a).inv().idx
-
-            def combine(parts, start=()):
-                acc = dict(start)
-                get = acc.get
-                for c, shift, terms in parts:
-                    for k, v in terms.items():
-                        k += shift
-                        acc[k] = _digitwise(get(k, 0), mul(c, v), 1, p, e)
-                return {k: v for k, v in acc.items() if v}
-        else:
-            self.mul = operator.mul
-            self.inv = lambda a: 1 / a
-
-            def combine(parts, start=()):
-                parts = [(1, 0, start), *parts] if start else parts
-                den = lcm(*[c.denominator * v.denominator for c, _, t in parts for v in t.values()])
-                acc = {}
-                get = acc.get
-                for c, shift, terms in parts:
-                    s = c.numerator * (den // c.denominator)
-                    for k, v in terms.items():
-                        k += shift
-                        acc[k] = get(k, 0) + s * v.numerator // v.denominator
-                return {k: Fraction(v, den) for k, v in acc.items() if v}
-        self.combine = combine
-
-    def rref(self, rows, ncols):
-        """The reduced row echelon form of a matrix of indices with `ncols`
-        columns, its rows given as maps from columns to nonzero entries, by
-        Gauss-Jordan elimination that takes as pivot of each column the
-        first nonzero entry at or below the current row.  Returns the
-        reduced rows, as such maps, the pivot columns, and the product of
-        the pivots signed by the row swaps: the determinant of a square
-        matrix with a pivot in every column."""
-        combine, mul = self.combine, self.mul
-        # the index of -1, whose only digit is p - 1
-        minus_one = self.field.p - 1
-        a = list(rows)
-        pivots = []
-        det = 1
-        for c in range(ncols):
-            r = len(pivots)
-            if r == len(a):
-                break
-            piv = next((i for i in range(r, len(a)) if c in a[i]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                det = mul(det, minus_one)
-            pv = a[r][c]
-            if pv != 1:
-                det = mul(det, pv)
-                a[r] = combine([(self.inv(pv), 0, a[r])])
-            for i, row in enumerate(a):
-                f = row.get(c)
-                if f and i != r:
-                    a[i] = combine([(mul(f, minus_one), 0, a[r])], row)
-            pivots.append(c)
-        return a, pivots, det
 
 
 def frobenius(x, power=1):
@@ -905,6 +761,10 @@ class FieldEmbedding:
         if x.field.key != self.small.key:
             raise DescriptorMismatch("element is not in the small field")
         return self._image[x.idx]
+
+    def up_index(self, i):
+        """The index of the image of the small field's element of index i."""
+        return self._image[i].idx
 
     def down(self, y):
         if y.field.key != self.big.key:

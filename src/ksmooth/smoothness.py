@@ -25,6 +25,16 @@ when the gcd is zero, which happens only on a line singular throughout,
 whose point (0, ..., 0, 1) was found first).  The first witness is thus the
 one a point-by-point scan would meet first, at the cost of O(n * terms +
 n * d^2) field operations per line instead of one evaluation per point.
+On a line, dF/dx_n restricts to the derivative in t of F's restriction, so
+each line starts from gcd(F|, (F|)') and folds in the partials in x_0, ...,
+x_{n-1} only while the gcd is not constant.
+
+All of the scan runs on element indices through the field's one
+`IndexArithmetic`: prefixes are index tuples, a restriction is one
+`combine` of the form's terms grouped by their monomial in the prefix (on
+logs in a tabled extension field), the gcd and the first root are the
+arithmetic's `gcd` and `root`, and x -> x^q is its `power`.  Only the
+witness returned is built as FieldElements.
 
 Level k of the search scans GF(q^k), where GF(q) holds the coefficients of
 F.  Three rules, each exact, keep a level from redoing what the Frobenius
@@ -51,7 +61,7 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd, lcm
 
 from .errors import PreconditionViolated, WitnessNotFoundWithinCap
@@ -64,7 +74,6 @@ from .fields import (
     field_to_json,
     get_descriptor,
     get_embedding,
-    poly_gcd,
 )
 from .groebner import (
     DEFAULT_STEP_BUDGET,
@@ -147,118 +156,170 @@ def search_singular_point(form, max_ext_degree):
     restrictions have a nonzero constant gcd holds no witness, and on any
     other line the first root of the gcd in canonical order is the first
     witness on it.  Each later level scans only the lines that level 1 and
-    the Frobenius have not decided (see the module docstring)."""
+    the Frobenius have not decided (see the module docstring).  All of it
+    runs on element indices; only the witness is built as FieldElements."""
     field = form.field
     if not isinstance(field, FieldDescriptor):
         raise ValueError("the point search requires a finite base field")
     if max_ext_degree < 1:
         raise ValueError("max extension degree must be >= 1")
-    gens = jacobian_generators(form)
+    charts = _line_charts(form)
     n = form.nvars - 1
-    apex = (field.zero(),) * n + (field.one(),)
-    if all(not g.evaluate(apex) for g in gens):
-        return SingularWitness(point=apex, field=field)
+    # at (0, ..., 0, 1), F is its coefficient of x_n^d and dF/dx_i, i < n,
+    # that of x_i x_n^(d-1)
+    if all(sum(m[:n]) > 1 for m in form.terms):
+        return SingularWitness(point=(field.zero(),) * n + (field.one(),), field=field)
     if not n:
         return None
     # the GF(q)-prefixes whose gcd is not a nonzero constant, with that gcd
     lines = {}
-    point = _scan_lines(field, n, gens, lines=lines)
-    if point is not None:
-        return SingularWitness(point=point, field=field)
-    if n == 1 and not lines:
-        # the one line of a binary form lies over GF(q): level 1 decided it
-        return None
-    for k in range(2, max_ext_degree + 1):
+    point = _scan_lines(field.arithmetic, charts, lines=lines)
+    desc, k = field, 1
+    # the one line of a binary form lies over GF(q), so without a recorded
+    # gcd level 1 decided it
+    while point is None and k < max_ext_degree and (n > 1 or lines):
+        k += 1
         desc = get_descriptor(field.p, field.e * k)
-        emb = get_embedding(field, desc)
-        lifted = {tuple(map(emb.up, prefix)): list(map(emb.up, gcd))
-                  for prefix, gcd in lines.items()}
-        point = _scan_lines(desc, n, [g.embed(emb) for g in gens], field, lifted)
-        if point is not None:
-            return SingularWitness(point=point, field=desc)
-    return None
+        up = get_embedding(field, desc).up_index
+        lifted = {tuple(map(up, prefix)): list(map(up, gcd)) for prefix, gcd in lines.items()}
+        point = _scan_lines(desc.arithmetic, [
+            (tails, [[(i, {j: up(c) for j, c in group.items()}) for i, group in chart]
+                     for chart in rows]) for tails, rows in charts], field, lifted)
+    if point is None:
+        return None
+    return SingularWitness(point=tuple(map(desc.element_from_index, point)), field=desc)
 
 
-def _scan_lines(desc, n, gens, base=None, lines=None):
-    """First point with a nonzero prefix (x0, ..., x_{n-1}) where every form
-    in gens vanishes, or None.
+def _line_charts(form):
+    """F and its nonzero partials in x_0, ..., x_{n-1}, grouped for the
+    lines of the prefixes whose leading 1 is at each position `lead`: the
+    distinct tails, exponent tuples of x_{lead+1}, ..., x_{n-1}, among the
+    terms free of x_0, ..., x_{lead-1}, and for each of the forms, F first,
+    a list of (tail position, map from the exponent of x_n to the
+    coefficient's index); x_lead = 1 drops out.  dF/dx_n is left out: on a
+    line (x_0, ..., x_{n-1}, t) its restriction is the derivative in t of
+    F's."""
+    if not form:
+        raise ValueError("zero form has no smoothness question")
+    mul, p, n = form.field.arithmetic.mul, form.field.p, form.nvars - 1
+    terms = {m: c.idx for m, c in form.terms.items()}
+    rows = [terms]
+    for i in range(n):
+        row = {m[:i] + (m[i] - 1,) + m[i + 1:]: mul(c, m[i] % p)
+               for m, c in terms.items() if m[i] % p}
+        if row:
+            rows.append(row)
+    charts = []
+    for lead in range(n):
+        tails, where, groups = [], {}, []
+        for row in rows:
+            by_tail = {}
+            for m, c in row.items():
+                if not any(m[:lead]):
+                    by_tail.setdefault(m[lead + 1:n], {})[m[n]] = c
+            for tail in by_tail:
+                if tail not in where:
+                    where[tail] = len(tails)
+                    tails.append(tail)
+            groups.append([(where[tail], group) for tail, group in by_tail.items()])
+        charts.append((tails, groups))
+    return charts
+
+
+def _scan_lines(arith, charts, base=None, lines=None):
+    """First point with a nonzero prefix (x0, ..., x_{n-1}) where F and all
+    its partials vanish, as a tuple of element indices, or None; `charts`
+    are the `_line_charts` of F, with coefficients over the field of
+    `arith`.
+
+    The prefixes are index tuples in the order of `enumerate_projective_points`:
+    for each position of the leading 1, the coordinates after it (the tail)
+    in base-q order.  A restriction is one `combine` of the form's groups
+    there, scaled by the values of their tail monomials.
 
     Without `base` every prefix gets one restriction and gcd, and `lines`,
     when given, receives under its prefix the gcd of each line that is not
-    a nonzero constant and has no root in desc.  With `base`, a proper
-    subfield GF(q) of desc holding every coefficient of gens, only the first
-    prefix of each orbit under x -> x^q is scanned, and a prefix the map
-    fixes, which lies over GF(q), takes its gcd from `lines` (the base
-    scan's record, mapped into desc): a prefix missing there holds no
-    witness."""
-    d = gens[0].degree
-    zero, one = desc.zero(), desc.one()
+    a nonzero constant and has no root.  With `base`, a proper subfield
+    GF(q) holding every coefficient of the forms, only the first prefix of
+    each orbit under x -> x^q is scanned, and a prefix the map fixes, which
+    lies over GF(q), takes its gcd from `lines` (the base scan's record,
+    mapped into this field): a prefix missing there holds no witness."""
+    field = arith.field
+    mul, power, root = arith.mul, arith.power, arith.root
+    n = len(charts)
     if base is not None:
-        q, k = base.order, desc.e // base.e
-    # each term as (prefix exponents, exponent of the last coordinate, coefficient)
-    split = [[(m[:-1], m[-1], c) for m, c in g.terms.items()] for g in gens]
-    for prefix in enumerate_projective_points(desc, n - 1):
-        if base is None:
-            gcd = _restricted_gcd(prefix, split, d, zero, one)
-        else:
-            length = _orbit_length(prefix, q, k)
-            if not length:
-                continue
-            if length == 1:
-                gcd = lines.get(prefix)
-                if gcd is None:
-                    continue
+        q, k = base.order, field.e // base.e
+    for lead in range(n - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        tails, groups = charts[lead]
+        for tail in product(range(field.order), repeat=n - 1 - lead):
+            if base is None:
+                gcd = _restricted_gcd(arith, groups, _tail_values(tail, tails, mul, power))
             else:
-                gcd = _restricted_gcd(prefix, split, d, zero, one)
-        if len(gcd) == 1:
-            continue
-        for t in desc.elements():
-            v = zero
-            for c in reversed(gcd):
-                v = v * t + c
-            if not v:
-                return prefix + (t,)
-        if base is None and lines is not None:
-            lines[prefix] = gcd
+                length = _orbit_length(tail, power, q, k)
+                if not length:
+                    continue
+                if length == 1:
+                    gcd = lines.get(head + tail)
+                    if gcd is None:
+                        continue
+                else:
+                    gcd = _restricted_gcd(arith, groups, _tail_values(tail, tails, mul, power))
+            if len(gcd) == 1:
+                continue
+            t = root(gcd)
+            if t is not None:
+                return head + tail + (t,)
+            if base is None and lines is not None:
+                lines[head + tail] = gcd
     return None
 
 
-def _restricted_gcd(prefix, split, d, zero, one):
-    """Monic gcd of the forms restricted to the line of `prefix`, as
-    polynomials in its last coordinate t; [] when all of them vanish."""
-    monomials = {}
-    gcd = []
-    for terms in split:
-        line = [zero] * (d + 1)
-        for head, j, c in terms:
-            v = monomials.get(head)
-            if v is None:
-                v = one
-                for x, e in zip(prefix, head):
-                    if e:
-                        v = v * x ** e
-                monomials[head] = v
-            if v:
-                line[j] = line[j] + c * v
-        gcd = poly_gcd(gcd, line)
-        if len(gcd) == 1:
+def _tail_values(tail, tails, mul, power):
+    """The value of each tail monomial at the coordinates `tail`."""
+    values = []
+    for exps in tails:
+        v = 1
+        for x, e in zip(tail, exps):
+            if e:
+                v = power(x, e) if v == 1 else mul(v, power(x, e))
+        values.append(v)
+    return values
+
+
+def _restricted_gcd(arith, groups, values):
+    """Monic gcd of F and its partials restricted to a line, as an index
+    list in its last coordinate t (low degree first); [] when all of them
+    vanish.  It starts from gcd(F|, (F|)'), (F|)' being the restriction of
+    dF/dx_n, and folds in the other partials until it is constant."""
+    combine, mul, gcd, p = arith.combine, arith.mul, arith.gcd, arith.field.p
+    scaled = ([(values[i], 0, group) for i, group in form if values[i]] for form in groups)
+    f = _dense(combine(next(scaled)))
+    g = gcd(f, [mul(c, j % p) if c and j % p else 0 for j, c in enumerate(f) if j])
+    for parts in scaled:
+        if len(g) == 1:
             break
-    return gcd
+        g = gcd(g, _dense(combine(parts)))
+    return g
 
 
-def _orbit_length(prefix, q, k):
+def _dense(line):
+    """A map from exponents to nonzero indices as a coefficient list."""
+    return [line.get(j, 0) for j in range(max(line) + 1)] if line else []
+
+
+def _orbit_length(tail, power, q, k):
     """Length of the orbit of a prefix over GF(q^k) under x -> x^q, applied
     coordinate by coordinate, or 0 when one of its conjugates comes before
     it in enumeration order.  Every conjugate keeps the zeros and the leading
-    1, so that order compares the coordinates' indices lexicographically."""
-    key = [x.idx for x in prefix]
-    conj = prefix
+    1, so only the tail after the 1 moves, and that order compares the
+    tails' indices lexicographically."""
+    conj = tail
     for length in range(1, k):
-        conj = [x ** q for x in conj]
-        idx = [x.idx for x in conj]
-        if idx == key:
+        conj = tuple([power(x, q) for x in conj])
+        if conj == tail:
             return length
-        if idx < key:
+        if conj < tail:
             return 0
     return k
 

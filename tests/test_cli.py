@@ -713,3 +713,52 @@ class TestPinnedOutput:
             code, out, _ = run(capsys, argv)
             got[label] = (code, hashlib.sha256(out.encode()).hexdigest())
         assert got == PINNED_STDOUT
+
+
+class TestJsonWriter:
+    """`cli._dumps`, the one indent-2 writer of stdout and `construct -o`,
+    against json.dumps(obj, indent=2)."""
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}]}, [[[]], [{}]],
+        [-1, 0, -2 ** 70, 3], [True, False, None], {"t": True, "f": False, "n": None},
+        {"s": "quote \" backslash \\ newline \n tab \t e-acute é ctrl \x01"},
+        ["☃", "", "x"], {"n": -5, "k": [1, {"m": [-1, []]}]}, ("a", 1), 7, -3, "s", None,
+        {"é \n": [{}]},
+    ], ids=repr)
+    def test_matches_json_dumps(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_every_subcommand(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        real = cli._dumps
+
+        def checked(obj, depth=0):
+            out = real(obj, depth)
+            if not depth:
+                seen.append(obj)
+                assert out == json.dumps(obj, indent=2)
+            return out
+        monkeypatch.setattr(cli, "_dumps", checked)
+        system = tmp_path / "sys.json"
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(form_to_json(GF4_WITNESS_FORM)))
+        singular = tmp_path / "singular.json"
+        singular.write_text(json.dumps(system_to_json(LinearSystemOfForms([GF4_WITNESS_FORM]))))
+        commands = [
+            ["construct", "--p", "2", "--n", "2", "--d", "3", "--r", "2", "-o", str(system),
+             "--json"],
+            ["verify", str(system), "--json"],
+            ["verify", str(singular), "--oracle", "--max-ext", "2", "--json"],
+            ["check", str(form), "--json"],
+            ["lift", str(system), "--samples", "2", "--json"],
+            ["quadrics", "--random", "2", "--k", "1", "--n", "3", "--seed", "0", "--json"],
+            ["example", "f3", "--verify", "--json"],
+        ]
+        for argv in commands:
+            code, out, err = run(capsys, argv)
+            assert code in (0, 1) and not err, argv
+            assert out == json.dumps(seen[-1], indent=2) + "\n"
+        # -o and --json write the same object
+        assert system.read_text() == json.dumps(seen[0], indent=2) + "\n"
+        assert len(seen) == len(commands) + 1

@@ -16,12 +16,12 @@ from ksmooth.errors import (
     NoSolution,
     WrongCharacteristic,
 )
+from ksmooth.arithmetic import IndexArithmetic
 from ksmooth.fields import (
     QQ,
     FieldDescriptor,
     FieldEmbedding,
     FieldMatrix,
-    IndexArithmetic,
     _digits,
     _digitwise,
     _index,
@@ -228,25 +228,75 @@ class TestElementOps:
     @staticmethod
     def _check_against_coefficients(field, lefts, rights):
         """a + b, a - b, a * b and a / b for a in lefts and b in rights, and
-        -a and a.inv(), agree with arithmetic on the coefficient digits."""
+        -a and a.inv(), agree with arithmetic on the coefficient digits: a
+        sum digit by digit mod p, and a * b as the sum over the digits a_i
+        of a of a_i * (u^i * b), with u^i * b from `_mulmod` (a * b mod p in
+        a prime field).  The product is linear in the digits of a, so over
+        a whole field (lefts all of it, in order) the column of b is built
+        by adding the multiples of u^i * b one digit position at a time."""
         p, e, red = field.p, field.e, field._red
-        digits = [b.coeffs for b in rights]
-        columns = list(zip(*digits))
-        units = [b for b in rights if b]
-        element = {x.coeffs: x for x in field.elements()}.__getitem__
+        els = field.elements()
+        if p == 2:
+            def plus(xs, y):
+                return [x ^ y for x in xs]
+        elif e == 1:
+            def plus(xs, y):
+                return [(x + y) % p for x in xs]
+        else:
+            # the digit-wise sums x + y for every x in order, y's digits
+            # added one position at a time
+            table = []
+            for y in range(field.order):
+                column = [0]
+                for i, d in enumerate(_digits(y, p, e)):
+                    column = [x + (s + d) % p * p ** i for s in range(p) for x in column]
+                table.append(column)
 
-        def digitwise(ad, sign):
-            return [element(cs) for cs in zip(*[[(x + sign * y) % p for y in col]
-                                                 for x, col in zip(ad, columns)])]
+            def plus(xs, y):
+                return [table[y][x] for x in xs]
 
+        idx = [a.idx for a in lefts]
+        full = idx == list(range(field.order))
+        for b in rights:
+            if e == 1:
+                column = [a * b.idx % p for a in idx]
+            else:
+                # the multiples of u^i * b, by digit position i
+                ub = []
+                for i in range(e):
+                    v = [0, _index(_mulmod(_digits(p ** i, p, e), b.coeffs, red, p), p)]
+                    while len(v) < p:
+                        v += plus(v[-1:], v[1])
+                    ub.append(v)
+                if full:
+                    column = [0]
+                    for v in ub:
+                        column = [z for y in v for z in plus(column, y)]
+                else:
+                    column = []
+                    for a in idx:
+                        x = [0]
+                        for c, v in zip(_digits(a, p, e), ub):
+                            x = plus(x, v[c])
+                        column += x
+            same = itertools.repeat(b)
+            assert list(map(operator.mul, lefts, same)) == list(map(els.__getitem__, column))
+            assert list(map(operator.add, lefts, same)) == list(map(els.__getitem__,
+                                                                    plus(idx, b.idx)))
+            minus_b = _index([-d % p for d in b.coeffs], p)
+            assert list(map(operator.sub, lefts, same)) == list(map(els.__getitem__,
+                                                                    plus(idx, minus_b)))
+            if b and full:
+                # the product column is a permutation; the quotient inverts it
+                preimage = dict(zip(column, lefts))
+                assert list(map(operator.truediv, lefts, same)) == list(map(preimage.__getitem__,
+                                                                            idx))
+            elif b:
+                # the product is checked just above, so this pins the quotient
+                assert [(a / b) * b for a in lefts] == lefts
         for a in lefts:
             ad = a.coeffs
-            assert [a + b for b in rights] == digitwise(ad, 1)
-            assert [a - b for b in rights] == digitwise(ad, -1)
-            assert [a * b for b in rights] == [element(_mulmod(ad, bd, red, p)) for bd in digits]
-            # the product is checked just above, so this pins the quotient
-            assert [(a / b) * b for b in units] == [a] * len(units)
-            assert -a == element(tuple(-x % p for x in ad))
+            assert -a == els[_index([-x % p for x in ad], p)]
             if a:
                 assert _mulmod(a.inv().coeffs, ad, red, p) == _digits(1, p, e)
 
@@ -447,6 +497,15 @@ class TestTableBuild:
         calls = count_mulmod_calls(monkeypatch)
         FieldDescriptor(2, 16)
         assert 0 < calls[0] <= 2000
+
+    def test_generator_search_shares_its_power_chain(self, monkeypatch):
+        # GF(7^3): 342 = 2 * 3^2 * 19, first generator at index 22; the
+        # candidates 7..22 took 328 of 404 products with one chain per
+        # prime and a multiply by 1 to start each power
+        calls = count_mulmod_calls(monkeypatch)
+        field = FieldDescriptor(7, 3)
+        assert field._exp[1].idx == 22
+        assert calls[0] <= 304
 
 
 class TestIndexArithmetic:

@@ -13,7 +13,8 @@ from ksmooth.errors import (
     DependentGenerators,
     DescriptorMismatch,
 )
-from ksmooth.fields import QQ, FieldMatrix, IndexArithmetic, get_descriptor
+from ksmooth.arithmetic import IndexArithmetic
+from ksmooth.fields import QQ, FieldMatrix, get_descriptor
 from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,

@@ -22,12 +22,12 @@ from ksmooth.constructions import (
 )
 from ksmooth.errors import PreconditionViolated
 from ksmooth.errors import DescriptorMismatch
+from ksmooth.arithmetic import IndexArithmetic
 from ksmooth.fields import (
     QQ,
     FieldDescriptor,
     FieldElement,
     FieldMatrix,
-    IndexArithmetic,
     enumerate_projective_points,
     get_descriptor,
     get_embedding,
@@ -55,6 +55,7 @@ from ksmooth.smoothness import (
     SingularWitness,
     Smooth,
     VerifyReport,
+    _line_charts,
     _scan_lines,
     is_smooth,
     jacobian_generators,
@@ -593,9 +594,9 @@ class TestLineScanMatchesPointScan:
         # the prefix (1, 0) every restriction is zero, so the gcd is zero
         f = form(F3, 3, 3, [((1, 2, 0), 1)])
         assert line_scan(f, 2) == point_scan(f, 2) == ((F3.zero(), F3.zero(), F3.one()), F3)
-        gens = jacobian_generators(f)
-        assert _scan_lines(F3, 2, gens) == point_scan(f, 1, skip_apex=True)[0]
-        assert _scan_lines(F3, 2, gens) == (F3.one(), F3.zero(), F3.zero())
+        first = point_scan(f, 1, skip_apex=True)[0]
+        assert first == (F3.one(), F3.zero(), F3.zero())
+        assert _scan_lines(F3.arithmetic, _line_charts(f)) == tuple(x.idx for x in first)
 
     def test_gcd_without_a_root_at_level_one(self):
         # (x0^2 + x0x1 + x1^2)^2 over GF(2): on the only line the gcd is
@@ -630,8 +631,7 @@ class TestLineScanMatchesPointScan:
         apex = ((F3.zero(), F3.zero(), F3.one()), F3)
         assert line_scan(f, 2) == point_scan(f, 2) == apex
         assert point_scan(f, 2, skip_apex=True) is None
-        gens = jacobian_generators(f)
-        assert _scan_lines(F3, 2, gens) is None
+        assert _scan_lines(F3.arithmetic, _line_charts(f)) is None
 
 
 class TestSearchLevels:
@@ -640,12 +640,12 @@ class TestSearchLevels:
         # decides it: a squarefree cubic ends there, and the square of an
         # irreducible quadratic keeps its gcd for the root search in GF(4)
         seen = []
-        real = smoothness.poly_gcd
+        real = smoothness._restricted_gcd
 
-        def counted(a, b):
-            seen.append(b[0].field)
-            return real(a, b)
-        monkeypatch.setattr(smoothness, "poly_gcd", counted)
+        def counted(arith, groups, values):
+            seen.append(arith.field)
+            return real(arith, groups, values)
+        monkeypatch.setattr(smoothness, "_restricted_gcd", counted)
         cubic = form(F2, 2, 3, [((3, 0), 1), ((1, 2), 1), ((0, 3), 1)])
         assert search_singular_point(cubic, 9) is None
         assert seen and set(seen) == {F2}
@@ -654,6 +654,128 @@ class TestSearchLevels:
         w = search_singular_point(double, 3)
         assert w.field == F4 and w.point == (F4.one(), F4.element([0, 1]))
         assert seen and set(seen) == {F2}
+
+
+class TestIndexScan:
+    """The line scan on element indices against the point-by-point scan."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F5, get_descriptor(3, 2)], ids=repr)
+    def test_seeded_forms(self, field):
+        rng = random.Random(1200 + field.order)
+        found = 0
+        for nvars, d, cap in [(2, 3, 3), (2, 4, 2), (3, 2, 2), (3, 3, 2), (4, 2, 1)]:
+            if field.order ** (cap * (nvars - 1)) > 1024:
+                cap = 1
+            for _ in range(4):
+                f = random_form(field, nvars, d, rng)
+                want = point_scan(f, cap)
+                assert line_scan(f, cap) == want, (str(f), cap)
+                found += want is not None
+        assert found
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, get_descriptor(3, 2)], ids=repr)
+    def test_last_partial_vanishing_identically(self, field):
+        # every exponent of x_n divisible by p: dF/dx_n = 0, so the
+        # derivative of each restriction is zero and the gcd is decided by
+        # F and the other partials
+        rng = random.Random(1300 + field.order)
+        p = field.p
+        checked = 0
+        for nvars, d in [(2, 2 * p), (3, p), (3, p + 1)]:
+            for _ in range(6):
+                f = random_form(field, nvars, d, rng)
+                f = HomogeneousForm(field, nvars, d,
+                                    {m: c for m, c in f.terms.items() if m[-1] % p == 0})
+                if not f:
+                    continue
+                assert not f.partial_derivative(nvars - 1)
+                cap = 2 if field.order ** (2 * (nvars - 1)) <= 1024 else 1
+                assert line_scan(f, cap) == point_scan(f, cap), str(f)
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("p,e", [(65537, 1), (2, 17)])
+    def test_untabled_binary_forms(self, p, e):
+        # (x1 - a x0)^2 G over a field above the table limit, a of small
+        # index, so the point scan stops early; and a form singular only
+        # at (0, 1)
+        field = get_descriptor(p, e)
+        rng = random.Random(1400 + e)
+        one = field.one()
+        for a in (0, 1, 5, 37):
+            root = field.element_from_index(a)
+            line = HomogeneousForm(field, 2, 1, {(0, 1): one, (1, 0): -root})
+            g = HomogeneousForm(field, 2, 2, {(2, 0): one, (1, 1): field.element_from_index(
+                rng.randrange(1, 50)), (0, 2): field.element_from_index(rng.randrange(1, 50))})
+            f = line ** 2 * g
+            want = point_scan(f, 1)
+            assert want is not None and want[0][1].idx <= a
+            assert line_scan(f, 1) == want
+        apex = HomogeneousForm(field, 2, 3, {(3, 0): one})
+        assert line_scan(apex, 1) == point_scan(apex, 1) == ((field.zero(), one), field)
+
+    @pytest.mark.parametrize("q,e", [(2, 4), (3, 4)])
+    def test_orbit_length_against_the_orbit(self, q, e):
+        # GF(q^e) over GF(q): tails over an intermediate field such as
+        # GF(q^2) have orbits of length 2, neither 1 nor e
+        big = get_descriptor(q, e)
+        power = big.arithmetic.power
+        tails = [(x,) for x in range(big.order)] + [(x, y) for x in range(0, big.order, 7)
+                                                   for y in range(big.order)]
+        for tail in tails:
+            orbit = [tail]
+            while (conj := tuple(power(x, q) for x in orbit[-1])) != tail:
+                orbit.append(conj)
+            want = 0 if min(orbit) < tail else len(orbit)
+            assert smoothness._orbit_length(tail, power, q, e) == want, tail
+
+    def test_unreduced_log_sum_pin(self):
+        # a scan that sums logs must reduce a sum of three of them mod
+        # q - 1: past 2(q - 1) the antilog list holds the zeros that absorb
+        # the log of 0, and here that would clear the line of the witness
+        f = form(F3, 3, 2, [((1, 1, 0), 1), ((0, 2, 0), 2), ((1, 0, 1), 1), ((0, 0, 2), 1)])
+        w = search_singular_point(f, 3)
+        assert w.field is F3 and w.point == (F3.one(), F3.from_int(2), F3.one())
+        assert (w.point, w.field) == point_scan(f, 1)
+
+    @pytest.mark.parametrize("entries,cap,level", [
+        # the Fermat cubic: smooth, every level up to GF(2^6) scanned
+        ([((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 1)], 6, None),
+        # (x0^2 + x0x1 + x1^2)^2: its level-1 gcd is lifted to GF(4)
+        ([((4, 0), 1), ((2, 2), 1), ((0, 4), 1)], 3, 2),
+    ], ids=["smooth", "gf4"])
+    def test_scan_builds_no_element(self, monkeypatch, entries, cap, level):
+        f = form(F2, len(entries[0][0]), sum(entries[0][0]), entries)
+        search_singular_point(f, cap)  # builds the fields and embeddings
+        built = [0]
+        inside = []
+        real_init, real_from_index = FieldElement.__init__, FieldDescriptor.element_from_index
+
+        def init(self, *args):
+            built[0] += 1
+            real_init(self, *args)
+
+        def from_index(self, idx):
+            built[0] += 1
+            return real_from_index(self, idx)
+
+        real_scan = smoothness._scan_lines
+
+        def scan(*args, **kwargs):
+            before = built[0]
+            out = real_scan(*args, **kwargs)
+            inside.append(built[0] - before)
+            return out
+
+        monkeypatch.setattr(FieldElement, "__init__", init)
+        monkeypatch.setattr(FieldDescriptor, "element_from_index", from_index)
+        monkeypatch.setattr(smoothness, "_scan_lines", scan)
+        w = search_singular_point(f, cap)
+        assert inside and inside == [0] * len(inside)
+        if level is None:
+            assert w is None and built[0] == 0
+        else:
+            assert w.field.e == level and built[0] == len(w.point)
 
 
 class TestCapMissWitnesses:
