@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DescriptorMismatch
-from .fields import _digits, _digitwise, _index, _monic_gcd, _mulmod, _powmod
+from .fields import _digits, _digitwise, _index, _monic_gcd, _mulmod, _poly_trim, _powmod
 
 
 def _first_root(f, order, mul, add):
@@ -22,15 +22,48 @@ def _first_root(f, order, mul, add):
     return None
 
 
+def _resultant(a, b, mul, inv, add, power, minus_one):
+    """The resultant of two polynomials given as index lists (low degree
+    first) at their actual degrees, the Sylvester determinant, 0 when one
+    of them is zero, by the remainder loop of `_monic_gcd`: for deg b > 0
+    and r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
+    Res(b, r), and Res(a, c) = c^(deg a) for a nonzero constant c."""
+    a = _poly_trim(list(a))
+    b = _poly_trim(list(b))
+    if not a or not b:
+        return 0
+    res = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        lead = b[-1]
+        s = mul(inv(lead), minus_one)
+        for i in range(da, db - 1, -1):
+            c = a[i]
+            if c:
+                c = mul(c, s)
+                off = i - db
+                for j in range(db):
+                    if b[j]:
+                        a[off + j] = add(a[off + j], mul(c, b[j]))
+        r = _poly_trim(a[:db])
+        if not r:
+            return 0
+        if da & db & 1:
+            res = mul(res, minus_one)
+        res = mul(res, power(lead, da + 1 - len(r)))
+        a, b = b, r
+    return mul(res, power(b[0], len(a) - 1))
+
+
 class IndexArithmetic:
     """The operations of a coefficient field on the indices of its elements,
     for inner loops and linear algebra that keep FieldElement at their
     boundary, where `index` and `element` convert; over Q an index is the
     Fraction itself.  `mul` and `inv` (of a nonzero index) are functions of
-    indices, and `combine` takes (c, shift, terms) triples, a nonzero index,
-    an int and a map from ints to nonzero indices, and returns the map of
-    the sum of c times terms with every key moved by shift, zeros dropped,
-    added into a copy of the map `start` when given:
+    indices, and `combine` takes (c, terms) pairs, a nonzero index and a
+    map from ints to nonzero indices, and returns the map of the sum of c
+    times terms, zeros dropped, added into a copy of the map `start` when
+    given:
     - over Q, on integer numerators over one common denominator;
     - over GF(p), on ints, reduced mod p once per sum;
     - over a tabled GF(p^e), e > 1, on logs: a product adds them and reads
@@ -48,7 +81,7 @@ class IndexArithmetic:
     `arithmetic`; no operation but `element` builds a FieldElement."""
 
     __slots__ = ("field", "index", "element", "mul", "inv", "combine", "add", "power", "gcd",
-                 "root")
+                 "root", "resultant")
 
     def __init__(self, field):
         self.field = field
@@ -71,9 +104,8 @@ class IndexArithmetic:
             def combine(parts, start=()):
                 acc = dict(start)
                 get = acc.get
-                for c, shift, terms in parts:
+                for c, terms in parts:
                     for k, v in terms.items():
-                        k += shift
                         acc[k] = get(k, 0) + c * v
                 return {k: r for k, v in acc.items() if (r := v % p)}
         elif p and field._exp is not None:
@@ -91,10 +123,9 @@ class IndexArithmetic:
                 def combine(parts, start=()):
                     acc = dict(start)
                     get = acc.get
-                    for c, shift, terms in parts:
+                    for c, terms in parts:
                         c = log[c]
                         for k, v in terms.items():
-                            k += shift
                             acc[k] = get(k, 0) ^ exp[c + log[v]]
                     return {k: v for k, v in acc.items() if v}
             else:
@@ -109,10 +140,9 @@ class IndexArithmetic:
                 def combine(parts, start=()):
                     acc = dict(start)
                     get = acc.get
-                    for c, shift, terms in parts:
+                    for c, terms in parts:
                         c = log[c]
                         for k, v in terms.items():
-                            k += shift
                             x = c + log[v]
                             a = get(k)
                             if a:
@@ -137,9 +167,8 @@ class IndexArithmetic:
             def combine(parts, start=()):
                 acc = dict(start)
                 get = acc.get
-                for c, shift, terms in parts:
+                for c, terms in parts:
                     for k, v in terms.items():
-                        k += shift
                         acc[k] = _digitwise(get(k, 0), mul(c, v), 1, p, e)
                 return {k: v for k, v in acc.items() if v}
         else:
@@ -147,21 +176,21 @@ class IndexArithmetic:
             self.inv = lambda a: 1 / a
 
             def combine(parts, start=()):
-                parts = [(1, 0, start), *parts] if start else parts
-                den = lcm(*[c.denominator * v.denominator for c, _, t in parts for v in t.values()])
+                parts = [(1, start), *parts] if start else parts
+                den = lcm(*[c.denominator * v.denominator for c, t in parts for v in t.values()])
                 acc = {}
                 get = acc.get
-                for c, shift, terms in parts:
+                for c, terms in parts:
                     s = c.numerator * (den // c.denominator)
                     for k, v in terms.items():
-                        k += shift
                         acc[k] = get(k, 0) + s * v.numerator // v.denominator
                 return {k: Fraction(v, den) for k, v in acc.items() if v}
         self.combine = combine
         if p:
-            mul, inv, add, q = self.mul, self.inv, self.add, field.order
+            mul, inv, add, power, q = self.mul, self.inv, self.add, self.power, field.order
             self.gcd = lambda a, b: _monic_gcd(a, b, mul, inv, add, p - 1)
             self.root = lambda f: _first_root(f, q, mul, add)
+            self.resultant = lambda a, b: _resultant(a, b, mul, inv, add, power, p - 1)
 
     def rref(self, rows, ncols):
         """The reduced row echelon form of a matrix of indices with `ncols`
@@ -190,10 +219,10 @@ class IndexArithmetic:
             pv = a[r][c]
             if pv != 1:
                 det = mul(det, pv)
-                a[r] = combine([(self.inv(pv), 0, a[r])])
+                a[r] = combine([(self.inv(pv), a[r])])
             for i, row in enumerate(a):
                 f = row.get(c)
                 if f and i != r:
-                    a[i] = combine([(mul(f, minus_one), 0, a[r])], row)
+                    a[i] = combine([(mul(f, minus_one), a[r])], row)
             pivots.append(c)
         return a, pivots, det

@@ -421,7 +421,7 @@ def certify_combinations(rows, field, nvars):
         if got is None:
             got = packed[slots.width] = [[slots.pack(t) for t in row] for row in rows]
         forms = [f for parts in zip(*got)
-                 if (f := combine([(a, 0, terms) for a, terms in zip(scale, parts) if a]))]
+                 if (f := combine([(a, terms) for a, terms in zip(scale, parts) if a]))]
         return [{m: element(c) for m, c in f.items()} for f in forms] if elements else forms
 
     def certify(coeffs):

@@ -331,35 +331,44 @@ def _compose(packed_gens, matrix, slots, arith):
     """The packed generators, their coefficients element indices of the
     field of `arith`, with x_i replaced by the linear form of row i of the
     matrix, a FieldMatrix or a sequence of rows over that field, square of
-    size nvars.  The image of each monomial is worked out once for all
-    generators, as the image of the monomial with one factor x_i fewer (i
-    its first variable) times the linear form of row i, one `combine`; a
-    permutation matrix only moves exponents."""
+    size nvars.  The image of x_i is the linear form of row i, and that of
+    each other monomial m = x_i r is worked out once for all generators, as
+    one `combine` of the image of r times each variable of row i (its keys
+    moved by that variable's key), scaled by the row.  x_i is the first
+    variable of m for which the image of r is already made, else m's first
+    variable, so that few images are made.  A permutation matrix only
+    moves exponents."""
     index = arith.index
     rows = [[index(x) for x in row] for row in matrix]
     if len(rows) != slots.nvars or any(len(r) != slots.nvars for r in rows):
         raise ValueError("a substitution matrix must be square of size nvars")
     combine = arith.combine
     w = slots.width
-    linear = [{1 << (w * k): c for k, c in enumerate(row) if c} for row in rows]
+    mask = (1 << w) - 1
+    units = [1 << (w * k) for k in range(slots.nvars)]
+    linear = [{units[k]: c for k, c in enumerate(row) if c} for row in rows]
     # for a row that is one variable with coefficient one, that variable's key
     single = [next(iter(row)) if list(row.values()) == [1] else None for row in linear]
     if None not in single and len(set(single)) == len(single):
         # the exponent of each x_i moves to the slot of the variable of row i
-        mask = (1 << w) - 1
         return [{sum((m >> (w * i) & mask) * b for i, b in enumerate(single)): c
                  for m, c in g.items()} for g in packed_gens]
-    images = {0: {0: 1}}
+    images = {0: {0: 1}, **dict(zip(units, linear))}
 
     def image(m):
         got = images.get(m)
         if got is None:
-            i = ((m & -m).bit_length() - 1) // w
-            rest = image(m - (1 << (w * i)))
-            got = images[m] = combine([(c, b, rest) for b, c in linear[i].items()])
+            for i, u in enumerate(units):
+                if m >> (w * i) & mask and m - u in images:
+                    break
+            else:
+                i = ((m & -m).bit_length() - 1) // w
+            terms = image(m - units[i]).items()
+            got = images[m] = combine([(c, {k + u: v for k, v in terms})
+                                       for u, c in linear[i].items()])
         return got
 
-    return [combine([(c, 0, image(m)) for m, c in g.items()]) for g in packed_gens]
+    return [combine([(c, image(m)) for m, c in g.items()]) for g in packed_gens]
 
 
 def coefficients_fixed_by_frobenius(form, k):
@@ -426,7 +435,7 @@ class LinearSystemOfForms:
             raise ValueError("one coefficient per generator required")
         arith = self.field.arithmetic
         index, element = arith.index, arith.element
-        terms = arith.combine([(index(a), 0, row) for a, row in zip(coeffs, self._rows) if a])
+        terms = arith.combine([(index(a), row) for a, row in zip(coeffs, self._rows) if a])
         monomials = self._monomials
         return _raw_form(self.field, self.nvars, self.degree,
                          {monomials[k]: element(v) for k, v in terms.items()})

@@ -37,9 +37,9 @@ arithmetic's `gcd` and `root`, and x -> x^q is its `power`.  Only the
 witness returned is built as FieldElements.
 
 Level k of the search scans GF(q^k), where GF(q) holds the coefficients of
-F.  Three rules, each exact, keep a level from redoing what the Frobenius
-x -> x^q and level 1 have decided; the first witness stays the one of the
-full scan.
+F.  Four rules, each exact, keep a level from redoing what the Frobenius
+x -> x^q, level 1 and elimination have decided; the first witness stays
+the one of the full scan.
 1. The Jacobian forms are fixed by the Frobenius, so it maps a witness on
    the line of a prefix to one on the line of the conjugate prefix; a
    conjugate keeps the zeros and the leading 1, so it is again a prefix.
@@ -54,6 +54,27 @@ full scan.
    A binary form has one line, which level 1 thus decides.
 3. (0, ..., 0, 1) is a GF(q)-point, and an embedding of fields is
    injective, so it is tested at level 1 only.
+4. For a plane curve of degree d >= 2 over a prime field GF(p), let
+   F| = F(1, s, t) and let R(s) be the gcd over GF(p) of the resultants in
+   t of F| with (F|)' and with G| = G(1, s, t) for each nonzero partial G
+   in x_0 and x_1.  A singular point (1, s0, t0) makes all of them vanish
+   at s0: where the leading coefficients in t of a pair do not both
+   vanish, the resultant there is a multiple of the resultant of the pair
+   at s0, whose common root is t0, and otherwise the first column of the
+   Sylvester matrix is zero.  (F| has positive degree in t: a curve free
+   of x_2 is singular at (0, 0, 1), and the search ends there.)  So when
+   GF(p^k) holds no root of R, that is gcd(R, s^(p^k) - s) = 1, no line of
+   a prefix (1, s) holds a witness at level k, and only the line
+   (0, 1, t) is scanned, from its level-1 record; R = 0 decides nothing.
+   R is read off once, after level 1, in GF(p^m), m = d(d-1) + 1, at
+   s = u, the generator of index p.  The coefficients of F| in t have
+   s-degree at most d < m, so none vanishes at u: the t-degrees stay the
+   generic ones, and the Euclid resultant at u is the Sylvester
+   determinant at u.  That determinant has s-degree at most d(d-1) < m:
+   for t-degrees a, b and total degrees d1 = d, d2 = d - 1, the s-degrees
+   of the entries sum over any permutation to at most
+   b d1 + a d2 - ab = d1 d2 - (d1 - a)(d2 - b) <= d1 d2.  So the base-p
+   digits of the resultant's index are exactly its coefficients in s.
 """
 
 from __future__ import annotations
@@ -68,6 +89,9 @@ from .errors import PreconditionViolated, WitnessNotFoundWithinCap
 from .fields import (
     FieldDescriptor,
     FieldMatrix,
+    _digits,
+    _powmod,
+    _reduction_rows,
     _spread,
     element_to_json,
     enumerate_projective_points,
@@ -87,6 +111,9 @@ from .multipoly import HomogeneousForm, _compose, _Slots
 from .records import Record
 
 DEFAULT_WITNESS_CAP = 6
+# the largest GF(p^(d(d-1)+1)) in which the search reads off the gcd R of a
+# plane curve's resultants (see `search_singular_point`)
+_ABSCISSA_FIELD_LIMIT = 1 << 12
 # the primes a rational form is reduced modulo before Buchberger over Q
 _REDUCTION_PRIMES = (2, 3, 5, 7)
 
@@ -155,9 +182,23 @@ def search_singular_point(form, max_ext_degree):
     share a prefix (x0, ..., x_{n-1}), in prefix order: a line whose
     restrictions have a nonzero constant gcd holds no witness, and on any
     other line the first root of the gcd in canonical order is the first
-    witness on it.  Each later level scans only the lines that level 1 and
-    the Frobenius have not decided (see the module docstring).  All of it
-    runs on element indices; only the witness is built as FieldElements."""
+    witness on it.  Each later level scans only the lines that level 1, the
+    Frobenius and, for a plane curve over a prime field, the gcd R of its
+    resultants have not decided (see the module docstring): R is read off
+    once, when level 1 finds no witness and a later level is asked for,
+    and a level whose field holds no root of R costs one p-th power mod R
+    and at most the line (0, 1, t) from its record.  That filter runs only
+    where GF(p^(d(d-1)+1)) has at most `_ABSCISSA_FIELD_LIMIT` = 2^12
+    elements, so that it is tabled and cheap to build; elsewhere the
+    search is that of rules 1-3.  Measured on a 2-core VM with Python 3.11:
+    the largest such field a plane curve uses, GF(3^7), takes 2.6 ms to
+    build, against 8.5 ms for GF(2^13), which quartics over GF(2) would
+    need and which a cold `verify --oracle` of seven members does not earn
+    back (0.48 -> 0.23 ms a search to GF(2^4)); in an untabled field the
+    resultants on digits cost more than the levels they skip (a smooth
+    quartic over GF(3) searched to GF(3^4): 1.4 ms scanned, 4.5 ms
+    filtered).  All of it runs on element indices; only the witness is
+    built as FieldElements."""
     field = form.field
     if not isinstance(field, FieldDescriptor):
         raise ValueError("the point search requires a finite base field")
@@ -175,16 +216,29 @@ def search_singular_point(form, max_ext_degree):
     lines = {}
     point = _scan_lines(field.arithmetic, charts, lines=lines)
     desc, k = field, 1
+    # for a plane curve, whether each level k >= 2 may hold a root of R
+    roots = None
+    if point is None and max_ext_degree > 1 and n == 2 and field.e == 1 and form.degree > 1:
+        m = form.degree * (form.degree - 1) + 1
+        if field.p ** m <= _ABSCISSA_FIELD_LIMIT:
+            roots = _levels_with_roots(_abscissa_gcd(charts[0], field.p, m), field.p)
     # the one line of a binary form lies over GF(q), so without a recorded
     # gcd level 1 decided it
     while point is None and k < max_ext_degree and (n > 1 or lines):
         k += 1
+        # rule 4: where GF(p^k) holds no root of R, no line of lead 0 holds
+        # a witness, and without a recorded line (0, 1, t) nothing is left
+        skip = roots is not None and not next(roots)
+        if skip and all(prefix[0] for prefix in lines):
+            continue
         desc = get_descriptor(field.p, field.e * k)
         up = get_embedding(field, desc).up_index
         lifted = {tuple(map(up, prefix)): list(map(up, gcd)) for prefix, gcd in lines.items()}
         point = _scan_lines(desc.arithmetic, [
+            None if skip and not lead else
             (tails, [[(i, {j: up(c) for j, c in group.items()}) for i, group in chart]
-                     for chart in rows]) for tails, rows in charts], field, lifted)
+                     for chart in rows]) for lead, (tails, rows) in enumerate(charts)],
+            field, lifted)
     if point is None:
         return None
     return SingularWitness(point=tuple(map(desc.element_from_index, point)), field=desc)
@@ -230,7 +284,7 @@ def _scan_lines(arith, charts, base=None, lines=None):
     """First point with a nonzero prefix (x0, ..., x_{n-1}) where F and all
     its partials vanish, as a tuple of element indices, or None; `charts`
     are the `_line_charts` of F, with coefficients over the field of
-    `arith`.
+    `arith`, and a chart of None leaves out every line of its lead.
 
     The prefixes are index tuples in the order of `enumerate_projective_points`:
     for each position of the leading 1, the coordinates after it (the tail)
@@ -250,6 +304,8 @@ def _scan_lines(arith, charts, base=None, lines=None):
     if base is not None:
         q, k = base.order, field.e // base.e
     for lead in range(n - 1, -1, -1):
+        if charts[lead] is None:
+            continue
         head = (0,) * lead + (1,)
         tails, groups = charts[lead]
         for tail in product(range(field.order), repeat=n - 1 - lead):
@@ -293,7 +349,7 @@ def _restricted_gcd(arith, groups, values):
     vanish.  It starts from gcd(F|, (F|)'), (F|)' being the restriction of
     dF/dx_n, and folds in the other partials until it is constant."""
     combine, mul, gcd, p = arith.combine, arith.mul, arith.gcd, arith.field.p
-    scaled = ([(values[i], 0, group) for i, group in form if values[i]] for form in groups)
+    scaled = ([(values[i], group) for i, group in form if values[i]] for form in groups)
     f = _dense(combine(next(scaled)))
     g = gcd(f, [mul(c, j % p) if c and j % p else 0 for j, c in enumerate(f) if j])
     for parts in scaled:
@@ -301,6 +357,48 @@ def _restricted_gcd(arith, groups, values):
             break
         g = gcd(g, _dense(combine(parts)))
     return g
+
+
+def _abscissa_gcd(chart, p, m):
+    """The gcd R(s) over GF(p) of Res_t(F|, (F|)') and Res_t(F|, G|) for
+    the nonzero partials G in x_0 and x_1 of a plane curve F of degree d
+    over GF(p), F| = F(1, s, t), folded in the order of `_restricted_gcd`
+    until constant: a monic coefficient list (low degree first), [] when
+    every resultant vanishes.  `chart` is F's lead-0 chart from
+    `_line_charts`, and m > d(d - 1) (see rule 4 of the module docstring).
+
+    Each resultant is one Euclid resultant in GF(p^m) at s = u, the
+    generator of index p, and the base-p digits of its index are its
+    coefficients in s."""
+    tails, groups = chart
+    arith = get_descriptor(p, m).arithmetic
+    combine, mul = arith.combine, arith.mul
+    values = _tail_values((p,), tails, mul, arith.power)
+    f, *partials = [_dense(combine([(values[i], group) for i, group in form if values[i]]))
+                    for form in groups]
+    gcd = get_descriptor(p).arithmetic.gcd
+    r = []
+    for g in [[mul(c, j % p) if c and j % p else 0 for j, c in enumerate(f) if j], *partials]:
+        r = gcd(r, _digits(arith.resultant(f, g), p, m))
+        if len(r) == 1:
+            break
+    return r
+
+
+def _levels_with_roots(r, p):
+    """For k = 2, 3, ..., in turn, whether the monic R over GF(p) (or [],
+    the zero polynomial) has a root in GF(p^k): whether gcd(R, s^(p^k) - s)
+    is not constant, with one p-th power mod R per level."""
+    gcd = get_descriptor(p).arithmetic.gcd
+    if len(r) < 3:
+        # R = 0 decides nothing, a constant has no root, a linear R its root in GF(p)
+        yield from repeat(len(r) != 1)
+        return
+    rows = _reduction_rows(r, p)
+    x = _powmod((0, 1) + (0,) * (len(r) - 3), p, rows, p)
+    while True:
+        x = _powmod(x, p, rows, p)
+        yield len(gcd(r, [x[0], (x[1] - 1) % p, *x[2:]])) > 1
 
 
 def _dense(line):
@@ -570,9 +668,9 @@ def _induced_matrices(system, symmetries):
             return None
         t = []
         for h in images:
-            coords = combine([(a, 0, row) for m, row in zip(pivot_keys, coordinates)
+            coords = combine([(a, row) for m, row in zip(pivot_keys, coordinates)
                               if (a := h.get(m))])
-            if combine([(a, 0, gens[j]) for j, a in coords.items()]) != h:
+            if combine([(a, gens[j]) for j, a in coords.items()]) != h:
                 return None
             t.append([coords.get(j, 0) for j in range(count)])
         induced.append(t)

@@ -52,15 +52,20 @@ SMALL_FIELDS = [F2, F3, F4, F8, F9, get_descriptor(5), get_descriptor(2, 4)]
 
 
 def reference_combine(parts):
-    """The terms of the sum of c times terms with every key moved by shift,
-    zeros dropped, for the (c, shift, terms) in parts: a plain loop on
-    FieldElements or Fractions."""
+    """The terms of the sum of c times terms, zeros dropped, for the
+    (c, terms) in parts: a plain loop on FieldElements or Fractions."""
     acc = {}
-    for c, shift, terms in parts:
+    for c, terms in parts:
         for k, v in terms.items():
-            k += shift
             acc[k] = acc[k] + c * v if k in acc else c * v
     return {k: v for k, v in acc.items() if v}
+
+
+def shifted_terms(rng, element):
+    """Terms at keys 0..5 moved by a random shift of 0, 1 or 2, so that the
+    parts of a sum overlap only in part."""
+    shift = rng.randrange(3)
+    return {k + shift: x for k in range(6) if (x := element())}
 
 
 def leibniz_det(rows):
@@ -526,7 +531,7 @@ class TestIndexArithmetic:
         els = field.elements()
         for a, b in itertools.product(els, repeat=2):
             assert arith.mul(a.idx, b.idx) == (a * b).idx
-            total = arith.combine([(x.idx, 0, {0: 1}) for x in (a, b) if x])
+            total = arith.combine([(x.idx, {0: 1}) for x in (a, b) if x])
             assert total.get(0, 0) == (a + b).idx
         for a in els[1:]:
             assert arith.inv(a.idx) == a.inv().idx
@@ -539,7 +544,7 @@ class TestIndexArithmetic:
         for _ in range(200):
             a, b = (field.element_from_index(rng.randrange(1, field.order)) for _ in range(2))
             assert arith.mul(a.idx, b.idx) == (a * b).idx
-            assert arith.combine([(a.idx, 0, {0: 1}), (b.idx, 0, {0: 1})]).get(0, 0) == (a + b).idx
+            assert arith.combine([(a.idx, {0: 1}), (b.idx, {0: 1})]).get(0, 0) == (a + b).idx
             assert arith.inv(a.idx) == a.inv().idx
 
     @pytest.mark.parametrize("name", ["2 1", "3 1", "65537 1", "2 2", "3 2", "untabled 3 2", "QQ"])
@@ -575,10 +580,9 @@ class TestIndexArithmetic:
             return x
 
         for _ in range(30):
-            parts = [(nonzero(), rng.randrange(3), {k: x for k in range(6) if (x := element())})
-                     for _ in range(3)]
-            assert arith.combine([(index(c), shift, {k: index(x) for k, x in terms.items()})
-                                  for c, shift, terms in parts]) == {
+            parts = [(nonzero(), shifted_terms(rng, element)) for _ in range(3)]
+            assert arith.combine([(index(c), {k: index(x) for k, x in terms.items()})
+                                  for c, terms in parts]) == {
                 k: index(x) for k, x in reference_combine(parts).items()}
 
         zero = field.zero()
@@ -625,14 +629,14 @@ class TestIndexArithmetic:
 
             index, to_element = operator.attrgetter("idx"), field.element_from_index
         for _ in range(30):
-            parts = [(c, rng.randrange(3), {k: x for k in range(6) if (x := element())})
+            parts = [(c, shifted_terms(rng, element))
                      for _ in range(rng.randrange(3)) if (c := element())]
             start = {k: x for k in range(6) if (x := element())}
             start_indices = {k: index(x) for k, x in start.items()}
-            got = arith.combine([(index(c), shift, {k: index(x) for k, x in terms.items()})
-                                 for c, shift, terms in parts], start_indices)
+            got = arith.combine([(index(c), {k: index(x) for k, x in terms.items()})
+                                 for c, terms in parts], start_indices)
             assert {k: to_element(v) for k, v in got.items()} == reference_combine(
-                [(field.one(), 0, start), *parts])
+                [(field.one(), start), *parts])
             assert start_indices == {k: index(x) for k, x in start.items()}
 
     def test_rationals(self):
@@ -648,8 +652,7 @@ class TestIndexArithmetic:
             assert arith.mul(a, b) == a * b
             if a:
                 assert arith.inv(a) == 1 / a and type(arith.inv(a)) is Fraction
-            parts = [(c, rng.randrange(3), {k: x for k in range(4) if (x := rational())})
-                     for c in (a, b) if c]
+            parts = [(c, {k: x for k in range(4) if (x := rational())}) for c in (a, b) if c]
             expected = reference_combine(parts)
             assert arith.combine(parts) == expected
             assert all(type(x) is Fraction for x in arith.combine(parts).values())
@@ -664,7 +667,7 @@ class TestIndexArithmetic:
         assert arith is not f9.arithmetic and f9.arithmetic.field is f9
         assert QQ.arithmetic is QQ.arithmetic
         for a, b in itertools.product(range(1, 9), repeat=2):
-            assert arith.combine([(a, 0, {0: 1}), (b, 0, {0: 1})]).get(0, 0) == _digitwise(
+            assert arith.combine([(a, {0: 1}), (b, {0: 1})]).get(0, 0) == _digitwise(
                 a, b, 1, 3, 2)
             assert arith.mul(a, b) == _index(_mulmod(_digits(a, 3, 2), _digits(b, 3, 2),
                                                      u9._red, 3), 3)

@@ -778,6 +778,260 @@ class TestIndexScan:
             assert w.field.e == level and built[0] == len(w.point)
 
 
+def sylvester_resultant(arith, a, b):
+    """Res(a, b) of two index lists at their actual degrees as the
+    determinant of their Sylvester matrix, by `IndexArithmetic.rref`; 0 when
+    one of them is zero."""
+    a, b = list(a), list(b)
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    if not a or not b:
+        return 0
+    da, db = len(a) - 1, len(b) - 1
+    if not da + db:
+        return 1
+    rows = [{i + j: c for j, c in enumerate(reversed(a)) if c} for i in range(db)]
+    rows += [{i + j: c for j, c in enumerate(reversed(b)) if c} for i in range(da)]
+    _, pivots, det = arith.rref(rows, da + db)
+    return det if len(pivots) == da + db else 0
+
+
+def spy_levels(monkeypatch):
+    """Record, for every search, what rule 4 says of each level it asks
+    about: True where R may have a root there."""
+    said = []
+    real = smoothness._levels_with_roots
+
+    def levels(r, p):
+        for answer in real(r, p):
+            said.append(answer)
+            yield answer
+    monkeypatch.setattr(smoothness, "_levels_with_roots", levels)
+    return said
+
+
+def plane_cap(p):
+    """The last level whose points a point scan of P^2 over GF(p) visits
+    with at most 2,500 points in that level."""
+    return max(k for k in range(1, 6) if p ** (2 * k) <= 2500)
+
+
+class TestPlaneCurveFilter:
+    """Rule 4: a plane curve over GF(p) skips the lines of lead 0 at each
+    level whose field holds no root of R, the gcd of the resultants of F|
+    with (F|)' and its partials, read off once in GF(p^(d(d-1)+1))."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_seeded_plane_curves(self, p, monkeypatch):
+        said = spy_levels(monkeypatch)
+        field = get_descriptor(p)
+        cap = plane_cap(p)
+        rng = random.Random(1500 + p)
+        for d in (2, 3, 4):
+            monos = monomials_of_degree(3, d)
+            for i in range(6):
+                if i < 3:
+                    f = random_form(field, 3, d, rng)
+                else:
+                    f = HomogeneousForm(field, 3, d, {m: field.from_int(rng.randrange(1, p))
+                                                      for m in rng.sample(monos, i)})
+                assert line_scan(f, cap) == point_scan(f, cap), str(f)
+        # some level was skipped
+        assert False in said
+
+    @pytest.mark.parametrize("p,entries,level", [
+        (2, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 1, 1), 1), ((2, 0, 1), 1), ((2, 1, 0), 1),
+             ((3, 0, 0), 1)], 2),
+        (2, [((0, 0, 3), 1), ((0, 1, 2), 1), ((0, 3, 0), 1), ((1, 1, 1), 1), ((2, 0, 1), 1),
+             ((2, 1, 0), 1), ((3, 0, 0), 1)], 3),
+        (3, [((0, 1, 2), 2), ((1, 2, 0), 2), ((2, 1, 0), 2)], 2),
+        (3, [((0, 0, 3), 2), ((0, 1, 2), 2), ((0, 3, 0), 1), ((1, 1, 1), 1), ((1, 2, 0), 1),
+             ((2, 0, 1), 1), ((3, 0, 0), 2)], 3),
+        (2, [((0, 0, 4), 1), ((0, 1, 3), 1), ((0, 2, 2), 1), ((0, 3, 1), 1), ((0, 4, 0), 1),
+             ((1, 3, 0), 1), ((2, 0, 2), 1), ((3, 1, 0), 1), ((4, 0, 0), 1)], 2),
+        (2, [((0, 1, 3), 1), ((0, 3, 1), 1), ((0, 4, 0), 1), ((1, 2, 1), 1), ((2, 1, 1), 1),
+             ((2, 2, 0), 1), ((3, 1, 0), 1)], 3),
+        (2, [((0, 1, 3), 1), ((0, 3, 1), 1), ((1, 0, 3), 1), ((2, 0, 2), 1), ((2, 1, 1), 1),
+             ((2, 2, 0), 1), ((3, 1, 0), 1)], 4),
+        (5, [((0, 0, 3), 2), ((0, 1, 2), 3), ((0, 2, 1), 2), ((1, 0, 2), 1), ((1, 1, 1), 1),
+             ((1, 2, 0), 2), ((2, 1, 0), 3), ((3, 0, 0), 1)], 2),
+    ], ids=["gf2-cubic-2", "gf2-cubic-3", "gf3-cubic-2", "gf3-cubic-3", "gf2-quartic-2",
+            "gf2-quartic-3", "gf2-quartic-4", "gf5-cubic-2"])
+    @pytest.mark.parametrize("limit", [None, 1 << 13], ids=["default", "gf8192"])
+    def test_first_witness_past_level_one(self, monkeypatch, p, entries, level, limit):
+        # forms singular at a point of GF(p^level), from the kernel of the
+        # conditions there; with the limit raised the quartics over GF(2)
+        # read R in GF(2^13)
+        if limit is not None:
+            monkeypatch.setattr(smoothness, "_ABSCISSA_FIELD_LIMIT", limit)
+        f = form(get_descriptor(p), 3, sum(entries[0][0]), entries)
+        cap = min(level + 1, plane_cap(p))
+        want = point_scan(f, cap)
+        assert want[1].e == level
+        assert line_scan(f, cap) == want
+
+    def test_reducible_form_with_zero_r_scans_every_level(self, monkeypatch):
+        # x2 (x0^2 + x0x1 + x1^2 + x2^2) over GF(2): t divides F| and the
+        # partials, and t^2 + 1 + s + s^2 divides F| and (F|)', so every
+        # resultant vanishes; the witness lies on x2 = 0 over GF(4)
+        said = spy_levels(monkeypatch)
+        f = form(F2, 3, 3, [((2, 0, 1), 1), ((1, 1, 1), 1), ((0, 2, 1), 1), ((0, 0, 3), 1)])
+        assert smoothness._abscissa_gcd(_line_charts(f)[0], 2, 7) == []
+        want = point_scan(f, 2)
+        assert want[1] == F4 and line_scan(f, 2) == want
+        assert said == [True]
+
+    def test_line_at_infinity_keeps_its_record(self, monkeypatch):
+        # x0 (x1^2 + x0x2 + x1x2 + x2^2) over GF(2) is singular only where
+        # x0 = 0 meets the conic, at (0, 1, t) with t^2 + t + 1 = 0: R = 1
+        # skips every line of lead 0, and the level-1 record of the line
+        # (0, 1, t) gives the witness in GF(4)
+        said = spy_levels(monkeypatch)
+        f = form(F2, 3, 3, [((1, 2, 0), 1), ((2, 0, 1), 1), ((1, 1, 1), 1), ((1, 0, 2), 1)])
+        assert smoothness._abscissa_gcd(_line_charts(f)[0], 2, 7) == [1]
+        want = point_scan(f, 3)
+        assert want[1] == F4 and want[0][0] == F4.zero()
+        assert line_scan(f, 3) == want
+        assert said == [False]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_reducible_and_non_reduced_forms(self, p):
+        # L^2 M with L involving x2: every resultant has the factor L| in
+        # common, so R = 0; and products of two random forms
+        field = get_descriptor(p)
+        rng = random.Random(1600 + p)
+        cap = min(3, plane_cap(p))
+        for _ in range(4):
+            line = random_form(field, 3, 1, rng)
+            if not line.terms.get((0, 0, 1)):
+                line = line + form(field, 3, 1, [((0, 0, 1), 1)])
+            f = line ** 2 * random_form(field, 3, 1, rng)
+            if f:
+                assert smoothness._abscissa_gcd(_line_charts(f)[0], p, 7) == []
+                assert line_scan(f, cap) == point_scan(f, cap), str(f)
+            g = random_form(field, 3, 1, rng) * random_form(field, 3, 2, rng)
+            if g:
+                assert line_scan(g, cap) == point_scan(g, cap), str(g)
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_last_partial_vanishing_identically(self, p, d):
+        # every exponent of x2 divisible by p: (F|)' = 0, whose resultant
+        # with F| is 0 and leaves R to the partials in x0 and x1
+        field = get_descriptor(p)
+        rng = random.Random(1700 + 10 * p + d)
+        cap = plane_cap(p)
+        checked = 0
+        for _ in range(8):
+            f = random_form(field, 3, d, rng)
+            f = HomogeneousForm(field, 3, d, {m: c for m, c in f.terms.items() if m[2] % p == 0})
+            if f:
+                assert not f.partial_derivative(2)
+                assert line_scan(f, cap) == point_scan(f, cap), str(f)
+                checked += 1
+        assert checked >= 6
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_no_term_in_x2_alone(self, p):
+        # F(0, 0, 1) = 0: F| has t-degree below d, and the lead coefficient
+        # in t is a polynomial in s that stays nonzero at u
+        field = get_descriptor(p)
+        rng = random.Random(1800 + p)
+        cap = plane_cap(p)
+        for d in (2, 3):
+            for _ in range(4):
+                f = random_form(field, 3, d, rng)
+                f = HomogeneousForm(field, 3, d, {m: c for m, c in f.terms.items()
+                                                  if m != (0, 0, d)})
+                if f:
+                    assert line_scan(f, cap) == point_scan(f, cap), str(f)
+
+    @pytest.mark.parametrize("field", [F4, get_descriptor(3, 2)], ids=repr)
+    def test_extension_base_fields_are_not_filtered(self, field, monkeypatch):
+        calls = []
+        real = smoothness._abscissa_gcd
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(smoothness, "_abscissa_gcd", counted)
+        rng = random.Random(1900 + field.order)
+        for d in (2, 3):
+            for _ in range(3):
+                f = random_form(field, 3, d, rng)
+                assert line_scan(f, 2) == point_scan(f, 2), str(f)
+        assert not calls
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 3), (3, 3)])
+    def test_resultant_against_the_sylvester_determinant(self, p, e):
+        field = get_descriptor(p, e)
+        arith = field.arithmetic
+        rng = random.Random(2000 + field.order)
+
+        def poly():
+            # small indices and zero tops: degree drops and zero inputs
+            return [rng.randrange(min(field.order, 3)) if rng.randrange(3) else
+                    rng.randrange(field.order) for _ in range(rng.randrange(7))]
+
+        zero_inputs = 0
+        for _ in range(400):
+            a, b = poly(), poly()
+            zero_inputs += not any(a) or not any(b)
+            assert arith.resultant(a, b) == sylvester_resultant(arith, a, b), (a, b)
+        assert zero_inputs
+        # a degree drop of two in the remainder sequence
+        assert arith.resultant([1, 0, 0, 1], [1, 0, 1]) == sylvester_resultant(
+            arith, [1, 0, 0, 1], [1, 0, 1])
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+    def test_degree_bound(self, p, d):
+        # R has degree at most d(d - 1), so one more digit reads the same
+        field = get_descriptor(p)
+        rng = random.Random(2100 + 10 * p + d)
+        m = d * (d - 1) + 1
+        nonconstant = 0
+        for _ in range(6):
+            f = random_form(field, 3, d, rng)
+            if all(sum(e[:2]) > 1 for e in f.terms):
+                continue
+            chart = _line_charts(f)[0]
+            r = smoothness._abscissa_gcd(chart, p, m)
+            assert r == smoothness._abscissa_gcd(chart, p, m + 1)
+            assert len(r) <= m
+            nonconstant += len(r) > 1
+        assert nonconstant or d == 2
+
+    def test_smooth_cubic_takes_only_its_level_one_gcds(self, monkeypatch):
+        # a smooth cubic over GF(2) searched to GF(2^6): R is constant, so
+        # levels 2 to 6 scan nothing and build no field
+        seen = []
+        real = smoothness._restricted_gcd
+
+        def counted(arith, groups, values):
+            seen.append(arith.field)
+            return real(arith, groups, values)
+        monkeypatch.setattr(smoothness, "_restricted_gcd", counted)
+        f = form(F2, 3, 3, [((3, 0, 0), 1), ((2, 1, 0), 1), ((0, 3, 0), 1), ((2, 0, 1), 1),
+                            ((1, 1, 1), 1), ((1, 0, 2), 1), ((0, 1, 2), 1), ((0, 0, 3), 1)])
+        assert search_singular_point(f, 6) is None
+        assert seen == [F2] * 3
+
+    def test_gf8_witness_pin(self, monkeypatch):
+        # x0^3 + x0x1^2 + x1^3 + x0^2x2 + x0x1x2 + x1x2^2 + x2^3 over GF(2):
+        # R = 1 + s^2 + s^6 has no root in GF(4), so level 2 skips its lines
+        # of lead 0, and level 3 scans them to the witness (1, u, u^2 + u + 1)
+        said = spy_levels(monkeypatch)
+        f = form(F2, 3, 3, [((3, 0, 0), 1), ((1, 2, 0), 1), ((0, 3, 0), 1), ((2, 0, 1), 1),
+                            ((1, 1, 1), 1), ((0, 1, 2), 1), ((0, 0, 3), 1)])
+        assert smoothness._abscissa_gcd(_line_charts(f)[0], 2, 7) == [1, 0, 1, 0, 0, 0, 1]
+        w = search_singular_point(f, 6)
+        f8 = get_descriptor(2, 3)
+        assert w.field == f8 and [x.idx for x in w.point] == [1, 2, 7]
+        assert said == [False, True]
+        assert (w.point, w.field) == point_scan(f, 3)
+
+
 class TestCapMissWitnesses:
     """Forms #2699 and #3210, counted from 0, of the stream
     random_form(GF(2), 4, 4, random.Random(0)): singular, with no witness
