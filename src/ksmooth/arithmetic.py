@@ -7,7 +7,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DescriptorMismatch
-from .fields import _digits, _digitwise, _index, _monic_gcd, _mulmod, _poly_trim, _powmod
+from .fields import (
+    _digits, _digitwise, _index, _monic_gcd, _mulmod, _poly_trim, _powmod, _remainder)
 
 
 def _first_root(f, order, mul, add):
@@ -25,9 +26,10 @@ def _first_root(f, order, mul, add):
 def _resultant(a, b, mul, inv, add, power, minus_one):
     """The resultant of two polynomials given as index lists (low degree
     first) at their actual degrees, the Sylvester determinant, 0 when one
-    of them is zero, by the remainder loop of `_monic_gcd`: for deg b > 0
-    and r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
-    Res(b, r), and Res(a, c) = c^(deg a) for a nonzero constant c."""
+    of them is zero, by the division step `_remainder` of `_monic_gcd`: for
+    deg b > 0 and r = a mod b, Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r), and Res(a, c) = c^(deg a) for a
+    nonzero constant c."""
     a = _poly_trim(list(a))
     b = _poly_trim(list(b))
     if not a or not b:
@@ -35,22 +37,12 @@ def _resultant(a, b, mul, inv, add, power, minus_one):
     res = 1
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
-        lead = b[-1]
-        s = mul(inv(lead), minus_one)
-        for i in range(da, db - 1, -1):
-            c = a[i]
-            if c:
-                c = mul(c, s)
-                off = i - db
-                for j in range(db):
-                    if b[j]:
-                        a[off + j] = add(a[off + j], mul(c, b[j]))
-        r = _poly_trim(a[:db])
+        r = _remainder(a, b, mul, inv, add, minus_one)
         if not r:
             return 0
         if da & db & 1:
             res = mul(res, minus_one)
-        res = mul(res, power(lead, da + 1 - len(r)))
+        res = mul(res, power(b[-1], da + 1 - len(r)))
         a, b = b, r
     return mul(res, power(b[0], len(a) - 1))
 

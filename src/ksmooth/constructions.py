@@ -2,11 +2,17 @@
 bases and Moore matrices, systems of smooth hypersurfaces with Galois descent
 to the base field, the characteristic-zero lift, the characteristic-2 quadric
 refutation machinery, and a built-in cubic system over GF(3).
+
+A template is data: F_0 as (monomial in the Moore coordinates, coefficient
+index in GF(q^(n+1))) pairs; F_j moves the exponents cyclically by j and
+raises each coefficient to the power q^j.  The construction runs on indices
+through that field's `IndexArithmetic`, up to the results it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .errors import (
@@ -27,20 +33,17 @@ from .fields import (
     QQ,
     _first_of_full_order,
     element_to_json,
-    frobenius,
     get_descriptor,
     get_embedding,
     normalize_projective,
-    poly_gcd,
     sqrt_char2,
 )
 from .multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
-    coefficient_rank,
-    coefficients_fixed_by_frobenius,
-    compose,
-    frobenius_twist,
+    _compose,
+    _raw_form,
+    _Slots,
     system_to_json,
 )
 from .records import Record
@@ -52,6 +55,18 @@ from .smoothness import (
 )
 
 
+def _first_monomial(nvars, degree, cyclic):
+    """x_0^d, or x_0^(d-1) x_1 (indices mod nvars) when `cyclic`."""
+    exps = [degree - cyclic] + [0] * (nvars - 1)
+    exps[1 % nvars] += cyclic
+    return tuple(exps)
+
+
+def _shifted(exps, j):
+    """The exponents moved cyclically by 0 <= j < len(exps): x_i to x_(i+j)."""
+    return exps[-j:] + exps[:-j]
+
+
 def fermat_form(coefficients, degree):
     """Diagonal form c0*x0^d + c1*x1^d + ... + cn*xn^d.
 
@@ -61,14 +76,9 @@ def fermat_form(coefficients, degree):
     cs = tuple(coefficients)
     if any(not c for c in cs):
         raise ZeroCoefficient("diagonal form needs every coefficient nonzero")
-    field = cs[0].field
-    nv = len(cs)
-    terms = {}
-    for i, c in enumerate(cs):
-        exps = [0] * nv
-        exps[i] = degree
-        terms[tuple(exps)] = c
-    return HomogeneousForm(field, nv, degree, terms)
+    first = _first_monomial(len(cs), degree, 0)
+    return HomogeneousForm(cs[0].field, len(cs), degree,
+                           {_shifted(first, i): c for i, c in enumerate(cs)})
 
 
 def klein_form(coefficients, degree):
@@ -83,15 +93,9 @@ def klein_form(coefficients, degree):
         raise ZeroCoefficient("cyclic form needs every coefficient nonzero")
     if degree < 2:
         raise ValueError("degree must be >= 2")
-    field = cs[0].field
-    nv = len(cs)
-    terms = []
-    for i, c in enumerate(cs):
-        exps = [0] * nv
-        exps[i] += degree - 1
-        exps[(i + 1) % nv] += 1
-        terms.append((tuple(exps), c))
-    return HomogeneousForm(field, nv, degree, terms)
+    first = _first_monomial(len(cs), degree, 1)
+    return HomogeneousForm(cs[0].field, len(cs), degree,
+                           [(_shifted(first, i), c) for i, c in enumerate(cs)])
 
 
 class MooreData(Record):
@@ -109,49 +113,50 @@ class MooreData(Record):
         self.det = det
 
 
+def _orbit(arith, a, q, m):
+    """The indices of a, a^q, ..., a^(q^(m-1)) in the field of `arith`."""
+    orbit = [a]
+    for _ in range(m - 1):
+        orbit.append(arith.power(orbit[-1], q))
+    return orbit
+
+
 def moore_matrix(alpha, e, nvars):
     """The Moore matrix A[j][i] = alpha^(q^(i+j)), indices mod nvars, of an
     element alpha of GF(q^nvars), q = p^e; it is invertible exactly when
     alpha is normal over GF(q)."""
-    orbit = [alpha]
-    for _ in range(nvars - 1):
-        orbit.append(frobenius(orbit[-1], e))
-    return FieldMatrix(alpha.field, [[orbit[(i + j) % nvars] for i in range(nvars)]
-                                     for j in range(nvars)])
+    big = alpha.field
+    orbit = _orbit(big.arithmetic, alpha.idx, big.p ** e, nvars)
+    return FieldMatrix(big, [list(map(big.element_from_index, orbit[j:] + orbit[:j]))
+                             for j in range(nvars)])
 
 
 def normal_basis_search(p, e, n):
     """First element of GF(q^(n+1)) (canonical order, q = p^e) whose Frobenius
     orbit is a basis over GF(q), with its `moore_matrix` and the nonzero
     determinant of that; existence is the normal basis theorem.  The
-    candidates are built one at a time, and each is tested by `_is_normal`,
-    one gcd; the Moore matrix is built for the chosen element only."""
+    candidates are indices, each tested by `_is_normal`, one gcd; only the
+    chosen one becomes an element, with its Moore matrix."""
     base = get_descriptor(p, e)
     big = get_descriptor(p, e * (n + 1))
     for i in range(1, big.order):
-        alpha = big.element_from_index(i)
-        if _is_normal(alpha, base.order, n + 1):
-            matrix = moore_matrix(alpha, e, n + 1)
-            return MooreData(field=big, base=base, alpha=alpha, matrix=matrix, det=matrix.det())
+        if _is_normal(big.arithmetic, i, base.order, n + 1):
+            matrix = moore_matrix(big.element_from_index(i), e, n + 1)
+            return MooreData(field=big, base=base, alpha=matrix.rows[0][0], matrix=matrix,
+                             det=matrix.det())
     raise AssertionError("unreachable: normal elements always exist")
 
 
-def _is_normal(alpha, q, m):
-    """Whether alpha, an element of GF(q^m), is normal over GF(q): exactly
-    when f = sum_i alpha^(q^i) x^(m-1-i) and x^m - 1 are coprime (Lidl and
-    Niederreiter, Finite Fields, Theorem 2.39).  x - 1 divides x^m - 1, so
-    the trace f(1) of alpha must not vanish; that is checked first, and is
-    the whole test when m is a power of p, x^m - 1 then being (x - 1)^m."""
-    orbit = [alpha]
-    for _ in range(m - 1):
-        orbit.append(orbit[-1] ** q)
-    trace = alpha.field.zero()
-    for x in orbit:
-        trace = trace + x
-    if not trace:
+def _is_normal(arith, a, q, m):
+    """Whether the element of index a of GF(q^m) is normal over GF(q): when
+    f = sum_i a^(q^i) x^(m-1-i) and x^m - 1 (-1 has index p - 1) are coprime
+    (Lidl and Niederreiter, Finite Fields, Theorem 2.39).  x - 1 divides
+    x^m - 1, so the trace f(1) of a must not vanish; that is checked first,
+    and is the whole test when m is a power of p, x^m - 1 being (x - 1)^m."""
+    orbit = _orbit(arith, a, q, m)
+    if not reduce(arith.add, orbit):
         return False
-    one = alpha.field.one()
-    return len(poly_gcd(orbit[::-1], [-one] + [alpha.field.zero()] * (m - 1) + [one])) == 1
+    return len(arith.gcd(orbit[::-1], [arith.field.p - 1] + [0] * (m - 1) + [1])) == 1
 
 
 def moore_symmetries(base, alpha):
@@ -173,27 +178,27 @@ def moore_symmetries(base, alpha):
     for the system it is given and trusts none of it.
     """
     big = alpha.field
+    arith = big.arithmetic
     nvars = big.e // base.e
-    a = moore_matrix(alpha, base.e, nvars)
+    orbit = _orbit(arith, alpha.idx, base.order, nvars)
     lam = _first_of_full_order(
-        (big.element_from_index(i) for i in range(1, big.order)), big.order - 1)
+        (big.element_from_index(i) for i in range(1, big.order)), big.order - 1).idx
     # [A | D A] reduces to [I | A^-1 D A] exactly when A is invertible
-    rows = []
-    for row in a.rows:
-        rows.append(row + [lam * x for x in row])
-        lam = frobenius(lam, base.e)
-    reduced, pivots, _ = FieldMatrix(big, rows).rref()
+    rows = [orbit[j:] + orbit[:j] for j in range(nvars)]
+    rows = [row + [arith.mul(x, lam_j) for x in row]
+            for row, lam_j in zip(rows, _orbit(arith, lam, base.order, nvars))]
+    reduced, pivots, _ = arith.rref([{k: x for k, x in enumerate(row) if x} for row in rows],
+                                    2 * nvars)
     if pivots[:nvars] != list(range(nvars)):
         return ()
-    down = get_embedding(base, big).down
+    down = get_embedding(base, big).down_index
     try:
-        m = [[down(x) for x in row[nvars:]] for row in reduced]
+        m = [[down(row.get(k, 0)) for k in range(nvars, 2 * nvars)] for row in reduced]
     except NoSolution:
         return ()
-    zero, one = base.zero(), base.one()
-    shift = [[one if k == (i - 1) % nvars else zero for k in range(nvars)]
-             for i in range(nvars)]
-    return FieldMatrix(base, m), FieldMatrix(base, shift)
+    shift = [[int(k == (i - 1) % nvars) for k in range(nvars)] for i in range(nvars)]
+    return tuple(FieldMatrix(base, [list(map(base.element_from_index, row)) for row in a])
+                 for a in (m, shift))
 
 
 class ConstructionResult(Record):
@@ -211,43 +216,62 @@ class ConstructionResult(Record):
         self.system = system
 
 
-def _check_equal_span(family_a, family_b):
-    """Certify that both families are independent with one span:
-    rank A = rank B = rank of both families together = the size of A."""
-    both = list(family_a) + list(family_b)
-    if {coefficient_rank(f) for f in (family_a, family_b, both)} != {len(family_a)}:
+def _check_equal_span(arith, family_a, family_b):
+    """Certify that both families of maps from monomials to indices are
+    independent with one span: rank A = rank B = rank of both = |A|."""
+    size, column = len(family_a), {}
+    rows = [{column.setdefault(m, len(column)): c for m, c in f.items()}
+            for f in (*family_a, *family_b)]
+    if {len(arith.rref(part, len(column))[1])
+            for part in (rows[:size], rows[size:], rows)} != {size}:
         raise AssertionError("descent changed the span of the family or it is dependent")
+
+
+def _descend(raw, moore):
+    """The descent on maps from monomials to element indices, each G_j one
+    `combine`.  Cyclicity (F_i mapped to F_(i+1 mod n+1) by the q-power
+    Frobenius on coefficients) makes every G_j Frobenius-fixed; the Moore
+    matrix is the change of basis, so the span is unchanged."""
+    arith, q, nv = moore.field.arithmetic, moore.base.order, len(raw)
+    power = arith.power
+    for i in range(nv):
+        if {m: power(c, q) for m, c in raw[i].items()} != raw[(i + 1) % nv]:
+            raise NotFrobeniusCyclic(
+                "family is not cyclically permuted by the q-power Frobenius")
+    orbit = list(map(arith.index, moore.matrix.rows[0]))
+    big_gens = [arith.combine([(orbit[(i + j) % nv], raw[i]) for i in range(nv)])
+                for j in range(nv)]
+    if any(power(c, q) != c for g in big_gens for c in g.values()):
+        raise AssertionError("descent produced coefficients not fixed by Frobenius")
+    _check_equal_span(arith, raw, big_gens)
+    down = get_embedding(moore.base, moore.field).down_index
+    return [{m: down(c) for m, c in g.items()} for g in big_gens]
 
 
 def galois_descent(raw_generators, moore):
     """Base-field generators G_j = sum_i alpha^(q^(i+j)) * F_i of the span of
-    a Frobenius-cyclic family F_0, ..., F_n over GF(q^(n+1)).
-
-    Cyclicity (F_i mapped to F_(i+1 mod n+1) by the q-power Frobenius on
-    coefficients) makes every G_j Frobenius-fixed; the Moore matrix is the
-    change of basis, so the span is unchanged.
-    """
+    a Frobenius-cyclic family of forms F_0, ..., F_n, by `_descend`."""
     raw = list(raw_generators)
-    nv = len(raw)
-    base = moore.base
-    big = moore.field
-    for i in range(nv):
-        if frobenius_twist(raw[i], base.e) != raw[(i + 1) % nv]:
-            raise NotFrobeniusCyclic(
-                "family is not cyclically permuted by the q-power Frobenius")
-    orbit = moore.matrix.rows[0]
-    big_gens = []
-    for j in range(nv):
-        g = HomogeneousForm.zero(big, raw[0].nvars, raw[0].degree)
-        for i in range(nv):
-            g = g + raw[i].scale(orbit[(i + j) % nv])
-        big_gens.append(g)
-    for g in big_gens:
-        if not coefficients_fixed_by_frobenius(g, base.e):
-            raise AssertionError("descent produced coefficients not fixed by Frobenius")
-    _check_equal_span(raw, big_gens)
-    emb = get_embedding(base, big)
-    return [g.map_coefficients(emb.down, base) for g in big_gens]
+    index, element = moore.field.arithmetic.index, moore.base.element_from_index
+    gens = _descend([{m: index(c) for m, c in f.terms.items()} for f in raw], moore)
+    return [_raw_form(moore.base, f.nvars, f.degree, {m: element(c) for m, c in g.items()})
+            for f, g in zip(raw, gens)]
+
+
+def _construct(moore, template, degree):
+    """The raw generators F_0, ..., F_n of a template (the terms of F_0) in
+    the Moore coordinates, one `_compose` of packed index maps, and their
+    descent, as two tuples of forms."""
+    big, base = moore.field, moore.base
+    nv = big.e // base.e
+    arith = big.arithmetic
+    slots = _Slots.for_degree(nv, degree)
+    family = [slots.pack({_shifted(m, j): arith.power(c, base.order ** j) for m, c in template})
+              for j in range(nv)]
+    raw = _compose(family, moore.matrix, slots, arith)
+    return tuple(tuple(_raw_form(field, nv, degree, {slots.exponents(m): field.element_from_index(c)
+                                                     for m, c in h.items()}) for h in maps)
+                 for field, maps in ((big, raw), (base, _descend(raw, moore))))
 
 
 def construct_system_with_details(p, e, n, d, r):
@@ -255,16 +279,11 @@ def construct_system_with_details(p, e, n, d, r):
     details (any subspace of a K-smooth system is K-smooth; taking a prefix
     keeps the output deterministic).
 
-    The template is `fermat_form` with all coefficients 1 over GF(q^(n+1))
-    when the characteristic does not divide d (case 1) and `klein_form` when
-    it divides d but not n+1 (case 2).  Raw generator j is the template's
-    j-th term written in the Moore coordinates y_i of a normal element (x_i
-    replaced by row i of the Moore matrix, the image of each monomial built
-    once for the whole template): y_j^d in case 1 and
-    y_j^(d-1) * y_(j+1) in case 2, so a member with all-nonzero big-field
-    coefficients is a template with those coefficients in y.  The terms come
-    in the cyclic order the Frobenius permutes, and Galois descent turns the
-    family into generators over GF(q).
+    The template is y_0^d with coefficient 1, the first term of
+    `fermat_form`, when the characteristic does not divide d (case 1), and
+    y_0^(d-1) * y_1, that of `klein_form`, when it divides d but not n+1
+    (case 2); `_construct` writes F_j in the Moore coordinates y of a normal
+    element and descends the family to GF(q).
     """
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
@@ -288,12 +307,8 @@ def construct_system_with_details(p, e, n, d, r):
             f"characteristic {p} divides gcd(d, n+1) = {g}; the construction "
             "requires p not to divide gcd(d, n+1)")
     moore = normal_basis_search(p, e, n)
-    big = moore.field
-    ones = (big.one(),) * (n + 1)
-    case, template = (1, fermat_form(ones, d)) if d % p else (2, klein_form(ones, d))
-    raw = tuple(compose([HomogeneousForm(big, n + 1, d, {m: c})
-                         for m, c in template.terms.items()], moore.matrix))
-    generators = tuple(galois_descent(raw, moore))
+    case = 1 if d % p else 2
+    raw, generators = _construct(moore, [(_first_monomial(n + 1, d, case - 1), 1)], d)
     system = LinearSystemOfForms(generators[:r + 1])
     return system, ConstructionResult(case=case, moore=moore, raw_generators=raw,
                                       generators=generators, system=system)

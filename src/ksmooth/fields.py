@@ -186,6 +186,24 @@ def _poly_trim(a):
     return a
 
 
+def _remainder(a, b, mul, inv, add, minus_one):
+    """The one division step of the Euclid loops: a mod b, both lists of
+    element indices (low degree first, b nonzero and trimmed), with a
+    field's `mul`, `inv` and `add` on indices and the index of -1; a is
+    overwritten, and the remainder comes back trimmed."""
+    s = mul(inv(b[-1]), minus_one)
+    db = len(b) - 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            c = mul(c, s)
+            off = i - db
+            for j in range(db):
+                if b[j]:
+                    a[off + j] = add(a[off + j], mul(c, b[j]))
+    return _poly_trim(a[:db])
+
+
 def _monic_gcd(a, b, mul, inv, add, minus_one):
     """The one Euclid loop: the monic gcd of two polynomials given as lists
     of element indices (low degree first), [] when both are zero, with a
@@ -193,34 +211,11 @@ def _monic_gcd(a, b, mul, inv, add, minus_one):
     a = _poly_trim(list(a))
     b = _poly_trim(list(b))
     while b:
-        s = mul(inv(b[-1]), minus_one)
-        db = len(b) - 1
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                c = mul(c, s)
-                off = i - db
-                for j in range(db):
-                    if b[j]:
-                        a[off + j] = add(a[off + j], mul(c, b[j]))
-        a, b = b, _poly_trim(a[:db])
+        a, b = b, _remainder(a, b, mul, inv, add, minus_one)
     if a and a[-1] != 1:
         s = inv(a[-1])
         a = [mul(c, s) for c in a]
     return a
-
-
-def poly_gcd(a, b):
-    """Monic gcd of two univariate polynomials over one finite field, given
-    as lists of FieldElements (low degree first); [] when both are zero.
-    It runs the field's `IndexArithmetic.gcd` on the elements' indices."""
-    field = next((c.field for c in (*a, *b)), None)
-    if field is None:
-        return []
-    arith = field.arithmetic
-    index = arith.index
-    return list(map(field.element_from_index,
-                    arith.gcd([index(c) for c in a], [index(c) for c in b])))
 
 
 def is_irreducible(coeffs, p):
@@ -699,8 +694,8 @@ class FieldEmbedding:
     """Embedding of GF(p^e) into GF(p^E) with e dividing E.
 
     Determined by the first root of the small modulus in canonical order, so
-    repeated runs embed identically.  `down` inverts the embedding on its
-    image and raises NoSolution off it.
+    repeated runs embed identically.  It maps element indices; `up` and `down`
+    convert at that boundary, and `down_index` raises NoSolution off the image.
 
     The roots are the images of u, so they lie in the copy of GF(q) inside
     the big field and, except for the root 0 of a prime field's modulus u,
@@ -720,21 +715,21 @@ class FieldEmbedding:
             raise ValueError(f"GF({small.p}^{small.e}) does not embed in GF({big.p}^{big.e})")
         self.small = small
         self.big = big
-        zero = big.zero()
         # a prime field is F_p[u]/(u), so its root is 0
-        self.root = zero if small.modulus is None else self._first_root()
+        self.root = big.zero() if small.modulus is None else self._first_root()
         # the image of every small element, by index: sum of c_i * root^i,
         # built digit by digit, so the image of index c * p^j + r (r < p^j)
         # is that of r plus c * root^j, one addition per element
-        self._image = [zero]
+        image = [big.zero()]
         power = big.one()
         for _ in range(small.e):
-            lower = list(self._image)
+            lower = list(image)
             for c in range(1, small.p):
                 shift = big.from_int(c) * power
-                self._image += [x + shift for x in lower]
+                image += [x + shift for x in lower]
             power = power * self.root
-        self._preimage = dict(zip(self._image, small.elements()))
+        self._image = [x.idx for x in image]
+        self._preimage = {y: x for x, y in enumerate(self._image)}
 
     def _first_root(self):
         small, big = self.small, self.big
@@ -760,18 +755,23 @@ class FieldEmbedding:
     def up(self, x):
         if x.field.key != self.small.key:
             raise DescriptorMismatch("element is not in the small field")
-        return self._image[x.idx]
+        return self.big.element_from_index(self._image[x.idx])
 
     def up_index(self, i):
         """The index of the image of the small field's element of index i."""
-        return self._image[i].idx
+        return self._image[i]
 
     def down(self, y):
         if y.field.key != self.big.key:
             raise DescriptorMismatch("element is not in the big field")
-        x = self._preimage.get(y)
+        return self.small.element_from_index(self.down_index(y.idx))
+
+    def down_index(self, i):
+        """The index of the preimage of the big field's element of index i."""
+        x = self._preimage.get(i)
         if x is None:
-            raise NoSolution(f"{y!r} lies outside the image of {self.small!r}")
+            raise NoSolution(f"{self.big.element_from_index(i)!r} lies outside the image "
+                             f"of {self.small!r}")
         return x
 
 

@@ -455,13 +455,6 @@ def _index_rows(forms):
     return list(column), rows
 
 
-def coefficient_rank(forms):
-    """The rank of the forms' coefficient vectors, each read straight from
-    its terms as one sparse row of element indices."""
-    monomials, rows = _index_rows(forms)
-    return len(forms[0].field.arithmetic.rref(rows, len(monomials))[1])
-
-
 def random_element(field, rng):
     return field.element_from_index(rng.randrange(field.order))
 

@@ -11,6 +11,7 @@ import pytest
 
 from ksmooth.constructions import (
     _check_equal_span,
+    _construct,
     _is_normal,
     builtin_example_f3,
     char2_find_singular_member,
@@ -29,6 +30,7 @@ from ksmooth.constructions import (
 from ksmooth.errors import (
     EvenN,
     HypothesisViolated,
+    NoSolution,
     NotFrobeniusCyclic,
     NotPrimeField,
     PreconditionViolated,
@@ -36,9 +38,17 @@ from ksmooth.errors import (
     ShapeViolated,
     ZeroCoefficient,
 )
-from ksmooth.fields import QQ, get_descriptor, get_embedding, is_prime
+from ksmooth.fields import (
+    QQ,
+    FieldDescriptor,
+    FieldElement,
+    get_descriptor,
+    get_embedding,
+    is_prime,
+)
 from ksmooth.multipoly import (
     HomogeneousForm,
+    LinearSystemOfForms,
     coefficients_fixed_by_frobenius,
     frobenius_twist,
     random_system,
@@ -137,7 +147,8 @@ class TestNormalBasisSearch:
     def test_gcd_test_agrees_with_the_moore_determinant(self, p, e, n):
         big = get_descriptor(p, e * (n + 1))
         for x in big.elements()[1:]:
-            assert _is_normal(x, p ** e, n + 1) == bool(moore_matrix(x, e, n + 1).det()), x
+            assert _is_normal(big.arithmetic, x.idx, p ** e, n + 1) == bool(
+                moore_matrix(x, e, n + 1).det()), x
 
     def test_large_cases_keep_their_alpha(self):
         # the first normal element of GF(2^16) over GF(2) has index 2^11, so
@@ -228,11 +239,13 @@ class TestGaloisDescent:
     def test_equal_span_check_rejects_a_dependent_family(self):
         f = form(F2, 2, 2, [((2, 0), 1)])
         g = form(F2, 2, 2, [((1, 1), 1)])
-        _check_equal_span([f, g], [g, f + g])
+        arith = F2.arithmetic
+        f, g, h = ({m: c.idx for m, c in x.terms.items()} for x in (f, g, f + g))
+        _check_equal_span(arith, [f, g], [g, h])
         with pytest.raises(AssertionError):
-            _check_equal_span([f, f], [f, f])
+            _check_equal_span(arith, [f, f], [f, f])
         with pytest.raises(AssertionError):
-            _check_equal_span([f, g], [f, f])
+            _check_equal_span(arith, [f, g], [f, f])
 
     def test_non_cyclic_family_rejected(self):
         md = normal_basis_search(2, 1, 1)
@@ -241,6 +254,55 @@ class TestGaloisDescent:
                HomogeneousForm(big, 2, 2, {(0, 2): big.one()})]
         with pytest.raises(NotFrobeniusCyclic):
             galois_descent(bad, md)
+
+
+class TestOnePathOnIndices:
+    def test_warm_construct_does_no_form_or_element_arithmetic(self, monkeypatch):
+        construct_system_with_details(2, 1, 15, 3, 15)
+        calls = []
+        for cls, name in ((HomogeneousForm, "__add__"), (HomogeneousForm, "scale"),
+                          (FieldElement, "__add__"), (FieldElement, "__mul__"),
+                          (FieldElement, "__pow__")):
+            def counted(*args, _method=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _method(*args)
+            monkeypatch.setattr(cls, name, counted)
+        system, res = construct_system_with_details(2, 1, 15, 3, 15)
+        assert calls == []
+        assert len(system.generators) == 16 and res.moore.alpha.idx == 2 ** 11
+
+    def test_two_monomial_template_where_p_divides_gcd(self):
+        # y3^4 + u*y0*y2^2*y3 over GF(2) with n = 3: p = 2 divides
+        # gcd(d, n+1) = 4, so neither fixed template applies, yet this one
+        # descends to a K-smooth system through the one path
+        with pytest.raises(HypothesisViolated):
+            construct_smooth_system(2, 1, 3, 4, 3)
+        moore = normal_basis_search(2, 1, 3)
+        big = moore.field
+        assert moore.alpha.idx == 8
+        u = big.element([0, 1, 0, 0])
+        raw, generators = _construct(moore, [((0, 0, 0, 4), 1), ((1, 0, 2, 1), u.idx)], 4)
+        # F_0 in the Moore coordinates, by the form path
+        assert raw[0] == HomogeneousForm(big, 4, 4, {(0, 0, 0, 4): big.one(),
+                                                     (1, 0, 2, 1): u}).substitute_linear(
+            moore.matrix)
+        assert galois_descent(raw, moore) == list(generators)
+        report = verify_system_K_smooth(LinearSystemOfForms(generators))
+        assert report.member_count == 15 and report.k_smooth
+
+    @pytest.mark.parametrize("small,big", [((2, 1), (2, 4)), ((2, 2), (2, 4)), ((3, 1), (3, 2)),
+                                           ((3, 2), (3, 4)), ((2, 6), (2, 18))],
+                             ids=lambda pe: f"{pe[0]}^{pe[1]}")
+    def test_down_index_inverts_up_index_and_rejects_the_rest(self, small, big):
+        small, big = FieldDescriptor(*small), FieldDescriptor(*big)
+        emb = get_embedding(small, big)
+        image = [emb.up_index(i) for i in range(small.order)]
+        assert [emb.down_index(y) for y in image] == list(range(small.order))
+        outside = set(range(min(big.order, 4096))) - set(image)
+        assert outside
+        for y in outside:
+            with pytest.raises(NoSolution):
+                emb.down_index(y)
 
 
 class TestFermatConstruction:
