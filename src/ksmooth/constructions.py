@@ -181,8 +181,7 @@ def moore_symmetries(base, alpha):
     arith = big.arithmetic
     nvars = big.e // base.e
     orbit = _orbit(arith, alpha.idx, base.order, nvars)
-    lam = _first_of_full_order(
-        (big.element_from_index(i) for i in range(1, big.order)), big.order - 1).idx
+    lam = _first_of_full_order(range(1, big.order), big.order - 1, arith.power)
     # [A | D A] reduces to [I | A^-1 D A] exactly when A is invertible
     rows = [orbit[j:] + orbit[:j] for j in range(nvars)]
     rows = [row + [arith.mul(x, lam_j) for x in row]
@@ -268,7 +267,7 @@ def _construct(moore, template, degree):
     slots = _Slots.for_degree(nv, degree)
     family = [slots.pack({_shifted(m, j): arith.power(c, base.order ** j) for m, c in template})
               for j in range(nv)]
-    raw = _compose(family, moore.matrix, slots, arith)
+    raw = _compose(family, [[x.idx for x in row] for row in moore.matrix], slots, arith)
     return tuple(tuple(_raw_form(field, nv, degree, {slots.exponents(m): field.element_from_index(c)
                                                      for m, c in h.items()}) for h in maps)
                  for field, maps in ((big, raw), (base, _descend(raw, moore))))

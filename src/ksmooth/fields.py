@@ -80,16 +80,17 @@ def _prime_factors(n):
     return out
 
 
-def _first_of_full_order(candidates, n):
-    """The first candidate x, a unit of a field with x^n = 1, of order
-    exactly n: x^(n/r) != 1 for every prime r dividing n.  The powers share
-    one chain: y = x^(n/s), s the product of the primes, then y^(s/r) for
-    each r, the smallest (most often failing) first."""
+def _first_of_full_order(candidates, n, power):
+    """The first candidate x, the index of a unit of a field with x^n = 1,
+    of order exactly n: x^(n/r) != 1 for every prime r dividing n, with
+    `power(a, k)` the index of a^k.  The powers share one chain:
+    y = x^(n/s), s the product of the primes, then y^(s/r) for each r, the
+    smallest (most often failing) first."""
     primes = _prime_factors(n)
     s = prod(primes)
     for x in candidates:
-        y = x ** (n // s)
-        if all((y ** (s // r)).idx != 1 for r in primes):
+        y = power(x, n // s)
+        if all(power(y, s // r) != 1 for r in primes):
             return x
     raise AssertionError("unreachable: no candidate of full order")
 
@@ -310,7 +311,8 @@ class FieldDescriptor:
         # the tables do not exist yet, so the candidates are untabled
         # elements; for e > 1 those below p lie in GF(p), of order < n
         first = p if e > 1 else 1
-        g = _first_of_full_order((FieldElement(self, x) for x in range(first, n + 1)), n).idx
+        g = _first_of_full_order(range(first, n + 1), n,
+                                 lambda a, k: (FieldElement(self, a) ** k).idx)
         exp = [1]
         step = exp.append
         if e == 1:
@@ -734,8 +736,13 @@ class FieldEmbedding:
     def _first_root(self):
         small, big = self.small, self.big
         n = small.order - 1
-        h = _first_of_full_order((big.element_from_index(i) ** ((big.order - 1) // n)
-                                  for i in range(2, big.order)), n)
+        # powers of elements: the big field's `arithmetic` would build its
+        # index lists for every embedding
+        def index_power(a, k):
+            return (big.element_from_index(a) ** k).idx
+
+        h = big.element_from_index(_first_of_full_order(
+            (index_power(i, (big.order - 1) // n) for i in range(2, big.order)), n, index_power))
         # the modulus at h^k is its constant term plus one running term
         # c_i h^(k i) for each other nonzero coefficient, advanced by h^i
         const = big.from_int(small.modulus[0])

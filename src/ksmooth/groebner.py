@@ -26,11 +26,21 @@ and a reduction step adds the divisor's other terms times minus the reducee's
 coefficient, so the loop itself never divides.  Over a prime field GF(p) a
 coefficient inside a run is the element's index, a plain int in [0, p); in
 `_reduce_full`, the one reduction loop, it grows without reduction and is
-taken mod p when its term is popped.  Over Q and over GF(p^e) with e > 1 the
-same loop runs on `Fraction`s and `FieldElement`s.  A run remembers, for
-every monomial it has reduced, the first element whose leader divides it
-(see `_reduce_full`).  `normal_form` and `s_polynomial` always run on the
-given coefficients.
+taken mod p when it is read.  Over Q and over GF(p^e) with e > 1 the same
+loop runs on `Fraction`s and `FieldElement`s.  `normal_form` and
+`s_polynomial` always run on the given coefficients.
+
+The keys of one degree are ranked once per slot width, in ascending order
+(`_rank_table`), and a polynomial being reduced is a list indexed by rank:
+an S-polynomial is written into it as the two shifted tails, and the walk
+goes up the list, as in the row picture of Faugere's F4 (J. Pure Appl.
+Algebra 139, 1999) taken one S-pair at a time.  A run remembers, for every
+monomial it has reduced, the first element whose leader divides it and that
+element's tail shifted onto it, as a row of (rank, coefficient) pairs, so a
+reduction step is a list multiply-add.  A degree with more than
+`_TABLE_BOUND` monomials has no table, and its polynomials are reduced as
+dicts whose keys are popped from a heap, as in the division of Monagan and
+Pearce (J. Symb. Comput. 46, 2011); see `_reduce_full`.
 
 Field elements stay at the boundary of a run: both certificate entry
 points, `smoothness.is_smooth` and `certify_combinations`, differentiate
@@ -47,6 +57,8 @@ counts popped pairs, skipped ones included.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import compress, islice
+from math import comb
 
 from .errors import BudgetExceeded, NotHomogeneous
 from .fields import element_to_json, field_to_json
@@ -54,6 +66,15 @@ from .multipoly import HomogeneousForm, _Slots, monomial_key
 from .records import Record
 
 DEFAULT_STEP_BUDGET = 1_000_000
+
+# the most monomials of one degree that get a rank table: a dense walk costs
+# a list of that many slots per S-pair, and a table about 110 bytes a slot
+_TABLE_BOUND = 1 << 13
+# (nvars, slot width, degree) -> `_rank_table`, never changed once built
+_rank_tables = {}
+# the longest walk that reads every slot: `compress` costs about 0.25 us to
+# set up and saves about 25 ns a zero slot
+_SHORT_WALK = 32
 
 
 class _SlotOverflow(Exception):
@@ -93,31 +114,108 @@ def _make_monic(terms, p):
     return {m: c * inv for m, c in terms.items()}
 
 
-def _reduce_full(work, gens, lms, guard, p, divisor):
-    """Full remainder of multivariate division of packed `work` by `gens`
-    (packed, homogeneous and monic, with leading keys `lms`, each leading
-    term first), with coefficients as in `_make_monic`; consumes `work`.
-    The remainder lists its terms in ascending key order, so a nonzero
-    remainder has its leading term first.
+def _rank_table(slots, degree):
+    """(keys, ranks): the keys of the degree in ascending order and the map
+    from key to rank, built once for every run with the same slots; None
+    when the degree has more than `_TABLE_BOUND` monomials."""
+    name = slots.nvars, slots.width, degree
+    table = _rank_tables.get(name, False)
+    if table is False:
+        table = None
+        if comb(degree + slots.nvars - 1, degree) <= _TABLE_BOUND:
+            # degree d -> the keys of degree d in x_0, ..., x_i, ascending:
+            # the exponent of x_i, in the top slot, counts up; the last
+            # variable needs the degree itself only
+            keys = {d: [d] for d in range(degree + 1)}
+            for i in range(1, slots.nvars):
+                unit = 1 << (slots.width * i)
+                keys = {d: [e * unit + k for e in range(d + 1) for k in keys[d - e]]
+                        for d in range(degree if i == slots.nvars - 1 else 0, degree + 1)}
+            keys = keys[degree]
+            table = keys, {k: r for r, k in enumerate(keys)}
+        _rank_tables[name] = table
+    return table
 
-    The keys of `work` are popped from a heap in ascending order, which is
-    degrevlex order from the top.  A step at the key lm with coefficient c
-    adds -c times the other terms of the divisor g, shifted by lm - LM(g);
-    their keys are all above lm, so each key is pushed at most once, and
-    g's leading term, which would only cancel c, is skipped.  Over GF(p)
-    the step adds p - c times those terms and reduces nothing: a
-    coefficient is taken mod p when its key is popped.  A coefficient that
-    is zero when popped is dropped, for every coefficient kind.
 
-    `divisor` maps a key to the index of the first element whose leader
-    divides it, or to ~n when none of the first n does, and the search for
-    the key resumes from there; one map serves every call on elements that
-    only grow by appending, as in `_run`.
+def _walk_table(slots, degree):
+    """The table `_reduce_full` walks at the degree in one run: the rank
+    table with a fresh list of reducer rows, or () above the bound."""
+    # the shared table read here, not through a call: small runs fetch
+    # a table for almost every S-pair they reduce
+    table = _rank_tables.get((slots.nvars, slots.width, degree), False)
+    if table is False:
+        table = _rank_table(slots, degree)
+    if not table:
+        return ()
+    keys, ranks = table
+    return keys, ranks, [None] * len(keys)
+
+
+def _reduce_full(work, start, gens, lms, guard, p, divisor, table):
+    """Full remainder of multivariate division of packed homogeneous `work`
+    by `gens` (packed, homogeneous and monic, with leading keys `lms`, each
+    leading term first), with coefficients as in `_make_monic`; consumes
+    `work`.  The remainder lists its terms in ascending key order, so a
+    nonzero remainder has its leading term first.
+
+    The walk reads the keys of `work` in ascending order, which is
+    degrevlex order from the top.  A step at the key m with coefficient c
+    adds -c times the other terms of the first element g whose leader
+    divides m, shifted by m - LM(g); their keys are all above m, and g's
+    leading term, which would only cancel c, is skipped.  Over GF(p) a
+    coefficient grows without reduction and is taken mod p when its key is
+    read.  A coefficient that is zero when read is dropped.
+
+    `divisor` maps a key to the index of that first element, or to ~n when
+    none of the first n elements divides it, and the search for the key
+    resumes from there; one map serves every call on elements that only
+    grow by appending, as in `_run`.
+
+    `table` is the run's `_walk_table` at the degree of `work`.  With a
+    rank table, `work` is a list indexed by rank that holds the zero of the
+    coefficient kind up to `start`, and the walk goes up the list from
+    `start`; past `_SHORT_WALK` slots it skips zeros at C speed, with
+    `compress` over a live iterator of the list.  The step at a key is
+    cached in the table's rows as the divisor's shifted tail, (rank,
+    -coefficient) pairs, so that a step is a list multiply-add; a run's
+    elements only grow by appending, so a row, like the divisor map,
+    serves every call of the run.  With the empty table, above the bound,
+    `work` is a dict whose keys are popped from a heap.
     """
-    heap = list(work)
-    heapify(heap)
     n = len(lms)
     rem = {}
+    if table:
+        keys, ranks, rows = table
+        walk = range(start, len(work))
+        if len(walk) > _SHORT_WALK:
+            walk = compress(walk, islice(work, start, None))
+        for r in walk:
+            c = work[r]
+            if p:
+                c %= p
+            if not c:
+                continue
+            row = rows[r]
+            if row is None:
+                m = keys[r]
+                k = divisor.get(m, -1)
+                if k < 0:
+                    k = ~k
+                    while k < n and (m - lms[k]) & guard:
+                        k += 1
+                    divisor[m] = k if k < n else ~n
+                if k == n:
+                    rem[m] = c
+                    continue
+                shift = m - lms[k]
+                terms = iter(gens[k].items())
+                next(terms)
+                row = rows[r] = [(ranks[t + shift], -gc) for t, gc in terms]
+            for t, gc in row:
+                work[t] += c * gc
+        return rem
+    heap = list(work)
+    heapify(heap)
     while heap:
         lm = heappop(heap)
         c = work.pop(lm)
@@ -149,6 +247,23 @@ def _reduce_full(work, gens, lms, guard, p, divisor):
     return rem
 
 
+def _remainder(terms, gens, lms, slots, p, divisor, tables):
+    """`_reduce_full` of a nonzero packed homogeneous term map, with the
+    run's tables by degree in `tables`."""
+    degree = slots.degree(next(iter(terms)))
+    table = tables.get(degree)
+    if table is None:
+        table = tables[degree] = _walk_table(slots, degree)
+    if not table:
+        return _reduce_full(terms, 0, gens, lms, slots.guard, p, divisor, table)
+    ranks = table[1]
+    c = next(iter(terms.values()))
+    work = [c - c] * len(ranks)
+    for m, c in terms.items():
+        work[ranks[m]] = c
+    return _reduce_full(work, ranks[min(terms)], gens, lms, slots.guard, p, divisor, table)
+
+
 def _s_poly(f, lf, g, lg, l, p):
     """S-polynomial of two packed monic polynomials, with coefficients as
     in `_make_monic`."""
@@ -166,6 +281,25 @@ def _s_poly(f, lf, g, lg, l, p):
         elif cur is not None:
             del out[mm]
     return out
+
+
+def _s_row(f, lf, g, lg, l, ranks):
+    """The S-polynomial of two packed monic polynomials of a run, as the
+    list by rank of a `_reduce_full` walk; the two leading terms at l
+    cancel and are left out."""
+    one = f[lf]
+    work = [one - one] * len(ranks)
+    terms = iter(f.items())
+    next(terms)
+    shift = l - lf
+    for m, c in terms:
+        work[ranks[m + shift]] = c
+    terms = iter(g.items())
+    next(terms)
+    shift = l - lg
+    for m, c in terms:
+        work[ranks[m + shift]] -= c
+    return work
 
 
 def normal_form(f, basis, field=None):
@@ -201,10 +335,10 @@ def normal_form(f, basis, field=None):
                               max([*components, *(_degree(g) for g in gens)]))
     gens = [_make_monic(slots.pack(g), 0) for g in gens]
     lms = [min(g) for g in gens]
-    divisor = {}
+    divisor, tables = {}, {}
     rem = {}
     for d in sorted(components, reverse=True):
-        rem.update(_reduce_full(slots.pack(components[d]), gens, lms, slots.guard, 0, divisor))
+        rem.update(_remainder(slots.pack(components[d]), gens, lms, slots, 0, divisor, tables))
     return slots.unpack(rem)
 
 
@@ -273,8 +407,9 @@ def _run(basis, p, slots, step_budget, stop):
     """
     guard, cap, lcm, degree = slots.guard, slots.cap, slots.lcm, slots.degree
     lms = [min(g) for g in basis]
-    # key -> its first divisor among the elements, see `_reduce_full`
-    divisor = {}
+    # key -> its first divisor among the elements, and degree -> the
+    # table walked at that degree, see `_reduce_full`
+    divisor, tables = {}, {}
     covered = 0
 
     def covers_all(lm):
@@ -313,8 +448,15 @@ def _run(basis, p, slots, step_budget, stop):
             continue
         if d > cap:
             raise _SlotOverflow
-        r = _reduce_full(_s_poly(basis[i], li, basis[j], lj, l, p), basis, lms, guard, p,
-                         divisor)
+        table = tables.get(d)
+        if table is None:
+            table = tables[d] = _walk_table(slots, d)
+        if table:
+            ranks = table[1]
+            work, start = _s_row(basis[i], li, basis[j], lj, l, ranks), ranks[l] + 1
+        else:
+            work, start = _s_poly(basis[i], li, basis[j], lj, l, p), 0
+        r = _reduce_full(work, start, basis, lms, guard, p, divisor, table)
         if r:
             r = _make_monic(r, p)
             lm = min(r)
@@ -336,13 +478,17 @@ def _run(basis, p, slots, step_budget, stop):
     kept = [basis[k] for k in keep]
     klms = [lms[k] for k in keep]
 
-    # tail reduction: no other kept leader divides a kept leader, so leads
-    # and their coefficient 1 are stable, and one pass over the current set
-    # yields the unique reduced basis
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1:]
-        olms = klms[:i] + klms[i + 1:]
-        kept[i] = _reduce_full(dict(kept[i]), others, olms, guard, p, {})
+    # tail reduction: no kept leader divides another, so a kept element
+    # keeps its leading term, and its tail, of its degree, holds no multiple
+    # of its own leader.  The elements of the run form a Groebner basis, and
+    # a monomial is divisible by one of their leaders exactly when it is by
+    # a kept one, so the run's elements reduce the tail, with the run's
+    # divisor map and rows, to the tail of the unique reduced basis element
+    for i, lm in enumerate(klms):
+        tail = dict(kept[i])
+        one = tail.pop(lm)
+        if tail:
+            kept[i] = {lm: one, **_remainder(tail, basis, lms, slots, p, divisor, tables)}
     return kept, False
 
 

@@ -321,25 +321,23 @@ def compose(forms, matrix):
     index, element = arith.index, arith.element
     slots = _Slots.for_degree(forms[0].nvars, max(f.degree for f in forms))
     images = _compose([{m: index(c) for m, c in slots.pack(f.terms).items()} for f in forms],
-                      matrix, slots, arith)
+                      [[index(x) for x in row] for row in matrix], slots, arith)
     return [_raw_form(f.field, f.nvars, f.degree,
                       {slots.exponents(m): element(c) for m, c in h.items()})
             for f, h in zip(forms, images)]
 
 
-def _compose(packed_gens, matrix, slots, arith):
+def _compose(packed_gens, rows, slots, arith):
     """The packed generators, their coefficients element indices of the
-    field of `arith`, with x_i replaced by the linear form of row i of the
-    matrix, a FieldMatrix or a sequence of rows over that field, square of
-    size nvars.  The image of x_i is the linear form of row i, and that of
-    each other monomial m = x_i r is worked out once for all generators, as
-    one `combine` of the image of r times each variable of row i (its keys
+    field of `arith`, with x_i replaced by the linear form of row i of a
+    square matrix of size nvars, given by its rows of element indices.  The
+    image of x_i is the linear form of row i, and that of each other
+    monomial m = x_i r is worked out once for all generators, as one
+    `combine` of the image of r times each variable of row i (its keys
     moved by that variable's key), scaled by the row.  x_i is the first
     variable of m for which the image of r is already made, else m's first
     variable, so that few images are made.  A permutation matrix only
     moves exponents."""
-    index = arith.index
-    rows = [[index(x) for x in row] for row in matrix]
     if len(rows) != slots.nvars or any(len(r) != slots.nvars for r in rows):
         raise ValueError("a substitution matrix must be square of size nvars")
     combine = arith.combine

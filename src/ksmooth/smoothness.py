@@ -649,7 +649,7 @@ def _induced_matrices(system, symmetries):
     indices, all of it runs on the ints of the field's `IndexArithmetic`."""
     field, nvars = system.field, system.nvars
     arith = field.arithmetic
-    combine = arith.combine
+    combine, index = arith.combine, arith.index
     slots = _Slots.for_degree(nvars, system.degree)
     gens = [{m: c.idx for m, c in slots.pack(g.terms).items()} for g in system.generators]
     count = len(gens)
@@ -663,8 +663,11 @@ def _induced_matrices(system, symmetries):
     pivot_keys = [columns[k] for k in pivots]
     induced = []
     for matrix in symmetries:
-        images = _compose(gens, matrix, slots, arith)
-        if FieldMatrix(field, matrix).rank() < nvars:
+        rows = [[index(x) for x in row] for row in matrix]
+        images = _compose(gens, rows, slots, arith)
+        _, independent, _ = arith.rref([{k: x for k, x in enumerate(row) if x} for row in rows],
+                                       nvars)
+        if len(independent) < nvars:
             return None
         t = []
         for h in images:

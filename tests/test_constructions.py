@@ -42,10 +42,12 @@ from ksmooth.fields import (
     QQ,
     FieldDescriptor,
     FieldElement,
+    FieldMatrix,
     get_descriptor,
     get_embedding,
     is_prime,
 )
+from ksmooth import smoothness
 from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
@@ -289,6 +291,23 @@ class TestOnePathOnIndices:
         assert galois_descent(raw, moore) == list(generators)
         report = verify_system_K_smooth(LinearSystemOfForms(generators))
         assert report.member_count == 15 and report.k_smooth
+
+    def test_symmetries_are_found_and_induced_on_indices(self, monkeypatch):
+        system, res = construct_system_with_details(2, 1, 15, 3, 15)
+        moore_symmetries(system.field, res.moore.alpha)
+        calls = []
+        for cls, name in ((FieldElement, "__mul__"), (FieldElement, "__pow__"),
+                          (FieldMatrix, "rank")):
+            def counted(*args, _method=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _method(*args)
+            monkeypatch.setattr(cls, name, counted)
+        symmetries = moore_symmetries(system.field, res.moore.alpha)
+        induced = smoothness._induced_matrices(system, symmetries)
+        # lambda is walked on indices, and each symmetry is indexed once
+        assert calls == []
+        assert all(isinstance(m, FieldMatrix) and m.field == system.field for m in symmetries)
+        assert len(induced) == 2 and all(len(t) == 16 for t in induced)
 
     @pytest.mark.parametrize("small,big", [((2, 1), (2, 4)), ((2, 2), (2, 4)), ((3, 1), (3, 2)),
                                            ((3, 2), (3, 4)), ((2, 6), (2, 18))],

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -15,8 +16,10 @@ from ksmooth.errors import BudgetExceeded, NotHomogeneous
 from ksmooth.fields import QQ, enumerate_projective_points, get_descriptor
 from ksmooth.groebner import (
     GroebnerBasis,
+    _TABLE_BOUND,
     _make_monic,
-    _reduce_full,
+    _rank_table,
+    _remainder,
     _run_prime,
     _run_terms,
     _Slots,
@@ -398,9 +401,24 @@ def _monic(terms):
     return {m: c * inv for m, c in terms.items()}
 
 
+def _few_terms(field, degree, count, rng):
+    """A term dict in three variables of `count` random monomials of the
+    degree, with nonzero coefficients."""
+    terms = {}
+    while len(terms) < count:
+        a = rng.randint(0, degree)
+        b = rng.randint(0, degree - a)
+        if field is QQ:
+            terms[(a, b, degree - a - b)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        else:
+            terms[(a, b, degree - a - b)] = field.element_from_index(rng.randrange(1, field.order))
+    return terms
+
+
 class _Kernel:
     """`_reduce_full` on exponent-tuple inputs, all with the same slots and
-    one divisor map, as in a run of the Buchberger loop."""
+    one divisor map, as in a run of the Buchberger loop, on the walk that
+    `_remainder` picks for their degree."""
 
     def __init__(self, field, nvars, degree):
         self.field, self.p = field, _run_prime(field)
@@ -414,8 +432,8 @@ class _Kernel:
     def remainder(self, f, divisors):
         pack = lambda t: self.slots.pack(_run_terms(t, self.p))
         gens = [_make_monic(pack(g), self.p) for g in divisors]
-        rem = _reduce_full(pack(f), gens, [min(g) for g in gens], self.slots.guard, self.p,
-                           self.divisor)
+        rem = _remainder(pack(f), gens, [min(g) for g in gens], self.slots, self.p,
+                         self.divisor, {})
         rem = self.slots.unpack(rem)
         if self.p:
             rem = {m: self.field.element_from_index(c) for m, c in rem.items()}
@@ -435,6 +453,15 @@ class TestReductionKernel:
             f = _sparse_form(field, 5, rng)
             # a fresh divisor map per call, as in the tail reduction
             assert _Kernel(field, 3, 5).remainder(f, divisors) == _divide(f, divisors)
+        # a degree with more monomials than the table bound: the heap walk
+        degree = 130
+        kernel = _Kernel(field, 3, degree)
+        assert comb(degree + 2, 2) > _TABLE_BOUND and _rank_table(kernel.slots, degree) is None
+        for _ in range(4):
+            divisors = [_monic(_few_terms(field, rng.choice((1, 2, 3)), 2, rng))
+                        for _ in range(rng.randint(1, 3))]
+            f = _few_terms(field, degree, 6, rng)
+            assert _Kernel(field, 3, degree).remainder(f, divisors) == _divide(f, divisors)
 
     @pytest.mark.parametrize("field", [F2, F3, F5, F4, QQ], ids=str)
     def test_one_divisor_map_while_the_divisors_grow(self, field):
@@ -475,6 +502,28 @@ class TestReductionKernel:
         assert rem == _divide(f, divisors)
         # (y + z)^6 = (y^2 + z^2)^3 over GF(2)
         assert set(rem) == {(0, a, 6 - a) for a in (0, 2, 4, 6)}
+
+
+class TestRankTables:
+    """The keys of one degree that a dense walk indexes by rank."""
+
+    @pytest.mark.parametrize("nvars,degree", [(1, 4), (2, 7), (3, 5), (4, 6), (5, 9), (8, 3)])
+    def test_keys_ascend_over_every_monomial_of_the_degree(self, nvars, degree):
+        slots = _Slots.for_degree(nvars, degree)
+        # the second width is the one a run moves to when its slots overflow
+        for slots in (slots, _Slots(nvars, 2 * slots.width)):
+            keys, ranks = _rank_table(slots, degree)
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert len(keys) == comb(degree + nvars - 1, nvars - 1)
+            assert sorted(map(slots.exponents, keys)) == sorted(monomials_of_degree(nvars, degree))
+            assert ranks == {k: r for r, k in enumerate(keys)}
+            assert _rank_table(slots, degree) is _rank_table(slots, degree)
+
+    def test_no_table_above_the_bound(self):
+        slots = _Slots.for_degree(3, 200)
+        assert comb(127 + 2, 2) > _TABLE_BOUND >= comb(126 + 2, 2)
+        assert _rank_table(slots, 127) is None
+        assert len(_rank_table(slots, 126)[0]) == comb(128, 2)
 
 
 def _digest(basis):

@@ -248,7 +248,8 @@ class TestSubstitutedTerms:
             for rows in matrices:
                 slots = _Slots.for_degree(3, 3)
                 images = _compose([{m: c.idx for m, c in slots.pack(f.terms).items()}
-                                   for f in forms], rows, slots, arith)
+                                   for f in forms], [[c.idx for c in row] for row in rows],
+                                  slots, arith)
                 assert [slots.unpack(h) for h in images] == [
                     {m: c.idx for m, c in self._substituted(f, rows).terms.items()}
                     for f in forms]

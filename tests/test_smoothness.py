@@ -258,6 +258,23 @@ class TestCertificateStop:
         assert isinstance(is_smooth(member), Smooth)
         assert calls == 45
 
+    def test_only_pairs_are_pushed_on_a_heap(self, monkeypatch):
+        # the same member: every S-pair is reduced on a list by rank, so the
+        # one heap of the run is that of the queued pairs, each pushed once
+        system = construct_smooth_system(3, 1, 3, 5, 3)
+        member = system.member(list(enumerate_projective_points(F3, system.dim))[20])
+        pushed = []
+        heappush = groebner.heappush
+
+        def counted(heap, item):
+            pushed.append(item)
+            heappush(heap, item)
+
+        monkeypatch.setattr(groebner, "heappush", counted)
+        assert isinstance(is_smooth(member), Smooth)
+        assert pushed and all(isinstance(item, tuple) and len(item) == 3 for item in pushed)
+        assert len({(i, j) for _, i, j in pushed}) == len(pushed)
+
     def test_member_of_the_2_1_4_4_system_is_certified(self):
         system = construct_smooth_system(2, 1, 4, 4, 4)
         member = system.member(next(iter(enumerate_projective_points(F2, system.dim))))
