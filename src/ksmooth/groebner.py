@@ -43,9 +43,13 @@ dicts whose keys are popped from a heap, as in the division of Monagan and
 Pearce (J. Symb. Comput. 46, 2011); see `_reduce_full`.
 
 Field elements stay at the boundary of a run: both certificate entry
-points, `smoothness.is_smooth` and `certify_combinations`, differentiate
-on run coefficients (`_jacobian`), and a basis from a run unpacks its
-elements only when they are first read (see `GroebnerBasis`).
+points, `smoothness.is_smooth` and `certify_combinations`, pack a form
+once and differentiate it on its packed keys with run coefficients
+(`_jacobian`), and a run that outgrows its slots unpacks and repacks its
+generators.  A basis from a run unpacks its elements only when they are
+first read, and a run that ends without its pure-power stop builds the
+minimal, tail-reduced basis only then too (see `GroebnerBasis`), so a
+caller that asks only whether the stop fired never builds it.
 
 A pair is popped in normal selection order and skipped, without forming its
 S-polynomial, when the leaders are coprime (the product criterion) or when a
@@ -56,6 +60,7 @@ counts popped pairs, skipped ones included.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import comb
@@ -362,7 +367,9 @@ class GroebnerBasis(Record):
     Groebner basis.
 
     A basis from a run keeps its slots and packed elements, which `elements`
-    unpacks on first read; equality, hash and repr read `elements`.
+    unpacks on first read; a reduced basis is also built only then, from
+    the finished run (see `_run`).  Equality, hash and repr read
+    `elements`.
     """
 
     __slots__ = ("field", "nvars", "_elements", "_packed")
@@ -378,6 +385,8 @@ class GroebnerBasis(Record):
     def elements(self):
         if self._packed is not None:
             slots, packed = self._packed
+            if callable(packed):
+                packed = packed()
             element = self.field.element_from_index if _run_prime(self.field) else None
             self._elements, self._packed = tuple([
                 {slots.exponents(m): element(c) if element else c for m, c in t.items()}
@@ -401,9 +410,10 @@ def _run(basis, p, slots, step_budget, stop):
     With `stop` the elements built so far are returned as soon as every
     variable has a pure-power leading monomial among them (or a constant
     turns up); otherwise, and when that never happens, the reduced basis is
-    returned.  Returns (elements, whether the stop fired); when it did not,
-    no leader of the run, so none of the reduced basis, covers every
-    variable.
+    returned, as a function of no arguments that builds it (`_reduced`):
+    a caller that only asks whether the stop fired never pays for it.
+    Returns (elements, whether the stop fired); when it did not, no leader
+    of the run, so none of the reduced basis, covers every variable.
     """
     guard, cap, lcm, degree = slots.guard, slots.cap, slots.lcm, slots.degree
     lms = [min(g) for g in basis]
@@ -469,6 +479,13 @@ def _run(basis, p, slots, step_budget, stop):
                 heappush(heap, (degree(lcm(lms[t], lm)), t, k))
                 pending.add((t, k))
 
+    return partial(_reduced, basis, lms, slots, p, divisor, tables), False
+
+
+def _reduced(basis, lms, slots, p, divisor, tables):
+    """The reduced basis of the ideal of a finished run, from the run's
+    elements, leaders, divisor map and tables, as packed elements."""
+    guard, degree = slots.guard, slots.degree
     # minimal basis: keep elements whose leading monomial no other kept
     # element's leading monomial divides (ascending degrevlex, ties by index)
     keep = []
@@ -489,7 +506,7 @@ def _run(basis, p, slots, step_budget, stop):
         one = tail.pop(lm)
         if tail:
             kept[i] = {lm: one, **_remainder(tail, basis, lms, slots, p, divisor, tables)}
-    return kept, False
+    return kept
 
 
 def _run_prime(field):
@@ -504,76 +521,77 @@ def _run_terms(terms, p):
     return {m: c.idx for m, c in terms.items()} if p else terms
 
 
-def _jacobian(terms, field):
+def _jacobian(terms, slots, field):
     """[F, dF/dx0, ..., dF/dxn], a zero partial empty, for a nonzero
-    homogeneous term map F with the coefficients of a run over the field,
-    each partial's terms in F's order; a partial multiplies by the exponent
-    as an int (mod p over GF(p)), or as an element over GF(p^e)."""
-    p, exps = _run_prime(field), next(iter(terms))
-    scalar = range(sum(exps) + 1)
+    homogeneous packed term map F in the slots, with the coefficients of a
+    run over the field, each partial's terms in F's order.  The exponent of
+    x_i is read from slot i of a key, and the key moves down one unit of
+    that slot; a partial multiplies by the exponent as an int (mod p over
+    GF(p)), or as an element over GF(p^e)."""
+    p, w, mask = _run_prime(field), slots.width, slots.mask
+    scalar = range(slots.degree(next(iter(terms))) + 1)
     scalar = [field.from_int(e) for e in scalar] if field.e > 1 else scalar
-    partials = [{} for _ in exps]
-    for m, c in terms.items():
-        for i, e in enumerate(m):
-            if e and (v := c * scalar[e] % p if p else c * scalar[e]):
-                partials[i][m[:i] + (e - 1,) + m[i + 1:]] = v
+    partials = []
+    for i in range(slots.nvars):
+        shift = w * i
+        unit = 1 << shift
+        partials.append({m - unit: v for m, c in terms.items()
+                         if (e := m >> shift & mask)
+                         and (v := c * scalar[e] % p if p else c * scalar[e])})
     return [terms, *partials]
 
 
-def _packed_run(pack, nvars, degree, p, step_budget, stop):
-    """`_run` on the generators `pack(slots)` returns for the given slots:
-    packed, homogeneous, nonzero and of degree at most `degree`, with
-    coefficients as in `_make_monic`, which makes them monic.  The slots
-    start with room for twice `degree` and double their width whenever a
-    run would overflow them.  Returns (slots, elements, whether the stop
-    fired)."""
-    slots = _Slots.for_degree(nvars, degree)
+def _packed_run(gens, slots, p, step_budget, stop):
+    """`_run` on generators packed in the slots: homogeneous and nonzero,
+    with coefficients as in `_make_monic`, which makes them monic.  Whenever
+    a run would overflow the slots, the generators are unpacked and packed
+    again with twice the slot width, and the run starts over.  Returns
+    (slots, elements as `_run` returns them, whether the stop fired)."""
+    gens = [_make_monic(g, p) for g in gens]
     while True:
         try:
-            basis = [_make_monic(g, p) for g in pack(slots)]
-            return (slots, *_run(basis, p, slots, step_budget, stop))
+            return (slots, *_run(list(gens), p, slots, step_budget, stop))
         except _SlotOverflow:
-            slots = _Slots(nvars, 2 * slots.width)
+            wide = _Slots(slots.nvars, 2 * slots.width)
+            gens = [wide.pack(slots.unpack(g)) for g in gens]
+            slots = wide
 
 
 def certify_combinations(rows, field, nvars):
     """Projective emptiness of the ideals of linear combinations of rows.
 
-    `rows` holds one list of homogeneous forms, or of term maps with run
-    coefficients as `_jacobian` gives them, per summand, all lists of the
-    same length.  The returned function takes
-    coefficients (a_0, a_1, ...) in the field and says whether the nonzero
-    ones among the forms sum_i a_i rows[i][k], in order of k, generate an
-    ideal with empty zero set in P^n.  It runs the loop of
-    `certificate_basis` on them, which decides the answer by whether its
-    pure-power stop fires, and so agrees with `is_projectively_empty` of
+    `rows` holds one list of homogeneous forms per summand, all lists of
+    the same length; or, when `nvars` is a `_Slots`, of term maps packed in
+    those slots with run coefficients, as `_jacobian` gives them.  The
+    returned function takes coefficients (a_0, a_1, ...) in the field and
+    says whether the nonzero ones among the forms sum_i a_i rows[i][k], in
+    order of k, generate an ideal with empty zero set in P^n.  It runs the
+    loop of `certificate_basis` on them, which decides the answer by whether
+    its pure-power stop fires, and so agrees with `is_projectively_empty` of
     that basis; when every combined form is zero the answer is False.  The
-    rows are turned into element indices once and packed once per slot
-    width; each call combines them on the packed keys with `combine`.
+    rows are turned into element indices and packed once; each call
+    combines them on the packed keys with `combine`.
     """
     p = _run_prime(field)
-    rows = [[_run_terms(f.terms, p) if isinstance(f, HomogeneousForm) else f for f in row]
-            for row in rows]
-    degree = max(_degree(t) for row in rows for t in row if t)
+    slots = nvars
+    if isinstance(nvars, int):
+        rows = [[_run_terms(f.terms, p) for f in row] for row in rows]
+        slots = _Slots.for_degree(nvars, max(_degree(t) for row in rows for t in row if t))
+        rows = [[slots.pack(t) for t in row] for row in rows]
     # `combine` takes element indices, and a run over GF(p^e), e > 1, elements
     elements = field.p and not p
     if elements:
         rows = [[_run_terms(t, field.p) for t in row] for row in rows]
     combine, element = field.arithmetic.combine, field.arithmetic.element
-    packed = {}     # slot width -> the rows packed
-
-    def combined(scale, slots):
-        got = packed.get(slots.width)
-        if got is None:
-            got = packed[slots.width] = [[slots.pack(t) for t in row] for row in rows]
-        forms = [f for parts in zip(*got)
-                 if (f := combine([(a, terms) for a, terms in zip(scale, parts) if a]))]
-        return [{m: element(c) for m, c in f.items()} for f in forms] if elements else forms
+    columns = list(zip(*rows))
 
     def certify(coeffs):
         scale = [a.idx for a in coeffs] if field.p else coeffs
-        return _packed_run(lambda slots: combined(scale, slots), nvars, degree, p,
-                           DEFAULT_STEP_BUDGET, True)[2]
+        forms = [f for parts in columns
+                 if (f := combine([(a, terms) for a, terms in zip(scale, parts) if a]))]
+        if elements:
+            forms = [{m: element(c) for m, c in f.items()} for f in forms]
+        return _packed_run(forms, slots, p, DEFAULT_STEP_BUDGET, True)[2]
 
     return certify
 
@@ -599,16 +617,16 @@ def _groebner(generators, field, nvars, step_budget, stop):
     if nvars is None:
         nvars = len(next(iter(gens[0])))
     p = _run_prime(field)
-    return _run_basis([_run_terms(g, p) for g in gens], field, nvars,
-                      max(_degree(g) for g in gens), step_budget, stop)
+    slots = _Slots.for_degree(nvars, max(_degree(g) for g in gens))
+    return _run_basis([slots.pack(_run_terms(g, p)) for g in gens], field, slots,
+                      step_budget, stop)
 
 
-def _run_basis(gens, field, nvars, degree, step_budget, stop):
-    """`_groebner` on nonzero homogeneous term maps with run coefficients,
-    of degree at most `degree`."""
-    basis = GroebnerBasis(field, nvars, None)
-    slots, elements, stopped = _packed_run(lambda slots: [slots.pack(g) for g in gens], nvars,
-                                           degree, _run_prime(field), step_budget, stop)
+def _run_basis(gens, field, slots, step_budget, stop):
+    """`_groebner` on nonzero homogeneous term maps packed in the slots,
+    with run coefficients."""
+    basis = GroebnerBasis(field, slots.nvars, None)
+    slots, elements, stopped = _packed_run(gens, slots, _run_prime(field), step_budget, stop)
     basis._packed = slots, elements
     return basis, stopped
 

@@ -16,6 +16,8 @@ element indices for coefficients.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DegreeMismatch,
@@ -64,7 +66,9 @@ def monomials_of_degree(nvars, degree):
 class HomogeneousForm:
     """Homogeneous polynomial of fixed degree in nvars variables."""
 
-    __slots__ = ("field", "nvars", "degree", "terms")
+    # `_primitive`, set on first read of `primitive_integer_terms` or by
+    # `LinearSystemOfForms.member`
+    __slots__ = ("field", "nvars", "degree", "terms", "_primitive")
 
     def __init__(self, field, nvars, degree, terms=None):
         if nvars < 1:
@@ -114,6 +118,20 @@ class HomogeneousForm:
 
     def __bool__(self):
         return bool(self.terms)
+
+    @property
+    def primitive_integer_terms(self):
+        """Over Q, the terms scaled by a positive rational to integers with
+        no common factor; derived from `terms`, and not to be changed."""
+        try:
+            return self._primitive
+        except AttributeError:
+            pass
+        den = lcm(*[c.denominator for c in self.terms.values()])
+        ints = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+        g = gcd(*ints.values())
+        self._primitive = {m: v // g for m, v in ints.items()}
+        return self._primitive
 
     def __eq__(self, other):
         if not isinstance(other, HomogeneousForm):
@@ -401,7 +419,7 @@ def euler_combination(form):
 class LinearSystemOfForms:
     """Linear system spanned by r+1 independent homogeneous generators."""
 
-    __slots__ = ("field", "nvars", "degree", "generators", "_monomials", "_rows")
+    __slots__ = ("field", "nvars", "degree", "generators", "_monomials", "_rows", "_den")
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -419,6 +437,12 @@ class LinearSystemOfForms:
         self._monomials, self._rows = _index_rows(gens)
         if len(self.field.arithmetic.rref(self._rows, len(self._monomials))[1]) != len(gens):
             raise DependentGenerators("generators are linearly dependent")
+        # over Q the rows become integer numerators over one denominator
+        self._den = None
+        if not self.field.p:
+            den = self._den = lcm(*[c.denominator for row in self._rows for c in row.values()])
+            self._rows = [{k: c.numerator * (den // c.denominator) for k, c in row.items()}
+                          for row in self._rows]
 
     @property
     def dim(self):
@@ -427,16 +451,35 @@ class LinearSystemOfForms:
 
     def member(self, coeffs):
         """sum_i coeffs[i] * G_i, one `IndexArithmetic.combine` of the
-        generators' index rows."""
+        generators' index rows.  Over Q the coefficients are scaled to one
+        denominator and combine the integer rows, and the member carries its
+        `primitive_integer_terms`."""
         coeffs = tuple(coeffs)
         if len(coeffs) != len(self.generators):
             raise ValueError("one coefficient per generator required")
         arith = self.field.arithmetic
         index, element = arith.index, arith.element
-        terms = arith.combine([(index(a), row) for a, row in zip(coeffs, self._rows) if a])
         monomials = self._monomials
-        return _raw_form(self.field, self.nvars, self.degree,
-                         {monomials[k]: element(v) for k, v in terms.items()})
+        if self._den is None:
+            terms = arith.combine([(index(a), row) for a, row in zip(coeffs, self._rows) if a])
+            return _raw_form(self.field, self.nvars, self.degree,
+                             {monomials[k]: element(v) for k, v in terms.items()})
+        coeffs = [index(a) for a in coeffs]
+        den = lcm(*[a.denominator for a in coeffs])
+        acc = {}
+        get = acc.get
+        for a, row in zip(coeffs, self._rows):
+            if a:
+                s = a.numerator * (den // a.denominator)
+                for k, v in row.items():
+                    acc[k] = get(k, 0) + s * v
+        acc = {monomials[k]: v for k, v in acc.items() if v}
+        den *= self._den
+        form = _raw_form(self.field, self.nvars, self.degree,
+                         {m: Fraction(v, den) for m, v in acc.items()})
+        g = gcd(*acc.values())
+        form._primitive = {m: v // g for m, v in acc.items()}
+        return form
 
     def __repr__(self):
         return (f"<system of {len(self.generators)} forms, deg {self.degree}, "

@@ -83,7 +83,6 @@ import operator
 from array import array
 from bisect import bisect_right
 from itertools import product, repeat
-from math import gcd, lcm
 
 from .errors import PreconditionViolated, WitnessNotFoundWithinCap
 from .fields import (
@@ -453,45 +452,37 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
     carries no witness: the refutation is exact but explicit algebraic
     points are out of scope.
 
-    The run and its Jacobian forms are on ints mod p over GF(p), and the
-    certificate builds field elements only when its `elements` are read.
+    F is packed once, and its Jacobian forms are taken on the packed keys
+    (`_jacobian`).  Over Q the primitive integer form is packed, and the
+    reduction mod l takes each packed coefficient mod l; a member of a
+    system carries that form from `LinearSystemOfForms.member`.  The runs
+    are on ints mod p over GF(p), and the certificate builds field
+    elements only when its `elements` are read.
     """
     if not form:
         raise ValueError("zero form has no smoothness question")
-    if isinstance(form.field, FieldDescriptor):
-        basis, empty = _certificate(form, form.field, _run_terms(form.terms, _run_prime(form.field)))
-        return Smooth(basis) if empty else Singular(_certified_witness(form, witness_cap))
-    integral = _primitive_integer_terms(form.terms)
-    for ell in _REDUCTION_PRIMES:
-        reduced = {m: r for m, c in integral.items() if (r := c % ell)}
-        basis, empty = _certificate(form, get_descriptor(ell), reduced)
+    slots = _Slots.for_degree(form.nvars, form.degree)
+    for field, terms in _certificate_runs(form, slots):
+        basis, empty = _run_basis([t for t in _jacobian(terms, slots, field) if t], field, slots,
+                                  DEFAULT_STEP_BUDGET, True)
         if empty:
             return Smooth(basis)
-    basis, empty = _certificate(form, form.field, form.terms)
-    return Smooth(basis) if empty else Singular(None)
+    if isinstance(form.field, FieldDescriptor):
+        return Singular(_certified_witness(form, witness_cap))
+    return Singular(None)
 
 
-def _certificate(form, field, terms):
-    """The `certificate_basis` of the Jacobian generators of the nonzero
-    form, with its terms given as run terms over the field, and whether it
-    certifies an empty zero set, read off the run's pure-power stop."""
-    return _run_basis([t for t in _jacobian(terms, field) if t], field, form.nvars, form.degree,
-                      DEFAULT_STEP_BUDGET, True)
-
-
-def _primitive_integer_terms(terms):
-    """The rational terms scaled to integers with no common factor."""
-    # pairwise, not lcm(*...): the argument tuple of a generator is a fresh
-    # 10-slot tuple resized, and the free list of the final size keeps one
-    # per call
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.denominator)
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    return {m: v // g for m, v in ints.items()}
+def _certificate_runs(form, slots):
+    """(field, F packed in the slots with run coefficients) for each run
+    `is_smooth` tries in turn, F built only when its run comes."""
+    field = form.field
+    if isinstance(field, FieldDescriptor):
+        yield field, slots.pack(_run_terms(form.terms, _run_prime(field)))
+        return
+    integral = slots.pack(form.primitive_integer_terms)
+    for ell in _REDUCTION_PRIMES:
+        yield get_descriptor(ell), {m: r for m, c in integral.items() if (r := c % ell)}
+    yield field, slots.pack(form.terms)
 
 
 def _certified_witness(form, witness_cap):
@@ -616,8 +607,9 @@ def verify_system_K_smooth(system, symmetries=()):
     if not isinstance(field, FieldDescriptor):
         raise ValueError("member enumeration requires a finite base field")
     p = _run_prime(field)
-    certify = certify_combinations([_jacobian(_run_terms(g.terms, p), field)
-                                    for g in system.generators], field, system.nvars)
+    slots = _Slots.for_degree(system.nvars, system.degree)
+    certify = certify_combinations([_jacobian(slots.pack(_run_terms(g.terms, p)), slots, field)
+                                    for g in system.generators], field, slots)
     induced = _induced_matrices(system, symmetries) if symmetries else None
     orbit_of = array("l")
     verdicts = []

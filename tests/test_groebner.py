@@ -11,12 +11,14 @@ from math import comb
 
 import pytest
 
+from ksmooth import groebner
 from ksmooth.constructions import construct_smooth_system, lift_to_char_zero
 from ksmooth.errors import BudgetExceeded, NotHomogeneous
 from ksmooth.fields import QQ, enumerate_projective_points, get_descriptor
 from ksmooth.groebner import (
     GroebnerBasis,
     _TABLE_BOUND,
+    _jacobian,
     _make_monic,
     _rank_table,
     _remainder,
@@ -38,7 +40,7 @@ from ksmooth.multipoly import (
     random_element,
     random_form,
 )
-from ksmooth.smoothness import is_smooth, jacobian_generators
+from ksmooth.smoothness import Singular, Smooth, is_smooth, jacobian_generators
 
 F2 = get_descriptor(2)
 F3 = get_descriptor(3)
@@ -703,3 +705,95 @@ class TestPackedPurePower:
                             else 1 << nz[0] if len(nz) == 1 else 0)
                 (key,) = slots.pack({exps: 1})
                 assert slots.covered(key) == expected, (exps, slots.width)
+
+
+def _plain_partials(form):
+    """dF/dx_i for each i, on exponent tuples and the form's coefficients,
+    each in the form's term order."""
+    from_int = form.field.from_int
+    partials = []
+    for i in range(form.nvars):
+        partial = {}
+        for m, c in form.terms.items():
+            if m[i] and (v := c * from_int(m[i])):
+                partial[m[:i] + (m[i] - 1,) + m[i + 1:]] = v
+        partials.append(partial)
+    return partials
+
+
+class TestPackedJacobian:
+    """`_jacobian` reads each exponent from its slot of a packed key; it
+    must give the partials of differentiation on exponent tuples, in the
+    same term order, at the first slot width and after a doubling."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F9, QQ], ids=str)
+    def test_matches_plain_differentiation(self, field):
+        rng = random.Random(2727)
+        p = _run_prime(field)
+        element = field.element_from_index if p else (lambda c: c)
+        # the degree-9 forms lie past the cap of the first width for degree 2
+        doubled = {nvars: _Slots(nvars, 2 * _Slots.for_degree(nvars, 2).width)
+                   for nvars in (2, 3, 4)}
+        assert 9 > _Slots.for_degree(3, 2).cap
+        cases = 0
+        for nvars, degree in ((2, 3), (3, 4), (4, 3), (2, 9), (3, 9)):
+            for _ in range(3):
+                form = (_rational_form(nvars, degree, rng, 3) if field is QQ
+                        else random_form(field, nvars, degree, rng))
+                if not form:
+                    continue
+                slots = _Slots.for_degree(nvars, degree) if degree < 9 else doubled[nvars]
+                packed = slots.pack(_run_terms(form.terms, p))
+                got = [{slots.exponents(m): element(c) for m, c in t.items()}
+                       for t in _jacobian(packed, slots, field)]
+                expected = [form.terms, *_plain_partials(form)]
+                assert got == expected
+                assert [list(t) for t in got] == [list(t) for t in expected]
+                cases += 1
+        assert cases >= 12
+
+
+class TestReducedBasisOnRead:
+    """A run that ends without its pure-power stop builds the minimal,
+    tail-reduced basis only when the basis's `elements` are first read, so
+    a singular verdict and a failed prime build none."""
+
+    @staticmethod
+    def _count_remainders(monkeypatch):
+        calls = []
+        real = groebner._remainder
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "_remainder", counting)
+        return calls
+
+    def test_singular_verdicts_build_no_reduced_basis(self, monkeypatch):
+        rng = random.Random(5)
+        singular = random_form(F3, 3, 1, rng) ** 2 * random_form(F3, 3, 1, rng)
+        lifted = lift_to_char_zero(construct_smooth_system(3, 1, 2, 4, 2))
+        member = lifted.member([Fraction(-1)] * 3)
+        primes = []
+        run = groebner._run
+
+        def recorded(basis, p, *args):
+            primes.append(p)
+            return run(basis, p, *args)
+
+        monkeypatch.setattr(groebner, "_run", recorded)
+        calls = self._count_remainders(monkeypatch)
+        assert isinstance(is_smooth(singular), Singular)
+        verdict = is_smooth(member)
+        assert isinstance(verdict, Smooth) and verdict.certificate.field == F3
+        # one failed run over GF(3), then mod 2 (singular) and mod 3
+        assert primes == [3, 2, 3]
+        assert len(verdict.certificate.elements) == 6
+        assert calls == []
+
+        gens = jacobian_generators(singular)
+        cert = certificate_basis(gens)
+        assert calls == []
+        assert cert == buchberger(gens)
+        assert calls

@@ -45,6 +45,8 @@ from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
     compose,
+    form_from_json,
+    form_to_json,
     monomial_key,
     monomials_of_degree,
     random_form,
@@ -372,6 +374,42 @@ class TestModularRoute:
         assert is_smooth(self._qq(3, 2, [((2, 0, 0), 1)])) == Singular(None)
         # a run mod 2, 3, 5 and 7, then the run over Q (p = 0)
         assert primes == [2, 3, 5, 7, 0]
+
+
+# the lifted systems of the lift_rational benchmark: "f3" is the built-in example
+LIFT_SPECS = ("f3", (2, 1, 2, 4), (3, 1, 2, 4), (2, 1, 3, 3), (2, 1, 4, 3), (3, 1, 3, 4))
+
+
+class TestIntegerMembers:
+    """Over Q `LinearSystemOfForms.member` combines integer rows and hands
+    its member the primitive integer terms; any other rational form works
+    them out on first read.  `is_smooth` must give the same verdict and the
+    same certificate bytes either way."""
+
+    @pytest.mark.parametrize("spec", LIFT_SPECS, ids=str)
+    def test_member_and_its_json_copy_get_the_same_certificate(self, spec):
+        system = (builtin_example_f3() if spec == "f3"
+                  else construct_smooth_system(*spec, spec[2]))
+        lifted = lift_to_char_zero(system)
+        rng = random.Random(f"integer-members/{spec}")
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in lifted.generators]
+        coeffs[0] += not any(coeffs)
+        member = lifted.member(coeffs)
+        assert member == sum((g.scale(a) for a, g in zip(coeffs, lifted.generators)),
+                             HomogeneousForm.zero(QQ, member.nvars, member.degree))
+        copy = form_from_json(form_to_json(member))
+        assert copy == member and not hasattr(copy, "_primitive")
+        verdict, copied = is_smooth(member), is_smooth(copy)
+        assert isinstance(verdict, Smooth) and isinstance(copied, Smooth)
+        assert (json.dumps(basis_to_json(verdict.certificate))
+                == json.dumps(basis_to_json(copied.certificate)))
+        # the carried terms: coprime ints, a positive multiple of the terms
+        ints = member.primitive_integer_terms
+        assert ints == copy.primitive_integer_terms
+        assert list(ints) == list(member.terms)
+        assert all(type(v) is int for v in ints.values()) and gcd(*ints.values()) == 1
+        assert len({v / member.terms[m] for m, v in ints.items()}) == 1
+        assert next(iter(ints.values())) / next(iter(member.terms.values())) > 0
 
 
 def _hash_or_error(x):
