@@ -8,7 +8,6 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     FieldEmbedding,
-    FieldMatrix,
     enumerate_projective_points,
     field_from_json,
     field_to_json,

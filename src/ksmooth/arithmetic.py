@@ -218,3 +218,19 @@ class IndexArithmetic:
                     a[i] = combine([(mul(f, minus_one), a[r])], row)
             pivots.append(c)
         return a, pivots, det
+
+    def kernel(self, rows, ncols):
+        """A basis of the right kernel of a matrix given as to `rref`: one
+        list of `ncols` indices per free column of its reduced form, in
+        column order, with 1 there and 0 at the other free columns."""
+        reduced, pivots, _ = self.rref(rows, ncols)
+        mul, minus_one = self.mul, self.field.p - 1
+        zero, one = self.index(self.field.zero()), self.index(self.field.one())
+        basis = []
+        for free in sorted(set(range(ncols)) - set(pivots)):
+            v = [zero] * ncols
+            v[free] = one
+            for row, c in zip(reduced, pivots):
+                v[c] = mul(row.get(free, zero), minus_one)
+            basis.append(v)
+        return basis

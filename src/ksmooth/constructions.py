@@ -29,7 +29,6 @@ from .errors import (
 )
 from .fields import (
     FieldDescriptor,
-    FieldMatrix,
     QQ,
     _first_of_full_order,
     element_to_json,
@@ -121,29 +120,38 @@ def _orbit(arith, a, q, m):
     return orbit
 
 
+def _moore_rows(arith, a, q, m):
+    """The `moore_matrix` of the element of index a of GF(q^m), as index rows."""
+    orbit = _orbit(arith, a, q, m)
+    return [orbit[j:] + orbit[:j] for j in range(m)]
+
+
 def moore_matrix(alpha, e, nvars):
     """The Moore matrix A[j][i] = alpha^(q^(i+j)), indices mod nvars, of an
-    element alpha of GF(q^nvars), q = p^e; it is invertible exactly when
-    alpha is normal over GF(q)."""
+    element alpha of GF(q^nvars), q = p^e, as rows of elements; invertible
+    exactly when alpha is normal over GF(q)."""
     big = alpha.field
-    orbit = _orbit(big.arithmetic, alpha.idx, big.p ** e, nvars)
-    return FieldMatrix(big, [list(map(big.element_from_index, orbit[j:] + orbit[:j]))
-                             for j in range(nvars)])
+    return [list(map(big.element_from_index, row))
+            for row in _moore_rows(big.arithmetic, alpha.idx, big.p ** e, nvars)]
 
 
 def normal_basis_search(p, e, n):
     """First element of GF(q^(n+1)) (canonical order, q = p^e) whose Frobenius
     orbit is a basis over GF(q), with its `moore_matrix` and the nonzero
     determinant of that; existence is the normal basis theorem.  The
-    candidates are indices, each tested by `_is_normal`, one gcd; only the
-    chosen one becomes an element, with its Moore matrix."""
+    candidates are indices, each tested by `_is_normal`, one gcd, and the
+    determinant is read off the `rref` of the chosen one's index rows."""
     base = get_descriptor(p, e)
     big = get_descriptor(p, e * (n + 1))
+    arith = big.arithmetic
     for i in range(1, big.order):
-        if _is_normal(big.arithmetic, i, base.order, n + 1):
-            matrix = moore_matrix(big.element_from_index(i), e, n + 1)
-            return MooreData(field=big, base=base, alpha=matrix.rows[0][0], matrix=matrix,
-                             det=matrix.det())
+        if _is_normal(arith, i, base.order, n + 1):
+            # a normal element and its conjugates are nonzero
+            rows = _moore_rows(arith, i, base.order, n + 1)
+            det = arith.rref([dict(enumerate(row)) for row in rows], n + 1)[2]
+            return MooreData(field=big, base=base, alpha=big.element_from_index(i),
+                             matrix=[list(map(big.element_from_index, row)) for row in rows],
+                             det=big.element_from_index(det))
     raise AssertionError("unreachable: normal elements always exist")
 
 
@@ -180,12 +188,11 @@ def moore_symmetries(base, alpha):
     big = alpha.field
     arith = big.arithmetic
     nvars = big.e // base.e
-    orbit = _orbit(arith, alpha.idx, base.order, nvars)
     lam = _first_of_full_order(range(1, big.order), big.order - 1, arith.power)
     # [A | D A] reduces to [I | A^-1 D A] exactly when A is invertible
-    rows = [orbit[j:] + orbit[:j] for j in range(nvars)]
     rows = [row + [arith.mul(x, lam_j) for x in row]
-            for row, lam_j in zip(rows, _orbit(arith, lam, base.order, nvars))]
+            for row, lam_j in zip(_moore_rows(arith, alpha.idx, base.order, nvars),
+                                  _orbit(arith, lam, base.order, nvars))]
     reduced, pivots, _ = arith.rref([{k: x for k, x in enumerate(row) if x} for row in rows],
                                     2 * nvars)
     if pivots[:nvars] != list(range(nvars)):
@@ -196,8 +203,7 @@ def moore_symmetries(base, alpha):
     except NoSolution:
         return ()
     shift = [[int(k == (i - 1) % nvars) for k in range(nvars)] for i in range(nvars)]
-    return tuple(FieldMatrix(base, [list(map(base.element_from_index, row)) for row in a])
-                 for a in (m, shift))
+    return tuple([list(map(base.element_from_index, row)) for row in a] for a in (m, shift))
 
 
 class ConstructionResult(Record):
@@ -237,7 +243,7 @@ def _descend(raw, moore):
         if {m: power(c, q) for m, c in raw[i].items()} != raw[(i + 1) % nv]:
             raise NotFrobeniusCyclic(
                 "family is not cyclically permuted by the q-power Frobenius")
-    orbit = list(map(arith.index, moore.matrix.rows[0]))
+    orbit = _orbit(arith, moore.alpha.idx, q, nv)
     big_gens = [arith.combine([(orbit[(i + j) % nv], raw[i]) for i in range(nv)])
                 for j in range(nv)]
     if any(power(c, q) != c for g in big_gens for c in g.values()):
@@ -267,7 +273,7 @@ def _construct(moore, template, degree):
     slots = _Slots.for_degree(nv, degree)
     family = [slots.pack({_shifted(m, j): arith.power(c, base.order ** j) for m, c in template})
               for j in range(nv)]
-    raw = _compose(family, [[x.idx for x in row] for row in moore.matrix], slots, arith)
+    raw = _compose(family, _moore_rows(arith, moore.alpha.idx, base.order, nv), slots, arith)
     return tuple(tuple(_raw_form(field, nv, degree, {slots.exponents(m): field.element_from_index(c)
                                                      for m, c in h.items()}) for h in maps)
                  for field, maps in ((big, raw), (base, _descend(raw, moore))))
@@ -367,20 +373,19 @@ def char2_quadric_singular_point(form):
             g_terms[exps] = c
     if not saw_x0:
         raise ShapeViolated("the x0^2 term is missing")
-    hessian = [[zero] * n for _ in range(n)]
+    hessian = [{} for _ in range(n)]
     for exps, c in g_terms.items():
         nz = [i for i, e in enumerate(exps) if e]
         if len(nz) == 2:
             i, j = nz
-            hessian[i - 1][j - 1] = c
-            hessian[j - 1][i - 1] = c
-    kernel = FieldMatrix(field, hessian).kernel()
+            hessian[i - 1][j - 1] = hessian[j - 1][i - 1] = c.idx
+    kernel = field.arithmetic.kernel(hessian, n)
     if not kernel:
         raise AssertionError("odd skew-symmetric matrix reported as nonsingular")
-    t = kernel[0]
+    t = tuple(map(field.element_from_index, kernel[0]))
     g = HomogeneousForm(field, nv, 2, g_terms)
-    t0 = sqrt_char2(g.evaluate((zero,) + tuple(t)))
-    witness = SingularWitness(point=normalize_projective((t0,) + tuple(t)),
+    t0 = sqrt_char2(g.evaluate((zero,) + t))
+    witness = SingularWitness(point=normalize_projective((t0,) + t),
                               field=field)
     if not witness_verifies(form, witness):
         raise AssertionError("constructed point failed re-verification")
@@ -422,13 +427,16 @@ def char2_find_singular_member(system):
     try:
         coeffs, member = singular_member_at_base_point(system)
     except PreconditionViolated:
-        coeffs = truncation_matrix(system).solve([one] + [zero] * n)
+        # T is invertible, so [T | -e_0] (-1 = 1 here) has the kernel vector (c, 1): T c = e_0
+        rows = truncation_matrix(system)
+        rows[0][nv] = 1
+        kernel = field.arithmetic.kernel(rows, nv + 1)
+        coeffs = tuple(map(field.element_from_index, kernel[-1][:nv]))
         member = system.member(coeffs)
-        witness = char2_quadric_singular_point(member).for_member(tuple(coeffs))
-        return SingularMemberResult(tuple(coeffs), member, witness, "preimage")
-    witness = SingularWitness(point=(one,) + (zero,) * n, field=field,
-                              member=tuple(coeffs))
-    return SingularMemberResult(tuple(coeffs), member, witness, "kernel")
+        witness = char2_quadric_singular_point(member).for_member(coeffs)
+        return SingularMemberResult(coeffs, member, witness, "preimage")
+    witness = SingularWitness(point=(one,) + (zero,) * n, field=field, member=coeffs)
+    return SingularMemberResult(coeffs, member, witness, "kernel")
 
 
 def builtin_example_f3():

@@ -9,9 +9,9 @@ elements and build an antilog and a Zech list (O(q) entries each) from the
 log to the first generator of the unit group, so every operation (a power
 included) is one or two lookups.  Larger prime fields compute on the index
 mod p and larger extension fields on the digits.  Inner loops that combine
-many elements, the linear algebra of `FieldMatrix` and the univariate gcd
-and root search of the point search work on the indices themselves (over
-Q on the Fractions), through the one `IndexArithmetic` each field builds.
+many elements, all linear algebra and the univariate gcd and root search
+of the point search work on the indices themselves (over Q on the
+Fractions), through the one `IndexArithmetic` each field builds.
 Canonical moduli make every derived object bit-reproducible.
 """
 
@@ -219,6 +219,19 @@ def _monic_gcd(a, b, mul, inv, add, minus_one):
     return a
 
 
+def _frobenius_gcds(f, p):
+    """For k = 1, 2, ..., the monic gcd over GF(p) of the monic f (a list of
+    ints mod p, low degree first, of degree at least 2) and x^(p^k) - x,
+    the product of f's distinct irreducible factors of degree dividing k,
+    with one p-th power of x mod f per k."""
+    rows = _reduction_rows(f, p)
+    mul, inv, add = (lambda a, b: a * b % p), (lambda a: pow(a, -1, p)), (lambda a, b: (a + b) % p)
+    x = (0, 1) + (0,) * (len(f) - 3)
+    while True:
+        x = _powmod(x, p, rows, p)
+        yield _monic_gcd(f, [x[0], (x[1] - 1) % p, *x[2:]], mul, inv, add, p - 1)
+
+
 def is_irreducible(coeffs, p):
     """Irreducibility over F_p of a monic polynomial given as a coefficient list:
     it is irreducible iff it shares no factor with x^(p^k) - x for any k below
@@ -227,18 +240,7 @@ def is_irreducible(coeffs, p):
     k = len(coeffs) - 1
     if k < 1 or coeffs[-1] != 1:
         return False
-    if k == 1:
-        return True
-    rows = _reduction_rows(coeffs, p)
-    t = (0, 1) + (0,) * (k - 2)
-    for _ in range(1, k):
-        t = _powmod(t, p, rows, p)
-        diff = list(t)
-        diff[1] = (diff[1] - 1) % p
-        if len(_monic_gcd(coeffs, diff, lambda a, b: a * b % p, lambda a: pow(a, -1, p),
-                          lambda a, b: (a + b) % p, p - 1)) > 1:
-            return False
-    return True
+    return k == 1 or all(len(g) == 1 for g in itertools.islice(_frobenius_gcds(coeffs, p), k - 1))
 
 
 def find_irreducible(p, k):
@@ -625,71 +627,6 @@ def normalize_projective(point):
             cinv = c.inv()
             return tuple(x * cinv for x in point)
     raise ValueError("zero tuple is not a projective point")
-
-
-class FieldMatrix:
-    """Dense rectangular matrix over one coefficient field, iterable over
-    its rows.  Its linear algebra converts the rows to element indices, runs
-    the field's one `IndexArithmetic.rref` and converts the result back."""
-
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field, rows):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("ragged rows")
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        _, pivots, det = self.rref()
-        return det if len(pivots) == self.nrows else self.field.zero()
-
-    def rref(self):
-        """Reduced row echelon form; returns (rows, pivot column indices, the
-        product of the pivots signed by the row swaps)."""
-        arith = self.field.arithmetic
-        index, element = arith.index, arith.element
-        reduced, pivots, det = arith.rref(
-            [{k: index(x) for k, x in enumerate(row) if x} for row in self.rows], self.ncols)
-        return ([[element(row.get(k, 0)) for k in range(self.ncols)] for row in reduced],
-                pivots, element(det))
-
-    def rank(self):
-        return len(self.rref()[1])
-
-    def kernel(self):
-        """Basis of the right kernel in reduced echelon form, one vector per
-        free column, ordered by free column index."""
-        a, pivots, _ = self.rref()
-        zero, one = self.field.zero(), self.field.one()
-        basis = []
-        for fcol in sorted(set(range(self.ncols)) - set(pivots)):
-            v = [zero] * self.ncols
-            v[fcol] = one
-            for row, pc in zip(a, pivots):
-                v[pc] = -row[fcol]
-            basis.append(tuple(v))
-        return basis
-
-    def solve(self, rhs):
-        """One solution of self * x = rhs (free variables set to zero)."""
-        rhs = list(rhs)
-        if len(rhs) != self.nrows:
-            raise ValueError("right-hand side has the wrong length")
-        a, pivots, _ = FieldMatrix(self.field, [row + [b] for row, b in zip(self.rows, rhs)]).rref()
-        if pivots and pivots[-1] == self.ncols:
-            raise NoSolution("inconsistent linear system")
-        x = [self.field.zero()] * self.ncols
-        for row, pc in zip(a, pivots):
-            x[pc] = row[-1]
-        return tuple(x)
 
 
 class FieldEmbedding:

@@ -82,15 +82,13 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
-from itertools import product, repeat
+from itertools import islice, product, repeat
 
 from .errors import PreconditionViolated, WitnessNotFoundWithinCap
 from .fields import (
     FieldDescriptor,
-    FieldMatrix,
     _digits,
-    _powmod,
-    _reduction_rows,
+    _frobenius_gcds,
     _spread,
     element_to_json,
     enumerate_projective_points,
@@ -342,6 +340,12 @@ def _tail_values(tail, tails, mul, power):
     return values
 
 
+def _derivative(f, mul, p):
+    """The derivative of an index list f (low degree first) in characteristic
+    p, by `mul` on indices; the integer j has the index j mod p."""
+    return [mul(c, j % p) if c and j % p else 0 for j, c in enumerate(f) if j]
+
+
 def _restricted_gcd(arith, groups, values):
     """Monic gcd of F and its partials restricted to a line, as an index
     list in its last coordinate t (low degree first); [] when all of them
@@ -350,7 +354,7 @@ def _restricted_gcd(arith, groups, values):
     combine, mul, gcd, p = arith.combine, arith.mul, arith.gcd, arith.field.p
     scaled = ([(values[i], group) for i, group in form if values[i]] for form in groups)
     f = _dense(combine(next(scaled)))
-    g = gcd(f, [mul(c, j % p) if c and j % p else 0 for j, c in enumerate(f) if j])
+    g = gcd(f, _derivative(f, mul, p))
     for parts in scaled:
         if len(g) == 1:
             break
@@ -377,7 +381,7 @@ def _abscissa_gcd(chart, p, m):
                     for form in groups]
     gcd = get_descriptor(p).arithmetic.gcd
     r = []
-    for g in [[mul(c, j % p) if c and j % p else 0 for j, c in enumerate(f) if j], *partials]:
+    for g in [_derivative(f, mul, p), *partials]:
         r = gcd(r, _digits(arith.resultant(f, g), p, m))
         if len(r) == 1:
             break
@@ -386,18 +390,13 @@ def _abscissa_gcd(chart, p, m):
 
 def _levels_with_roots(r, p):
     """For k = 2, 3, ..., in turn, whether the monic R over GF(p) (or [],
-    the zero polynomial) has a root in GF(p^k): whether gcd(R, s^(p^k) - s)
-    is not constant, with one p-th power mod R per level."""
-    gcd = get_descriptor(p).arithmetic.gcd
+    the zero polynomial) has a root in GF(p^k): whether gcd(R, s^(p^k) - s),
+    from `fields._frobenius_gcds`, is not constant."""
     if len(r) < 3:
         # R = 0 decides nothing, a constant has no root, a linear R its root in GF(p)
         yield from repeat(len(r) != 1)
         return
-    rows = _reduction_rows(r, p)
-    x = _powmod((0, 1) + (0,) * (len(r) - 3), p, rows, p)
-    while True:
-        x = _powmod(x, p, rows, p)
-        yield len(gcd(r, [x[0], (x[1] - 1) % p, *x[2:]])) > 1
+    yield from (len(g) > 1 for g in islice(_frobenius_gcds(r, p), 1, None))
 
 
 def _dense(line):
@@ -508,20 +507,21 @@ def x0_truncation(form):
 
 
 def truncation_matrix(system):
-    """Matrix of the base-point truncation on the system's coefficients.
-
-    Row j holds the generators' coefficients of x0^(d-1)*x_j (j = 0..n), so
-    the kernel is the set of members singular at [1:0:...:0].
-    """
+    """Matrix of the base-point truncation on the system's coefficients, as
+    index rows: row j maps each generator to the index of its coefficient
+    of x0^(d-1)*x_j (j = 0..n), so the kernel is the set of members
+    singular at [1:0:...:0]."""
     nv = system.nvars
-    zero = system.field.zero()
+    index = system.field.arithmetic.index
     rows = []
     for j in range(nv):
         exps = [0] * nv
         exps[0] = system.degree - 1
         exps[j] += 1
-        rows.append([g.terms.get(tuple(exps), zero) for g in system.generators])
-    return FieldMatrix(system.field, rows)
+        m = tuple(exps)
+        rows.append({i: index(c) for i, g in enumerate(system.generators)
+                     if (c := g.terms.get(m))})
+    return rows
 
 
 def singular_member_at_base_point(system):
@@ -533,13 +533,13 @@ def singular_member_at_base_point(system):
     """
     nv = system.nvars
     zero = system.field.zero()
-    matrix = truncation_matrix(system)
-    kernel = matrix.kernel()
+    arith = system.field.arithmetic
+    kernel = arith.kernel(truncation_matrix(system), len(system.generators))
     if not kernel:
         raise PreconditionViolated(
             "no member is singular at the base point; this is guaranteed only "
             "for affine dimension >= n+2")
-    coeffs = kernel[0]
+    coeffs = tuple(map(arith.element, kernel[0]))
     member = system.member(coeffs)
     base = (system.field.one(),) + (zero,) * (nv - 1)
     if not witness_verifies(member, SingularWitness(point=base, field=system.field)):

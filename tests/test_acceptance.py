@@ -22,7 +22,6 @@ from ksmooth.constructions import (
     normal_basis_search,
 )
 from ksmooth.fields import (
-    FieldMatrix,
     frobenius,
     get_descriptor,
 )
@@ -266,13 +265,14 @@ def test_criterion_8_algebra_invariant_suites():
     for t in range(100):
         m = (1, 3, 5)[t % 3]
         field = (F2, F4)[t % 2]
-        rows = [[field.zero()] * m for _ in range(m)]
+        rows = [{} for _ in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 c = random_element(field, rng)
-                rows[i][j] = c
-                rows[j][i] = c
-        skew_ok += FieldMatrix(field, rows).det() == field.zero()
+                if c:
+                    rows[i][j] = rows[j][i] = c.idx
+        # the determinant is zero exactly when some column has no pivot
+        skew_ok += len(field.arithmetic.rref(rows, m)[1]) < m
     checks["odd skew det zero 100/100"] = skew_ok == 100
 
     moore_ok = all(normal_basis_search(p, e, n).det

@@ -1,5 +1,6 @@
 """Field arithmetic, linear algebra, enumeration and embedding tests."""
 
+import functools
 import itertools
 import operator
 import random
@@ -21,7 +22,6 @@ from ksmooth.fields import (
     QQ,
     FieldDescriptor,
     FieldEmbedding,
-    FieldMatrix,
     _digits,
     _digitwise,
     _index,
@@ -679,8 +679,6 @@ class TestIndexArithmetic:
     def test_an_element_of_another_field_is_rejected(self):
         with pytest.raises(DescriptorMismatch):
             F4.arithmetic.index(F2.one())
-        with pytest.raises(DescriptorMismatch):
-            FieldMatrix(F4, [[F2.one()]]).det()
 
 
 class TestFrobenius:
@@ -738,84 +736,102 @@ class TestSqrtChar2:
             sqrt_char2(F3.one())
 
 
+def _sparse(rows):
+    """Dense rows of indices as the maps `IndexArithmetic.rref` takes."""
+    return [{k: x for k, x in enumerate(row) if x} for row in rows]
+
+
+def _det(field, rows):
+    """The determinant of a square matrix of indices, read off `rref`."""
+    _, pivots, det = field.arithmetic.rref(_sparse(rows), len(rows))
+    return det if len(pivots) == len(rows) else 0
+
+
 class TestMatrices:
+    """The one elimination `IndexArithmetic.rref` and its `kernel`, on
+    rows of element indices (over Q, of Fractions)."""
+
     def test_kernel_example(self):
-        m = FieldMatrix(F2, [[F2.zero(), F2.one(), F2.zero()],
-                             [F2.one(), F2.zero(), F2.zero()],
-                             [F2.zero(), F2.zero(), F2.zero()]])
-        assert m.kernel() == [(F2.zero(), F2.zero(), F2.one())]
+        assert F2.arithmetic.kernel(_sparse([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), 3) == [[0, 0, 1]]
 
     def test_det_of_swap_matrix(self):
         for field in (F2, F3, QQ):
-            zero, one = field.zero(), field.one()
-            assert FieldMatrix(field, [[zero, one], [one, zero]]).det() == -one
+            index = field.arithmetic.index
+            zero, one = index(field.zero()), index(field.one())
+            assert _det(field, [[zero, one], [one, zero]]) == index(-field.one())
 
     def test_det_of_identity(self):
         for field in (F3, F9):
-            rows = [[field.one() if i == j else field.zero() for j in range(3)]
-                    for i in range(3)]
-            assert FieldMatrix(field, rows).det() == field.one()
+            assert _det(field, [[int(i == j) for j in range(3)] for i in range(3)]) == 1
 
     def test_moore_matrix_determinant_f4(self):
         u = F4.element([0, 1])
-        m = FieldMatrix(F4, [[u, u + F4.one()], [u + F4.one(), u]])
-        assert m.det() == F4.one()
-
-    def test_solve_and_no_solution(self):
-        m = FieldMatrix(F3, [[F3.from_int(1), F3.from_int(2)],
-                             [F3.from_int(2), F3.from_int(4)]])
-        x = m.solve([F3.from_int(1), F3.from_int(2)])
-        assert [sum((a * b for a, b in zip(row, x)), F3.zero())
-                for row in m.rows] == [F3.from_int(1), F3.from_int(2)]
-        with pytest.raises(NoSolution):
-            m.solve([F3.from_int(1), F3.from_int(0)])
+        v = u + F4.one()
+        assert _det(F4, [[u.idx, v.idx], [v.idx, u.idx]]) == 1
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(5)
         for field in (F2, F3, F4):
-            els = field.elements()
+            arith = field.arithmetic
             for _ in range(20):
-                rows = [[els[rng.randrange(field.order)] for _ in range(4)]
-                        for _ in range(3)]
-                m = FieldMatrix(field, rows)
-                for v in m.kernel():
+                rows = [[rng.randrange(field.order) for _ in range(4)] for _ in range(3)]
+                for v in arith.kernel(_sparse(rows), 4):
                     for row in rows:
-                        assert not sum((a * b for a, b in zip(row, v)),
-                                       field.zero())
+                        assert not functools.reduce(arith.add, map(arith.mul, row, v))
+
+    @pytest.mark.parametrize("nrows", [3, 4])
+    @pytest.mark.parametrize("field", [F2, F3, F4], ids=["gf2", "gf3", "gf4"])
+    def test_kernel_spans_the_null_space_by_enumeration(self, field, nrows):
+        arith = field.arithmetic
+        add, mul = arith.add, arith.mul
+        rng = random.Random(10 * field.order + nrows)
+        vectors = list(itertools.product(range(field.order), repeat=4))
+        ranks = set()
+        for _ in range(12):
+            # about half the entries zero, so that every rank turns up
+            rows = [[rng.randrange(field.order) * (rng.random() < 0.5) for _ in range(4)]
+                    for _ in range(nrows)]
+            kernel = arith.kernel(_sparse(rows), 4)
+            rank = len(arith.rref(_sparse(rows), 4)[1])
+            ranks.add(rank)
+            assert len(kernel) == 4 - rank
+            null = {v for v in vectors
+                    if not any(functools.reduce(add, map(mul, row, v)) for row in rows)}
+            span = {tuple(functools.reduce(add, [mul(c, b[k]) for c, b in zip(cs, kernel)], 0)
+                          for k in range(4))
+                    for cs in itertools.product(range(field.order), repeat=len(kernel))}
+            assert span == null
+        assert len(ranks) > 1
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_odd_skew_symmetric_zero_diagonal_has_det_zero(self, m):
         # symmetric + zero diagonal = skew-symmetric in characteristic 2
         rng = random.Random(m)
         for field in (F2, F4):
-            els = field.elements()
             for _ in range(50):
-                rows = [[field.zero()] * m for _ in range(m)]
+                rows = [[0] * m for _ in range(m)]
                 for i in range(m):
                     for j in range(i + 1, m):
-                        c = els[rng.randrange(field.order)]
+                        c = rng.randrange(field.order)
                         rows[i][j] = c
                         rows[j][i] = c
-                assert FieldMatrix(field, rows).det() == field.zero()
+                assert _det(field, rows) == 0
 
     def test_rationals_supported(self):
-        m = FieldMatrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-        assert m.det() == Fraction(-2)
-        assert m.rank() == 2
-        assert m.solve([Fraction(1), Fraction(1)]) == (Fraction(-1), Fraction(1))
-        assert m.kernel() == []
+        arith = QQ.arithmetic
+        square = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+        rows = _sparse(square)
+        assert _det(QQ, square) == Fraction(-2)
+        assert len(arith.rref(rows, 2)[1]) == 2
+        assert arith.kernel(rows, 2) == []
         half = Fraction(1, 2)
-        singular = FieldMatrix(QQ, [[half, Fraction(1), 3 * half],
-                                    [Fraction(1), Fraction(2), Fraction(3)]])
-        assert singular.rank() == 1
-        assert singular.kernel() == [(Fraction(-2), Fraction(1), Fraction(0)),
-                                     (Fraction(-3), Fraction(0), Fraction(1))]
-        x = singular.solve([Fraction(1), Fraction(2)])
-        assert x == (Fraction(2), Fraction(0), Fraction(0))
-        assert all(type(v) is Fraction for v in x + singular.kernel()[0])
-        with pytest.raises(NoSolution):
-            singular.solve([Fraction(1), Fraction(1)])
-        assert type(FieldMatrix(QQ, [[1, 0], [0, 1]]).det()) is Fraction
+        singular = _sparse([[half, Fraction(1), 3 * half],
+                            [Fraction(1), Fraction(2), Fraction(3)]])
+        assert len(arith.rref(singular, 3)[1]) == 1
+        assert arith.kernel(singular, 3) == [[Fraction(-2), Fraction(1), Fraction(0)],
+                                             [Fraction(-3), Fraction(0), Fraction(1)]]
+        assert all(type(v) is Fraction for v in arith.kernel(singular, 3)[0])
+        assert _det(QQ, [[Fraction(1), 0], [0, Fraction(1)]]) == Fraction(1)
 
 
 class TestEnumeration:

@@ -27,7 +27,6 @@ from ksmooth.fields import (
     QQ,
     FieldDescriptor,
     FieldElement,
-    FieldMatrix,
     enumerate_projective_points,
     get_descriptor,
     get_embedding,
@@ -79,6 +78,13 @@ FIELDS = {2: F2, 3: F3, 4: F4}
 def form(field, nvars, degree, entries):
     return HomogeneousForm(field, nvars, degree,
                            {tuple(e): field.from_int(c) for e, c in entries})
+
+
+def invertible(field, rows):
+    """Whether a square matrix of elements has a pivot in every column of
+    the `rref` of its index rows."""
+    rows = [{k: x.idx for k, x in enumerate(row) if x} for row in rows]
+    return len(field.arithmetic.rref(rows, len(rows))[1]) == len(rows)
 
 
 def fermat(field, nvars, degree, coeffs=None):
@@ -635,7 +641,7 @@ class TestLineScanMatchesPointScan:
             while any(not t * t + a * t + b for t in els):
                 a, b = rng.choice(els), rng.choice(els)
             rows = [[rng.choice(els) for _ in range(2)] for _ in range(2)]
-            while not FieldMatrix(field, rows).det():
+            while not invertible(field, rows):
                 rows = [[rng.choice(els) for _ in range(2)] for _ in range(2)]
             quad = HomogeneousForm(field, 2, 2, {(2, 0): field.one(), (1, 1): a, (0, 2): b})
             f = quad.substitute_linear(rows) ** 2
@@ -895,6 +901,28 @@ class TestPlaneCurveFilter:
                 assert line_scan(f, cap) == point_scan(f, cap), str(f)
         # some level was skipped
         assert False in said
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_levels_agree_with_evaluation(self, p):
+        # every monic R of degree 2 to 4 over GF(p), evaluated at every
+        # element of GF(p^k), k = 2..6, in which a prime-field coefficient
+        # has its own value as index
+        arithmetics = [get_descriptor(p, k).arithmetic for k in range(2, 7)]
+
+        def has_root(arith, r):
+            for t in range(arith.field.order):
+                v = 0
+                for c in reversed(r):
+                    v = arith.add(arith.mul(v, t), c)
+                if not v:
+                    return True
+            return False
+
+        for degree in (2, 3, 4):
+            for low in itertools.product(range(p), repeat=degree):
+                r = [*low, 1]
+                said = list(itertools.islice(smoothness._levels_with_roots(r, p), 5))
+                assert said == [has_root(arith, r) for arith in arithmetics], r
 
     @pytest.mark.parametrize("p,entries,level", [
         (2, [((0, 1, 2), 1), ((0, 2, 1), 1), ((1, 1, 1), 1), ((2, 0, 1), 1), ((2, 1, 0), 1),
@@ -1410,7 +1438,7 @@ class TestOrbitRoute:
         system, _ = _constructed(3, 1, 2, 2)
         o, z = F3.one(), F3.zero()
         shear = [[o, o, z], [z, o, z], [z, z, o]]
-        assert FieldMatrix(F3, shear).det()
+        assert invertible(F3, shear)
         assert smoothness._induced_matrices(system, [shear]) is None
         report = verify_system_K_smooth(system, [shear])
         assert len(certified_members) == 13
@@ -1509,7 +1537,7 @@ def _random_invertible(field, size, rng):
     while True:
         rows = [[field.element_from_index(rng.randrange(field.order)) for _ in range(size)]
                 for _ in range(size)]
-        if FieldMatrix(field, rows).det():
+        if invertible(field, rows):
             return rows
 
 
@@ -1569,7 +1597,7 @@ class TestOrbitWalk:
             return field.element_from_index(x.idx)
 
         copy = LinearSystemOfForms([g.map_coefficients(moved, field) for g in system.generators])
-        moved_symmetries = [[list(map(moved, row)) for row in m.rows] for m in symmetries]
+        moved_symmetries = [[list(map(moved, row)) for row in m] for m in symmetries]
         induced = smoothness._induced_matrices(system, symmetries)
         assert smoothness._induced_matrices(copy, moved_symmetries) == induced
         orbit_of = array("l")
