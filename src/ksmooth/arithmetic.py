@@ -197,7 +197,7 @@ class IndexArithmetic:
         minus_one = self.field.p - 1
         a = list(rows)
         pivots = []
-        det = 1
+        det = self.index(self.field.one())
         for c in range(ncols):
             r = len(pivots)
             if r == len(a):

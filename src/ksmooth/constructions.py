@@ -98,17 +98,16 @@ def klein_form(coefficients, degree):
 
 
 class MooreData(Record):
-    """A normal-basis element alpha of GF(q^(n+1)) over GF(q) with its Moore
-    matrix A[j][i] = alpha^(q^(j+i)); row j applied to (x0, ..., xn) is the
-    coordinate change y_j."""
+    """A normal-basis element alpha of GF(q^(n+1)) over GF(q) with the
+    determinant of its Moore matrix A[j][i] = alpha^(q^(j+i)), whose row j
+    applied to (x0, ..., xn) is the coordinate change y_j."""
 
-    __slots__ = ("field", "base", "alpha", "matrix", "det")
+    __slots__ = ("field", "base", "alpha", "det")
 
-    def __init__(self, field, base, alpha, matrix, det):
+    def __init__(self, field, base, alpha, det):
         self.field = field
         self.base = base
         self.alpha = alpha
-        self.matrix = matrix
         self.det = det
 
 
@@ -137,8 +136,8 @@ def moore_matrix(alpha, e, nvars):
 
 def normal_basis_search(p, e, n):
     """First element of GF(q^(n+1)) (canonical order, q = p^e) whose Frobenius
-    orbit is a basis over GF(q), with its `moore_matrix` and the nonzero
-    determinant of that; existence is the normal basis theorem.  The
+    orbit is a basis over GF(q), with the nonzero determinant of its
+    `moore_matrix`; existence is the normal basis theorem.  The
     candidates are indices, each tested by `_is_normal`, one gcd, and the
     determinant is read off the `rref` of the chosen one's index rows."""
     base = get_descriptor(p, e)
@@ -150,7 +149,6 @@ def normal_basis_search(p, e, n):
             rows = _moore_rows(arith, i, base.order, n + 1)
             det = arith.rref([dict(enumerate(row)) for row in rows], n + 1)[2]
             return MooreData(field=big, base=base, alpha=big.element_from_index(i),
-                             matrix=[list(map(big.element_from_index, row)) for row in rows],
                              det=big.element_from_index(det))
     raise AssertionError("unreachable: normal elements always exist")
 

@@ -219,17 +219,18 @@ def _monic_gcd(a, b, mul, inv, add, minus_one):
     return a
 
 
-def _frobenius_gcds(f, p):
-    """For k = 1, 2, ..., the monic gcd over GF(p) of the monic f (a list of
-    ints mod p, low degree first, of degree at least 2) and x^(p^k) - x,
-    the product of f's distinct irreducible factors of degree dividing k,
-    with one p-th power of x mod f per k."""
+def _frobenius_gcds(f, p, first=1):
+    """For k = first, first + 1, ..., the monic gcd over GF(p) of the monic f
+    (a list of ints mod p, low degree first, of degree at least 2) and
+    x^(p^k) - x, the product of f's distinct irreducible factors of degree
+    dividing k, with one p-th power of x mod f per k from 1 on."""
     rows = _reduction_rows(f, p)
     mul, inv, add = (lambda a, b: a * b % p), (lambda a: pow(a, -1, p)), (lambda a, b: (a + b) % p)
     x = (0, 1) + (0,) * (len(f) - 3)
-    while True:
+    for k in itertools.count(1):
         x = _powmod(x, p, rows, p)
-        yield _monic_gcd(f, [x[0], (x[1] - 1) % p, *x[2:]], mul, inv, add, p - 1)
+        if k >= first:
+            yield _monic_gcd(f, [x[0], (x[1] - 1) % p, *x[2:]], mul, inv, add, p - 1)
 
 
 def is_irreducible(coeffs, p):

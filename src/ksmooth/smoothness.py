@@ -82,7 +82,7 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
-from itertools import islice, product, repeat
+from itertools import product, repeat
 
 from .errors import PreconditionViolated, WitnessNotFoundWithinCap
 from .fields import (
@@ -396,7 +396,7 @@ def _levels_with_roots(r, p):
         # R = 0 decides nothing, a constant has no root, a linear R its root in GF(p)
         yield from repeat(len(r) != 1)
         return
-    yield from (len(g) > 1 for g in islice(_frobenius_gcds(r, p), 1, None))
+    yield from (len(g) > 1 for g in _frobenius_gcds(r, p, first=2))
 
 
 def _dense(line):

@@ -123,7 +123,12 @@ class TestNormalBasisSearch:
         md = normal_basis_search(2, 1, 1)
         assert md.alpha == F4.element([0, 1])
         assert md.det == md.field.one()
-        assert md.matrix[0] == [U, U + F4.one()]
+        assert moore_matrix(md.alpha, 1, 2)[0] == [U, U + F4.one()]
+
+    def test_moore_data_hashes_by_its_fields(self):
+        md = normal_basis_search(3, 1, 2)
+        assert hash(md) == hash(normal_basis_search(3, 1, 2))
+        assert md in {md}
 
     def test_f8_over_f2(self):
         md = normal_basis_search(2, 1, 2)
@@ -143,9 +148,10 @@ class TestNormalBasisSearch:
         from ksmooth.fields import frobenius
         md = normal_basis_search(p, e, n)
         assert md.det
-        first = md.matrix[0]
+        rows = moore_matrix(md.alpha, e, n + 1)
+        first = rows[0]
         for j in range(1, n + 1):
-            assert md.matrix[j] == [frobenius(c, e) for c in md.matrix[j - 1]]
+            assert rows[j] == [frobenius(c, e) for c in rows[j - 1]]
         assert first[0] == md.alpha
 
 
@@ -178,12 +184,11 @@ class TestMooreSymmetries:
                                        (3, 1, 2), (3, 2, 1)])
     def test_maps_act_on_the_moore_coordinates(self, p, e, n):
         md = normal_basis_search(p, e, n)
-        assert moore_matrix(md.alpha, e, n + 1) == md.matrix
         m, shift = moore_symmetries(md.base, md.alpha)
         assert all(x.field == md.base for row in m + shift for x in row)
         assert _det(m) and _det(shift)
         up = get_embedding(md.base, md.field).up
-        a = md.matrix
+        a = moore_matrix(md.alpha, e, n + 1)
         am = self._product(a, [[up(x) for x in row] for row in m])
         # y_j(M x) = lambda^(q^j) y_j(x) for a primitive lambda
         lam = am[0][0] / a[0][0]
@@ -237,7 +242,7 @@ class TestGaloisDescent:
         res = construct_system_with_details(3, 1, 2, 2, 2)[1]
         big = res.moore.field
         template = fermat_form((big.one(),) * 3, 2)
-        assert template.substitute_linear(res.moore.matrix) == \
+        assert template.substitute_linear(moore_matrix(res.moore.alpha, 1, 3)) == \
             res.raw_generators[0] + res.raw_generators[1] + res.raw_generators[2]
         res2 = construct_system_with_details(2, 1, 2, 2, 2)[1]
         big2 = res2.moore.field
@@ -245,7 +250,7 @@ class TestGaloisDescent:
         total = res2.raw_generators[0]
         for raw in res2.raw_generators[1:]:
             total = total + raw
-        assert template2.substitute_linear(res2.moore.matrix) == total
+        assert template2.substitute_linear(moore_matrix(res2.moore.alpha, 1, 3)) == total
 
     def test_equal_span_check_rejects_a_dependent_family(self):
         f = form(F2, 2, 2, [((2, 0), 1)])
@@ -296,7 +301,7 @@ class TestOnePathOnIndices:
         # F_0 in the Moore coordinates, by the form path
         assert raw[0] == HomogeneousForm(big, 4, 4, {(0, 0, 0, 4): big.one(),
                                                      (1, 0, 2, 1): u}).substitute_linear(
-            moore.matrix)
+            moore_matrix(moore.alpha, 1, 4))
         assert galois_descent(raw, moore) == list(generators)
         report = verify_system_K_smooth(LinearSystemOfForms(generators))
         assert report.member_count == 15 and report.k_smooth

@@ -831,7 +831,10 @@ class TestMatrices:
         assert arith.kernel(singular, 3) == [[Fraction(-2), Fraction(1), Fraction(0)],
                                              [Fraction(-3), Fraction(0), Fraction(1)]]
         assert all(type(v) is Fraction for v in arith.kernel(singular, 3)[0])
-        assert _det(QQ, [[Fraction(1), 0], [0, Fraction(1)]]) == Fraction(1)
+        # over Q an index is the Fraction itself, with every pivot 1 too
+        identity, swap = [[Fraction(1), 0], [0, Fraction(1)]], [[0, Fraction(1)], [Fraction(1), 0]]
+        assert type(_det(QQ, identity)) is Fraction and _det(QQ, identity) == 1
+        assert type(_det(QQ, swap)) is Fraction and _det(QQ, swap) == -1
 
 
 class TestEnumeration:

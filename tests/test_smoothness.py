@@ -17,6 +17,7 @@ from ksmooth.constructions import (
     construct_system_with_details,
     galois_descent,
     lift_to_char_zero,
+    moore_matrix,
     moore_symmetries,
     normal_basis_search,
 )
@@ -1396,7 +1397,7 @@ class TestOrbitRoute:
         template = HomogeneousForm(moore.field, 3, 4, [
             ((2, 2, 0), one), ((0, 2, 2), one), ((2, 0, 2), one)])
         raw = compose([HomogeneousForm(moore.field, 3, 4, {m: c})
-                       for m, c in template.terms.items()], moore.matrix)
+                       for m, c in template.terms.items()], moore_matrix(moore.alpha, 1, 3))
         system = LinearSystemOfForms(galois_descent(raw, moore))
         symmetries = moore_symmetries(F3, moore.alpha)
         induced = smoothness._induced_matrices(system, symmetries)
