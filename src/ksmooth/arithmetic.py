@@ -62,7 +62,7 @@ class IndexArithmetic:
       the antilog list, and a sum is an XOR of indices in characteristic 2
       and otherwise one Zech lookup on the logs, a + b = a * (1 + b/a);
     - over an untabled GF(p^e), e > 1, a product by `_mulmod` on the digits
-      and a sum digit by digit, as FieldElement computes there.
+      and a sum digit by digit, which FieldElement calls there.
     A finite field also has `add` and `power(a, k)` (k >= 0) on indices,
     and the univariate kernel of the line scan on index lists (low degree
     first): `gcd(a, b)`, the monic gcd by the one Euclid loop `_monic_gcd`
@@ -154,14 +154,14 @@ class IndexArithmetic:
 
             self.mul, self.power = mul, power
             self.inv = lambda a: power(a, q - 2)
-            self.add = lambda a, b: _digitwise(a, b, 1, p, e)
+            self.add = lambda a, b: _digitwise(a, b, p, e)
 
             def combine(parts, start=()):
                 acc = dict(start)
                 get = acc.get
                 for c, terms in parts:
                     for k, v in terms.items():
-                        acc[k] = _digitwise(get(k, 0), mul(c, v), 1, p, e)
+                        acc[k] = _digitwise(get(k, 0), mul(c, v), p, e)
                 return {k: v for k, v in acc.items() if v}
         else:
             self.mul = operator.mul

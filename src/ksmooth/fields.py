@@ -1,5 +1,5 @@
 """Exact arithmetic in prime fields, extension fields GF(p^e) and the
-rationals, and one Gauss-Jordan elimination for all of them.
+rationals, and the digit helpers that `arithmetic` builds on.
 
 Extension fields are presented as F_p[u]/(modulus); a prime field is
 F_p[u]/(u), so one multiply serves every field and the irreducibility test.
@@ -7,8 +7,8 @@ An element is its index, the coefficient vector in the basis 1, u, ...,
 u^(e-1) read as a base-p integer.  Fields up to order 2^16 intern their
 elements and build an antilog and a Zech list (O(q) entries each) from the
 log to the first generator of the unit group, so every operation (a power
-included) is one or two lookups.  Larger prime fields compute on the index
-mod p and larger extension fields on the digits.  Inner loops that combine
+included) is one or two lookups; an element of a larger field calls its
+field's `IndexArithmetic`, mod p or on the digits.  Inner loops that combine
 many elements, all linear algebra and the univariate gcd and root search
 of the point search work on the indices themselves (over Q on the
 Fractions), through the one `IndexArithmetic` each field builds.
@@ -121,15 +121,14 @@ def _spread(values, k, scale):
     return out
 
 
-def _digitwise(a, b, sign, p, e):
-    """a + sign*b on e-digit base-p indices, digit by digit mod p (no carry):
-    the sum (sign 1) or difference (sign -1) in GF(p^e); XOR for p = 2 and
-    one mod for a prime field."""
+def _digitwise(a, b, p, e):
+    """a + b on e-digit base-p indices, digit by digit mod p (no carry): the
+    sum in GF(p^e); XOR for p = 2 and one mod for a prime field."""
     if p == 2:
         return a ^ b
     if e == 1:
-        return (a + sign * b) % p
-    return _index([(x + sign * y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
+        return (a + b) % p
+    return _index([(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
 
 
 # -- F_p[u]/(m) for a monic m of degree e, as coefficient tuples of length e
@@ -311,11 +310,11 @@ class FieldDescriptor:
         chunk reducing them mod p."""
         p, e, red = self.p, self.e, self._red
         n = self.order - 1
-        # the tables do not exist yet, so the candidates are untabled
-        # elements; for e > 1 those below p lie in GF(p), of order < n
+        # powers on digits, not `**`, which would keep the digit arithmetic
+        # of a field without tables; for e > 1 those below p lie in GF(p)
         first = p if e > 1 else 1
         g = _first_of_full_order(range(first, n + 1), n,
-                                 lambda a, k: (FieldElement(self, a) ** k).idx)
+                                 lambda a, k: _index(_powmod(_digits(a, p, e), k, red, p), p))
         exp = [1]
         step = exp.append
         if e == 1:
@@ -454,9 +453,9 @@ class FieldElement:
     1, u, ..., u^(e-1) as base-p digits, constant term least significant).
     In a field of order up to _TABLE_LIMIT elements are interned with their
     discrete `log`: `*`, `/`, `inv`, `**` and unary `-` are one antilog
-    lookup and `+`/`-` one Zech lookup, a + b = a * (1 + b/a).  Larger prime
-    fields compute on the index mod p, larger extension fields on the
-    digits."""
+    lookup and `+`/`-` one Zech lookup, a + b = a * (1 + b/a).  In a larger
+    field each operator calls the field's `IndexArithmetic`: -a = (p-1) a,
+    a - b = a + -b, a / b = a * b.inv(), the others one call each."""
 
     __slots__ = ("field", "idx", "log")
 
@@ -483,7 +482,7 @@ class FieldElement:
             self._check(other)
         exp = f._exp
         if exp is None:
-            return FieldElement(f, _digitwise(self.idx, other.idx, 1, f.p, f.e))
+            return FieldElement(f, f.arithmetic.add(self.idx, other.idx))
         if not other.idx:
             return self
         if not self.idx:
@@ -497,7 +496,7 @@ class FieldElement:
             self._check(other)
         exp = f._exp
         if exp is None:
-            return FieldElement(f, _digitwise(self.idx, other.idx, -1, f.p, f.e))
+            return self + -other
         if not other.idx:
             return self
         b = other.log + f._neg_log
@@ -512,16 +511,14 @@ class FieldElement:
             self._check(other)
         exp = f._exp
         if exp is None:
-            if f.e == 1:
-                return FieldElement(f, self.idx * other.idx % f.p)
-            return FieldElement(f, _index(_mulmod(self.coeffs, other.coeffs, f._red, f.p), f.p))
+            return FieldElement(f, f.arithmetic.mul(self.idx, other.idx))
         return exp[self.log + other.log]
 
     def __neg__(self):
         f = self.field
         exp = f._exp
         if exp is None:
-            return FieldElement(f, _digitwise(0, self.idx, -1, f.p, f.e))
+            return FieldElement(f, f.arithmetic.mul(f.p - 1, self.idx))
         return exp[self.log + f._neg_log]
 
     def inv(self):
@@ -529,9 +526,7 @@ class FieldElement:
             raise DivisionByZero("inverse of zero")
         f = self.field
         if f._exp is None:
-            if f.e == 1:
-                return FieldElement(f, pow(self.idx, -1, f.p))
-            return self ** (f.order - 2)
+            return FieldElement(f, f.arithmetic.inv(self.idx))
         return f._exp[f.order - 1 - self.log]
 
     def __truediv__(self, other):
@@ -552,11 +547,9 @@ class FieldElement:
             return exp[self.log * n % (f.order - 1)]
         if n < 0:
             return self.inv() ** (-n)
-        if not self.idx:
-            return self if n else f.one()
-        if f.e == 1:
-            return FieldElement(f, pow(self.idx, n, f.p))
-        return FieldElement(f, _index(_powmod(self.coeffs, n, f._red, f.p), f.p))
+        if exp is None:
+            return FieldElement(f, f.arithmetic.power(self.idx, n))
+        return self if n else f.one()
 
     def __bool__(self):
         return self.idx != 0

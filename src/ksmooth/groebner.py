@@ -42,10 +42,13 @@ reduction step is a list multiply-add.  A degree with more than
 dicts whose keys are popped from a heap, as in the division of Monagan and
 Pearce (J. Symb. Comput. 46, 2011); see `_reduce_full`.
 
-Field elements stay at the boundary of a run: both certificate entry
-points, `smoothness.is_smooth` and `certify_combinations`, pack a form
-once and differentiate it on its packed keys with run coefficients
-(`_jacobian`), and a run that outgrows its slots unpacks and repacks its
+Field elements stay at the boundary of a run, whose input is the field's
+element indices for every finite field and `Fraction`s over Q: `_groebner`
+and `smoothness` take a form's indices when they pack it, `_jacobian`
+differentiates on the packed keys and indices, and `certify_combinations`
+combines packed index rows.  A prime field runs on the indices themselves;
+over GF(p^e) with e > 1 `_packed_run` turns them into elements, the one
+place a run does.  A run that outgrows its slots unpacks and repacks its
 generators.  A basis from a run unpacks its elements only when they are
 first read, and a run that ends without its pure-power stop builds the
 minimal, tail-reduced basis only then too (see `GroebnerBasis`), so a
@@ -60,6 +63,7 @@ counts popped pairs, skipped ones included.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
@@ -516,37 +520,35 @@ def _run_prime(field):
     return field.p if field.e == 1 else 0
 
 
-def _run_terms(terms, p):
-    """A term map with the coefficients of a run with the given p."""
-    return {m: c.idx for m, c in terms.items()} if p else terms
-
-
 def _jacobian(terms, slots, field):
     """[F, dF/dx0, ..., dF/dxn], a zero partial empty, for a nonzero
-    homogeneous packed term map F in the slots, with the coefficients of a
-    run over the field, each partial's terms in F's order.  The exponent of
-    x_i is read from slot i of a key, and the key moves down one unit of
-    that slot; a partial multiplies by the exponent as an int (mod p over
-    GF(p)), or as an element over GF(p^e)."""
-    p, w, mask = _run_prime(field), slots.width, slots.mask
-    scalar = range(slots.degree(next(iter(terms))) + 1)
-    scalar = [field.from_int(e) for e in scalar] if field.e > 1 else scalar
+    homogeneous packed term map F in the slots, with the field's indices as
+    coefficients (`Fraction`s over Q), each partial's terms in F's order.
+    The exponent of x_i is read from slot i of a key, and the key moves
+    down one unit of that slot; a partial multiplies by the exponent with
+    the field's `mul`, as e mod p, the index of e, or as `Fraction(e)`."""
+    p, w, mask, mul = field.p, slots.width, slots.mask, field.arithmetic.mul
+    scalar = [e % p if p else Fraction(e) for e in range(slots.degree(next(iter(terms))) + 1)]
     partials = []
     for i in range(slots.nvars):
         shift = w * i
         unit = 1 << shift
         partials.append({m - unit: v for m, c in terms.items()
-                         if (e := m >> shift & mask)
-                         and (v := c * scalar[e] % p if p else c * scalar[e])})
+                         if (e := m >> shift & mask) and (v := mul(c, scalar[e]))})
     return [terms, *partials]
 
 
-def _packed_run(gens, slots, p, step_budget, stop):
+def _packed_run(gens, slots, field, step_budget, stop):
     """`_run` on generators packed in the slots: homogeneous and nonzero,
-    with coefficients as in `_make_monic`, which makes them monic.  Whenever
-    a run would overflow the slots, the generators are unpacked and packed
-    again with twice the slot width, and the run starts over.  Returns
-    (slots, elements as `_run` returns them, whether the stop fired)."""
+    with the field's indices as coefficients (`Fraction`s over Q), which it
+    makes monic.  Over GF(p^e) with e > 1 the indices become elements here,
+    the one place a run builds them.  Whenever a run would overflow the
+    slots, the generators are unpacked and packed again with twice the slot
+    width, and the run starts over.  Returns (slots, elements as `_run`
+    returns them, whether the stop fired)."""
+    p = _run_prime(field)
+    if field.p and not p:
+        gens = [{m: field.element_from_index(c) for m, c in g.items()} for g in gens]
     gens = [_make_monic(g, p) for g in gens]
     while True:
         try:
@@ -557,41 +559,28 @@ def _packed_run(gens, slots, p, step_budget, stop):
             slots = wide
 
 
-def certify_combinations(rows, field, nvars):
+def certify_combinations(rows, field, slots):
     """Projective emptiness of the ideals of linear combinations of rows.
 
-    `rows` holds one list of homogeneous forms per summand, all lists of
-    the same length; or, when `nvars` is a `_Slots`, of term maps packed in
-    those slots with run coefficients, as `_jacobian` gives them.  The
-    returned function takes coefficients (a_0, a_1, ...) in the field and
-    says whether the nonzero ones among the forms sum_i a_i rows[i][k], in
-    order of k, generate an ideal with empty zero set in P^n.  It runs the
-    loop of `certificate_basis` on them, which decides the answer by whether
-    its pure-power stop fires, and so agrees with `is_projectively_empty` of
-    that basis; when every combined form is zero the answer is False.  The
-    rows are turned into element indices and packed once; each call
-    combines them on the packed keys with `combine`.
+    `rows` holds one list of term maps per summand, all lists of the same
+    length, packed in the slots with the field's indices as coefficients
+    (`Fraction`s over Q), as `_jacobian` gives them.  The returned function
+    takes coefficients (a_0, a_1, ...) in the field and says whether the
+    nonzero ones among the forms sum_i a_i rows[i][k], in order of k,
+    generate an ideal with empty zero set in P^n.  It runs the loop of
+    `certificate_basis` on them, which decides the answer by whether its
+    pure-power stop fires, and so agrees with `is_projectively_empty` of
+    that basis; when every combined form is zero the answer is False.  Each
+    call combines the rows on the packed keys with `combine`.
     """
-    p = _run_prime(field)
-    slots = nvars
-    if isinstance(nvars, int):
-        rows = [[_run_terms(f.terms, p) for f in row] for row in rows]
-        slots = _Slots.for_degree(nvars, max(_degree(t) for row in rows for t in row if t))
-        rows = [[slots.pack(t) for t in row] for row in rows]
-    # `combine` takes element indices, and a run over GF(p^e), e > 1, elements
-    elements = field.p and not p
-    if elements:
-        rows = [[_run_terms(t, field.p) for t in row] for row in rows]
-    combine, element = field.arithmetic.combine, field.arithmetic.element
+    combine = field.arithmetic.combine
     columns = list(zip(*rows))
 
     def certify(coeffs):
         scale = [a.idx for a in coeffs] if field.p else coeffs
         forms = [f for parts in columns
                  if (f := combine([(a, terms) for a, terms in zip(scale, parts) if a]))]
-        if elements:
-            forms = [{m: element(c) for m, c in f.items()} for f in forms]
-        return _packed_run(forms, slots, p, DEFAULT_STEP_BUDGET, True)[2]
+        return _packed_run(forms, slots, field, DEFAULT_STEP_BUDGET, True)[2]
 
     return certify
 
@@ -616,17 +605,17 @@ def _groebner(generators, field, nvars, step_budget, stop):
         raise ValueError("coefficient field could not be inferred")
     if nvars is None:
         nvars = len(next(iter(gens[0])))
-    p = _run_prime(field)
+    if field.p:
+        gens = [{m: c.idx for m, c in g.items()} for g in gens]
     slots = _Slots.for_degree(nvars, max(_degree(g) for g in gens))
-    return _run_basis([slots.pack(_run_terms(g, p)) for g in gens], field, slots,
-                      step_budget, stop)
+    return _run_basis([slots.pack(g) for g in gens], field, slots, step_budget, stop)
 
 
 def _run_basis(gens, field, slots, step_budget, stop):
     """`_groebner` on nonzero homogeneous term maps packed in the slots,
-    with run coefficients."""
+    with the field's indices as coefficients (`Fraction`s over Q)."""
     basis = GroebnerBasis(field, slots.nvars, None)
-    slots, elements, stopped = _packed_run(gens, slots, _run_prime(field), step_budget, stop)
+    slots, elements, stopped = _packed_run(gens, slots, field, step_budget, stop)
     basis._packed = slots, elements
     return basis, stopped
 

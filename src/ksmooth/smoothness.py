@@ -100,8 +100,6 @@ from .groebner import (
     DEFAULT_STEP_BUDGET,
     _jacobian,
     _run_basis,
-    _run_prime,
-    _run_terms,
     certify_combinations,
 )
 from .multipoly import HomogeneousForm, _compose, _Slots
@@ -451,11 +449,11 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
     carries no witness: the refutation is exact but explicit algebraic
     points are out of scope.
 
-    F is packed once, and its Jacobian forms are taken on the packed keys
-    (`_jacobian`).  Over Q the primitive integer form is packed, and the
-    reduction mod l takes each packed coefficient mod l; a member of a
-    system carries that form from `LinearSystemOfForms.member`.  The runs
-    are on ints mod p over GF(p), and the certificate builds field
+    F is packed once, on its indices, and its Jacobian forms are taken on
+    the packed keys (`_jacobian`).  Over Q the primitive integer form is
+    packed, and the reduction mod l takes each packed coefficient mod l; a
+    member of a system carries that form from `LinearSystemOfForms.member`.
+    The runs are on ints mod p over GF(p), and the certificate builds field
     elements only when its `elements` are read.
     """
     if not form:
@@ -472,11 +470,11 @@ def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
 
 
 def _certificate_runs(form, slots):
-    """(field, F packed in the slots with run coefficients) for each run
+    """(field, F packed in the slots on the field's indices) for each run
     `is_smooth` tries in turn, F built only when its run comes."""
     field = form.field
     if isinstance(field, FieldDescriptor):
-        yield field, slots.pack(_run_terms(form.terms, _run_prime(field)))
+        yield field, slots.pack({m: c.idx for m, c in form.terms.items()})
         return
     integral = slots.pack(form.primitive_integer_terms)
     for ell in _REDUCTION_PRIMES:
@@ -606,10 +604,10 @@ def verify_system_K_smooth(system, symmetries=()):
     field = system.field
     if not isinstance(field, FieldDescriptor):
         raise ValueError("member enumeration requires a finite base field")
-    p = _run_prime(field)
     slots = _Slots.for_degree(system.nvars, system.degree)
-    certify = certify_combinations([_jacobian(slots.pack(_run_terms(g.terms, p)), slots, field)
-                                    for g in system.generators], field, slots)
+    certify = certify_combinations([_jacobian(slots.pack({m: c.idx for m, c in g.terms.items()}),
+                                              slots, field) for g in system.generators],
+                                   field, slots)
     induced = _induced_matrices(system, symmetries) if symmetries else None
     orbit_of = array("l")
     verdicts = []

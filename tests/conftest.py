@@ -12,8 +12,8 @@ def certified_members(monkeypatch):
     calls = []
     real = smoothness.certify_combinations
 
-    def counting(rows, field, nvars):
-        certify = real(rows, field, nvars)
+    def counting(rows, field, slots):
+        certify = real(rows, field, slots)
 
         def run(coeffs):
             calls.append(tuple(coeffs))

@@ -229,6 +229,19 @@ class TestElementOps:
         with pytest.raises(DescriptorMismatch):
             F2.one() + F3.one()
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                             ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("tabled", [True, False], ids=["F4", "untabled"])
+    def test_operands_are_checked(self, op, tabled, untabled):
+        # the untabled GF(3^2) shares its key with F9, so F4 is the other field
+        field, other = (F4, F9) if tabled else (untabled(3, 2), F4)
+        x = field.one()
+        for operand in (3, Fraction(1), None):
+            with pytest.raises(TypeError):
+                op(x, operand)
+        with pytest.raises(DescriptorMismatch):
+            op(x, other.one())
+
     @staticmethod
     def _check_against_coefficients(field, lefts, rights):
         """a + b, a - b, a * b and a / b for a in lefts and b in rights, and
@@ -450,6 +463,35 @@ class TestUntabledFields:
                       for i in reversed(range(16)) if digits[i]]
             assert str(x) == ("+".join(powers) or "0")
 
+    def test_each_operator_calls_the_index_arithmetic(self, untabled):
+        # one call per operator; `-` is `+ -b` and `/` is `* b.inv()`
+        field = untabled(3, 2)
+        arith = field.arithmetic
+        calls = []
+        for name in ("add", "mul", "inv", "power"):
+            def counting(*args, real=getattr(arith, name), name=name):
+                calls.append(name)
+                return real(*args)
+            setattr(arith, name, counting)
+        a, b = field.element([1, 2]), field.element([2, 1])
+        expected = {
+            "+": ((lambda: a + b), ["add"]),
+            "*": ((lambda: a * b), ["mul"]),
+            "unary -": ((lambda: -a), ["mul"]),
+            "-": ((lambda: a - b), ["mul", "add"]),
+            "/": ((lambda: a / b), ["inv", "mul"]),
+            "inv": (a.inv, ["inv"]),
+            "**": ((lambda: a ** 5), ["power"]),
+        }
+        f9 = get_descriptor(3, 2)
+        a9, b9 = f9.element([1, 2]), f9.element([2, 1])
+        tabled = {"+": a9 + b9, "*": a9 * b9, "unary -": -a9, "-": a9 - b9, "/": a9 / b9,
+                  "inv": a9.inv(), "**": a9 ** 5}
+        for op, (run, names) in expected.items():
+            calls.clear()
+            assert run().idx == tabled[op].idx, op
+            assert calls == names, op
+
 
 class TestTableBuild:
     """The log, antilog and Zech lists against a walk of one `_mulmod` per
@@ -500,6 +542,13 @@ class TestTableBuild:
             nxt = exp[(k + 1) % n]
             assert _index(_mulmod(gd, _digits(exp[k], p, e), red, p), p) == nxt
             assert field.element_from_index(nxt).log == (k + 1) % n
+
+    @pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (7, 3), (251, 1), (65521, 1)])
+    def test_tables_are_built_without_the_index_arithmetic(self, p, e):
+        # an operator on an element of a field without tables would build
+        # and keep the field's digit arithmetic
+        field = FieldDescriptor(p, e)
+        assert field._exp is not None and field._arith is None
 
     def test_mulmod_calls(self, monkeypatch):
         # far below the 65,535 steps of the walk, so no step is a product
@@ -671,8 +720,7 @@ class TestIndexArithmetic:
         assert arith is not f9.arithmetic and f9.arithmetic.field is f9
         assert QQ.arithmetic is QQ.arithmetic
         for a, b in itertools.product(range(1, 9), repeat=2):
-            assert arith.combine([(a, {0: 1}), (b, {0: 1})]).get(0, 0) == _digitwise(
-                a, b, 1, 3, 2)
+            assert arith.combine([(a, {0: 1}), (b, {0: 1})]).get(0, 0) == _digitwise(a, b, 3, 2)
             assert arith.mul(a, b) == _index(_mulmod(_digits(a, 3, 2), _digits(b, 3, 2),
                                                      u9._red, 3), 3)
 

@@ -23,7 +23,6 @@ from ksmooth.groebner import (
     _rank_table,
     _remainder,
     _run_prime,
-    _run_terms,
     _Slots,
     basis_to_json,
     buchberger,
@@ -432,7 +431,8 @@ class _Kernel:
         return key
 
     def remainder(self, f, divisors):
-        pack = lambda t: self.slots.pack(_run_terms(t, self.p))
+        # a prime field's run reduces indices, the others their coefficients
+        pack = lambda t: self.slots.pack({m: c.idx for m, c in t.items()} if self.p else t)
         gens = [_make_monic(pack(g), self.p) for g in divisors]
         rem = _remainder(pack(f), gens, [min(g) for g in gens], self.slots, self.p,
                          self.divisor, {})
@@ -656,7 +656,11 @@ class TestCertifyCombinations:
     forms sum_i a_i rows[i][k] built one by one."""
 
     def _agrees(self, field, rows, coefficient_lists):
-        certify = certify_combinations(rows, field, rows[0][0].nvars)
+        index = field.arithmetic.index
+        slots = _Slots.for_degree(rows[0][0].nvars, max(f.degree for row in rows for f in row))
+        certify = certify_combinations(
+            [[slots.pack({m: index(c) for m, c in f.terms.items()}) for f in row] for row in rows],
+            field, slots)
         verdicts = set()
         for coeffs in coefficient_lists:
             forms = [sum((f.scale(a) for a, f in zip(coeffs, column) if a),
@@ -669,7 +673,7 @@ class TestCertifyCombinations:
             verdicts.add(expected)
         return verdicts
 
-    @pytest.mark.parametrize("field", [F2, F3, F4, F5])
+    @pytest.mark.parametrize("field", [F2, F3, F4, F5, F9])
     def test_random_rows_over_finite_fields(self, field):
         rng = random.Random(7)
         verdicts = set()
@@ -729,8 +733,7 @@ class TestPackedJacobian:
     @pytest.mark.parametrize("field", [F2, F3, F4, F9, QQ], ids=str)
     def test_matches_plain_differentiation(self, field):
         rng = random.Random(2727)
-        p = _run_prime(field)
-        element = field.element_from_index if p else (lambda c: c)
+        index, element = field.arithmetic.index, field.arithmetic.element
         # the degree-9 forms lie past the cap of the first width for degree 2
         doubled = {nvars: _Slots(nvars, 2 * _Slots.for_degree(nvars, 2).width)
                    for nvars in (2, 3, 4)}
@@ -743,7 +746,7 @@ class TestPackedJacobian:
                 if not form:
                     continue
                 slots = _Slots.for_degree(nvars, degree) if degree < 9 else doubled[nvars]
-                packed = slots.pack(_run_terms(form.terms, p))
+                packed = slots.pack({m: index(c) for m, c in form.terms.items()})
                 got = [{slots.exponents(m): element(c) for m, c in t.items()}
                        for t in _jacobian(packed, slots, field)]
                 expected = [form.terms, *_plain_partials(form)]
