@@ -49,31 +49,35 @@ def _resultant(a, b, mul, inv, add, power, minus_one):
 
 class IndexArithmetic:
     """The operations of a coefficient field on the indices of its elements,
-    for inner loops and linear algebra that keep FieldElement at their
-    boundary, where `index` and `element` convert; over Q an index is the
-    Fraction itself.  `mul` and `inv` (of a nonzero index) are functions of
-    indices, and `combine` takes (c, terms) pairs, a nonzero index and a
-    map from ints to nonzero indices, and returns the map of the sum of c
-    times terms, zeros dropped, added into a copy of the map `start` when
-    given:
+    the only code that does arithmetic in a finite field: FieldElement
+    operators call it, and inner loops and linear algebra keep FieldElement
+    at their boundary, where `index` and `element` convert; over Q an index
+    is the Fraction itself.  `add`, `neg`, `mul`, `inv` (of a nonzero index)
+    and `power(a, k)` (k >= 0) are functions of indices, and `combine` takes
+    (c, terms) pairs, a nonzero index and a map from ints to nonzero
+    indices, and returns the map of the sum of c times terms, zeros
+    dropped, added into a copy of the map `start` when given:
     - over Q, on integer numerators over one common denominator;
     - over GF(p), on ints, reduced mod p once per sum;
     - over a tabled GF(p^e), e > 1, on logs: a product adds them and reads
       the antilog list, and a sum is an XOR of indices in characteristic 2
       and otherwise one Zech lookup on the logs, a + b = a * (1 + b/a);
     - over an untabled GF(p^e), e > 1, a product by `_mulmod` on the digits
-      and a sum digit by digit, which FieldElement calls there.
-    A finite field also has `add` and `power(a, k)` (k >= 0) on indices,
-    and the univariate kernel of the line scan on index lists (low degree
-    first): `gcd(a, b)`, the monic gcd by the one Euclid loop `_monic_gcd`
-    ([] when both are zero), and `root(f)`, the first index t in canonical
-    order with f(t) = 0 by Horner's rule (`_first_root`).  The log and
-    antilog lists are built per instance as ints, O(q) entries, and share
-    the descriptor's ints, so each field builds its arithmetic once, as its
-    `arithmetic`; no operation but `element` builds a FieldElement."""
+      and a sum digit by digit.
+    `int_mod` is p over GF(p), whose indices are the ints mod p, so that a
+    loop may add and multiply them as ints and reduce them once, and 0
+    over every other field.  A finite field also has the univariate kernel
+    of the line scan on index lists (low degree first): `gcd(a, b)`, the
+    monic gcd by the one Euclid loop `_monic_gcd` ([] when both are zero),
+    and `root(f)`, the first index t in canonical order with f(t) = 0 by
+    Horner's rule (`_first_root`).  A
+    tabled field's arithmetic reads the descriptor's log, antilog and Zech
+    lists, and builds no list of its own; each field builds its arithmetic
+    once, as its `arithmetic`, and no operation but `element` builds a
+    FieldElement."""
 
-    __slots__ = ("field", "index", "element", "mul", "inv", "combine", "add", "power", "gcd",
-                 "root", "resultant")
+    __slots__ = ("field", "index", "element", "int_mod", "add", "neg", "mul", "inv", "combine",
+                 "power", "gcd", "root", "resultant")
 
     def __init__(self, field):
         self.field = field
@@ -87,7 +91,9 @@ class IndexArithmetic:
             self.index, self.element = index, field.element_from_index
         else:
             self.index = self.element = lambda x: x if x.__class__ is Fraction else Fraction(x)
+        self.int_mod = p if e == 1 else 0
         if p and e == 1:
+            self.neg = lambda a: -a % p
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, -1, p)
             self.add = lambda a, b: (a + b) % p
@@ -103,14 +109,13 @@ class IndexArithmetic:
         elif p and field._exp is not None:
             # the log of 0 is 2n, which the zero padding of `_exp` absorbs
             n = field.order - 1
-            log = [x.log for x in field._elements]
-            exp = [x.idx for x in field._exp]
-            zech = field._zech
+            log, exp, zech = field._log, field._exp, field._zech
             self.mul = lambda a, b: exp[log[a] + log[b]]
             self.inv = lambda a: exp[n - log[a]]
             self.power = lambda a, k: exp[log[a] * k % n] if a else int(not k)
             if p == 2:
                 self.add = operator.xor
+                self.neg = lambda a: a
 
                 def combine(parts, start=()):
                     acc = dict(start)
@@ -121,6 +126,10 @@ class IndexArithmetic:
                             acc[k] = get(k, 0) ^ exp[c + log[v]]
                     return {k: v for k, v in acc.items() if v}
             else:
+                # -1 = g^(n/2), and its log moves a log of zero into the padding
+                half = n // 2
+                self.neg = lambda a: exp[log[a] + half]
+
                 def add(a, b):
                     if not a or not b:
                         return a or b
@@ -155,6 +164,8 @@ class IndexArithmetic:
             self.mul, self.power = mul, power
             self.inv = lambda a: power(a, q - 2)
             self.add = lambda a, b: _digitwise(a, b, p, e)
+            # -1 has the one digit p - 1
+            self.neg = lambda a: mul(a, p - 1)
 
             def combine(parts, start=()):
                 acc = dict(start)
@@ -164,7 +175,8 @@ class IndexArithmetic:
                         acc[k] = _digitwise(get(k, 0), mul(c, v), p, e)
                 return {k: v for k, v in acc.items() if v}
         else:
-            self.mul = operator.mul
+            self.add, self.neg, self.mul = operator.add, operator.neg, operator.mul
+            self.power = operator.pow
             self.inv = lambda a: 1 / a
 
             def combine(parts, start=()):
@@ -192,9 +204,7 @@ class IndexArithmetic:
         reduced rows, as such maps, the pivot columns, and the product of
         the pivots signed by the row swaps: the determinant of a square
         matrix with a pivot in every column."""
-        combine, mul = self.combine, self.mul
-        # the index of -1, whose only digit is p - 1
-        minus_one = self.field.p - 1
+        combine, mul, neg = self.combine, self.mul, self.neg
         a = list(rows)
         pivots = []
         det = self.index(self.field.one())
@@ -207,7 +217,7 @@ class IndexArithmetic:
                 continue
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
-                det = mul(det, minus_one)
+                det = neg(det)
             pv = a[r][c]
             if pv != 1:
                 det = mul(det, pv)
@@ -215,7 +225,7 @@ class IndexArithmetic:
             for i, row in enumerate(a):
                 f = row.get(c)
                 if f and i != r:
-                    a[i] = combine([(mul(f, minus_one), a[r])], row)
+                    a[i] = combine([(neg(f), a[r])], row)
             pivots.append(c)
         return a, pivots, det
 
@@ -224,13 +234,13 @@ class IndexArithmetic:
         list of `ncols` indices per free column of its reduced form, in
         column order, with 1 there and 0 at the other free columns."""
         reduced, pivots, _ = self.rref(rows, ncols)
-        mul, minus_one = self.mul, self.field.p - 1
+        neg = self.neg
         zero, one = self.index(self.field.zero()), self.index(self.field.one())
         basis = []
         for free in sorted(set(range(ncols)) - set(pivots)):
             v = [zero] * ncols
             v[free] = one
             for row, c in zip(reduced, pivots):
-                v[c] = mul(row.get(free, zero), minus_one)
+                v[c] = neg(row.get(free, zero))
             basis.append(v)
         return basis

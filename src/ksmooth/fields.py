@@ -5,18 +5,20 @@ Extension fields are presented as F_p[u]/(modulus); a prime field is
 F_p[u]/(u), so one multiply serves every field and the irreducibility test.
 An element is its index, the coefficient vector in the basis 1, u, ...,
 u^(e-1) read as a base-p integer.  Fields up to order 2^16 intern their
-elements and build an antilog and a Zech list (O(q) entries each) from the
-log to the first generator of the unit group, so every operation (a power
-included) is one or two lookups; an element of a larger field calls its
-field's `IndexArithmetic`, mod p or on the digits.  Inner loops that combine
-many elements, all linear algebra and the univariate gcd and root search
-of the point search work on the indices themselves (over Q on the
-Fractions), through the one `IndexArithmetic` each field builds.
-Canonical moduli make every derived object bit-reproducible.
+elements and build int lists of logs to the first generator of the unit
+group, antilogs and Zech logs (O(q) entries each), so every operation (a
+power included) is one or two lookups; a larger field computes mod p or on
+the digits.  All of that arithmetic is the field's one `IndexArithmetic`,
+which reads the lists without copying them: `FieldElement` is a thin
+wrapper whose operators each call it, and inner loops, all linear algebra
+and the univariate gcd and root search of the point search work on the
+indices themselves (over Q on the Fractions).  Canonical moduli make every
+derived object bit-reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import prod
@@ -265,7 +267,7 @@ class FieldDescriptor:
     """Finite field GF(p^e), presented as F_p[u]/(modulus) for e >= 2."""
 
     __slots__ = ("p", "e", "modulus", "order", "key", "_red", "_elements",
-                 "_exp", "_zech", "_neg_log", "_arith")
+                 "_log", "_exp", "_zech", "_arith")
 
     def __init__(self, p, e=1, modulus=None):
         p = int(p)
@@ -293,16 +295,17 @@ class FieldDescriptor:
         self.order = p ** e
         self.key = (p, e, self.modulus)
         self._red = _reduction_rows(self.modulus or (0, 1), p)
-        self._elements = self._exp = self._zech = self._neg_log = self._arith = None
+        self._elements = self._log = self._exp = self._zech = self._arith = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
     def _build_tables(self):
-        """Intern every element with its log to the first generator g of the
-        unit group, and build the antilog list `_exp` (doubled, then padded
-        with zeros so that the log 2(q-1) of zero absorbs any sum or
-        difference of logs) and the Zech list `_zech[k] = log(1 + g^k)`
-        (doubled, so that a negative index wraps mod q-1).
+        """Intern every element, and build three int lists: `_log`, the log
+        of each index to the first generator g of the unit group (2(q-1)
+        for zero), the antilog list `_exp` (doubled, then padded with zeros
+        so that the log of zero absorbs any sum or difference of logs) and
+        the Zech list `_zech[k] = log(1 + g^k)` (doubled, so that a negative
+        index wraps mod q-1).
 
         `_exp` walks x -> g x from 1.  g x adds the images under x -> g x of
         the low ceil(e/2) and the high base-p digits of x, which `_mulmod`
@@ -357,9 +360,10 @@ class FieldDescriptor:
             log[j] = i
         # 1 + g^k adds 1 to the constant digit of the index of g^k
         self._zech = [log[j - j % p + (j + 1) % p] for j in exp] * 2
-        self._neg_log = log[p - 1]
-        els = self._elements = list(map(FieldElement, itertools.repeat(self), range(n + 1), log))
-        self._exp = [els[j] for j in exp] * 2 + [els[0]] * (2 * n + 1)
+        # the antilogs are the elements' own index ints, not the walk's copies
+        ints = list(range(n + 1))
+        self._log, self._exp = log, [ints[j] for j in exp] * 2 + [0] * (2 * n + 1)
+        self._elements = list(map(FieldElement, itertools.repeat(self), ints))
 
     @property
     def arithmetic(self):
@@ -451,105 +455,61 @@ QQ = RationalField()
 class FieldElement:
     """Element of a FieldDescriptor, stored as its index (the coefficients of
     1, u, ..., u^(e-1) as base-p digits, constant term least significant).
-    In a field of order up to _TABLE_LIMIT elements are interned with their
-    discrete `log`: `*`, `/`, `inv`, `**` and unary `-` are one antilog
-    lookup and `+`/`-` one Zech lookup, a + b = a * (1 + b/a).  In a larger
-    field each operator calls the field's `IndexArithmetic`: -a = (p-1) a,
-    a - b = a + -b, a / b = a * b.inv(), the others one call each."""
+    It does no arithmetic of its own: each operator checks its operand and
+    calls the field's `IndexArithmetic` once on the indices, and returns
+    the element of the index it gets, interned in a field of order up to
+    _TABLE_LIMIT; a - b is a + (-b) and a / b is a * b.inv()."""
 
-    __slots__ = ("field", "idx", "log")
+    __slots__ = ("field", "idx")
 
-    def __init__(self, field, idx, log=None):
+    def __init__(self, field, idx):
         self.field = field
         self.idx = idx
-        self.log = log
 
     @property
     def coeffs(self):
         return _digits(self.idx, self.field.p, self.field.e)
 
-    def _check(self, other):
-        # the operators call this only when other is not from self's descriptor
+    def _operand(self, other):
+        """The field, once other is checked to be an element of it."""
+        f = self.field
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        f = self.field
         if other.field is not f and other.field.key != f.key:
             raise DescriptorMismatch(f"{f!r} vs {other.field!r}")
+        return f
 
     def __add__(self, other):
-        f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            self._check(other)
-        exp = f._exp
-        if exp is None:
-            return FieldElement(f, f.arithmetic.add(self.idx, other.idx))
-        if not other.idx:
-            return self
-        if not self.idx:
-            return exp[other.log]
-        a = self.log
-        return exp[a + f._zech[other.log - a]]
+        f = self._operand(other)
+        return f.element_from_index(f.arithmetic.add(self.idx, other.idx))
 
     def __sub__(self, other):
-        f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            self._check(other)
-        exp = f._exp
-        if exp is None:
-            return self + -other
-        if not other.idx:
-            return self
-        b = other.log + f._neg_log
-        if not self.idx:
-            return exp[b]
-        a = self.log
-        return exp[a + f._zech[b - a]]
+        self._operand(other)
+        return self + -other
 
     def __mul__(self, other):
-        f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            self._check(other)
-        exp = f._exp
-        if exp is None:
-            return FieldElement(f, f.arithmetic.mul(self.idx, other.idx))
-        return exp[self.log + other.log]
+        f = self._operand(other)
+        return f.element_from_index(f.arithmetic.mul(self.idx, other.idx))
 
     def __neg__(self):
         f = self.field
-        exp = f._exp
-        if exp is None:
-            return FieldElement(f, f.arithmetic.mul(f.p - 1, self.idx))
-        return exp[self.log + f._neg_log]
+        return f.element_from_index(f.arithmetic.neg(self.idx))
 
     def inv(self):
         if not self.idx:
             raise DivisionByZero("inverse of zero")
         f = self.field
-        if f._exp is None:
-            return FieldElement(f, f.arithmetic.inv(self.idx))
-        return f._exp[f.order - 1 - self.log]
+        return f.element_from_index(f.arithmetic.inv(self.idx))
 
     def __truediv__(self, other):
-        f = self.field
-        if other.__class__ is not FieldElement or other.field is not f:
-            self._check(other)
-        if not other.idx:
-            raise DivisionByZero("division by zero")
-        exp = f._exp
-        if exp is None:
-            return self * other.inv()
-        return exp[self.log - other.log + f.order - 1]
+        self._operand(other)
+        return self * other.inv()
 
     def __pow__(self, n):
-        f = self.field
-        exp = f._exp
-        if exp is not None and self.idx:
-            return exp[self.log * n % (f.order - 1)]
         if n < 0:
-            return self.inv() ** (-n)
-        if exp is None:
-            return FieldElement(f, f.arithmetic.power(self.idx, n))
-        return self if n else f.one()
+            return self.inv() ** -n
+        f = self.field
+        return f.element_from_index(f.arithmetic.power(self.idx, n))
 
     def __bool__(self):
         return self.idx != 0
@@ -648,46 +608,44 @@ class FieldEmbedding:
             raise ValueError(f"GF({small.p}^{small.e}) does not embed in GF({big.p}^{big.e})")
         self.small = small
         self.big = big
+        arith = big.arithmetic
+        add, mul = arith.add, arith.mul
         # a prime field is F_p[u]/(u), so its root is 0
-        self.root = big.zero() if small.modulus is None else self._first_root()
+        root = 0 if small.modulus is None else self._first_root(arith)
+        self.root = big.element_from_index(root)
         # the image of every small element, by index: sum of c_i * root^i,
         # built digit by digit, so the image of index c * p^j + r (r < p^j)
-        # is that of r plus c * root^j, one addition per element
-        image = [big.zero()]
-        power = big.one()
+        # is that of r plus c * root^j, one addition per element; the
+        # integer c < p has the index c
+        image, power = [0], 1
         for _ in range(small.e):
             lower = list(image)
             for c in range(1, small.p):
-                shift = big.from_int(c) * power
-                image += [x + shift for x in lower]
-            power = power * self.root
-        self._image = [x.idx for x in image]
-        self._preimage = {y: x for x, y in enumerate(self._image)}
+                shift = mul(c, power)
+                image += [add(x, shift) for x in lower]
+            power = mul(power, root)
+        self._image = image
+        self._preimage = {y: x for x, y in enumerate(image)}
 
-    def _first_root(self):
+    def _first_root(self, arith):
         small, big = self.small, self.big
+        add, mul, power = arith.add, arith.mul, arith.power
         n = small.order - 1
-        # powers of elements: the big field's `arithmetic` would build its
-        # index lists for every embedding
-        def index_power(a, k):
-            return (big.element_from_index(a) ** k).idx
-
-        h = big.element_from_index(_first_of_full_order(
-            (index_power(i, (big.order - 1) // n) for i in range(2, big.order)), n, index_power))
+        h = _first_of_full_order(
+            (power(i, (big.order - 1) // n) for i in range(2, big.order)), n, power)
         # the modulus at h^k is its constant term plus one running term
         # c_i h^(k i) for each other nonzero coefficient, advanced by h^i
-        const = big.from_int(small.modulus[0])
-        terms, steps, power = [], [], big.one()
+        terms, steps, x = [], [], 1
         for c in small.modulus[1:]:
-            power = power * h
+            x = mul(x, h)
             if c:
-                terms.append(big.from_int(c))
-                steps.append(power)
+                terms.append(c)
+                steps.append(x)
         for k in range(n):
-            if not sum(terms, const):
-                root = h ** k
-                return min((frobenius(root, j) for j in range(1, small.e + 1)), key=lambda r: r.idx)
-            terms = [t * s for t, s in zip(terms, steps)]
+            if not functools.reduce(add, terms, small.modulus[0]):
+                root = power(h, k)
+                return min(power(root, small.p ** j) for j in range(1, small.e + 1))
+            terms = [mul(t, s) for t, s in zip(terms, steps)]
         raise AssertionError("unreachable: the modulus splits in the big field")
 
     def up(self, x):

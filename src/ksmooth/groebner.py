@@ -23,12 +23,15 @@ Every element of a run is monic, over a finite field and over Q alike: the
 inputs and each new element are scaled once by the inverse of their leading
 coefficient.  An S-polynomial is then the difference of two shifted elements,
 and a reduction step adds the divisor's other terms times minus the reducee's
-coefficient, so the loop itself never divides.  Over a prime field GF(p) a
-coefficient inside a run is the element's index, a plain int in [0, p); in
-`_reduce_full`, the one reduction loop, it grows without reduction and is
-taken mod p when it is read.  Over Q and over GF(p^e) with e > 1 the same
-loop runs on `Fraction`s and `FieldElement`s.  `normal_form` and
-`s_polynomial` always run on the given coefficients.
+coefficient, so the loop itself never divides.  A coefficient inside a run
+is the element's index, and over Q the Fraction itself; a run has two
+coefficient kinds.  Over a prime field GF(p) an index is a plain int in
+[0, p), which in `_reduce_full`, the one reduction loop, grows without
+reduction and is taken mod p when it is read.  Over every other field a
+step calls the field's `IndexArithmetic` (`add` and `mul` on indices, on
+logs in a tabled GF(p^e)), and so does `_make_monic`, one `combine`;
+`_s_poly` is one `combine` over every field.  `normal_form` and
+`s_polynomial` take the indices of the given coefficients.
 
 The keys of one degree are ranked once per slot width, in ascending order
 (`_rank_table`), and a polynomial being reduced is a list indexed by rank:
@@ -46,13 +49,12 @@ Field elements stay at the boundary of a run, whose input is the field's
 element indices for every finite field and `Fraction`s over Q: `_groebner`
 and `smoothness` take a form's indices when they pack it, `_jacobian`
 differentiates on the packed keys and indices, and `certify_combinations`
-combines packed index rows.  A prime field runs on the indices themselves;
-over GF(p^e) with e > 1 `_packed_run` turns them into elements, the one
-place a run does.  A run that outgrows its slots unpacks and repacks its
-generators.  A basis from a run unpacks its elements only when they are
+combines packed index rows.  No run builds a FieldElement: a basis from a
+run unpacks its elements, through `element_from_index`, only when they are
 first read, and a run that ends without its pure-power stop builds the
 minimal, tail-reduced basis only then too (see `GroebnerBasis`), so a
-caller that asks only whether the stop fired never builds it.
+caller that asks only whether the stop fired never builds it.  A run that
+outgrows its slots unpacks and repacks its generators.
 
 A pair is popped in normal selection order and skipped, without forming its
 S-polynomial, when the leaders are coprime (the product criterion) or when a
@@ -108,19 +110,18 @@ def _degree(terms):
     return degrees.pop()
 
 
-def _make_monic(terms, p):
+def _make_monic(terms, arith):
     """Packed terms scaled so that the leading coefficient is 1, with the
-    leading term first (`_reduce_full` skips it): ints mod the prime p, or
-    field elements or Fractions when p is 0."""
+    leading term first (`_reduce_full` skips it): ints mod p over GF(p),
+    and over any other field one `combine` of the field's arithmetic."""
     lm = min(terms)
     lc = terms[lm]
     if next(iter(terms)) != lm:
         terms = {lm: lc, **terms}
-    if p:
-        inv = pow(lc, -1, p)
-        return terms if inv == 1 else {m: c * inv % p for m, c in terms.items()}
-    inv = lc ** -1
-    return {m: c * inv for m, c in terms.items()}
+    if lc == 1:
+        return terms
+    inv, p = arith.inv(lc), arith.int_mod
+    return {m: c * inv % p for m, c in terms.items()} if p else arith.combine([(inv, terms)])
 
 
 def _rank_table(slots, degree):
@@ -160,20 +161,24 @@ def _walk_table(slots, degree):
     return keys, ranks, [None] * len(keys)
 
 
-def _reduce_full(work, start, gens, lms, guard, p, divisor, table):
+def _reduce_full(work, start, gens, lms, guard, arith, divisor, table):
     """Full remainder of multivariate division of packed homogeneous `work`
     by `gens` (packed, homogeneous and monic, with leading keys `lms`, each
-    leading term first), with coefficients as in `_make_monic`; consumes
-    `work`.  The remainder lists its terms in ascending key order, so a
-    nonzero remainder has its leading term first.
+    leading term first), with the indices of the field of `arith` as
+    coefficients (Fractions over Q); consumes `work`.  The remainder lists
+    its terms in ascending key order, so a nonzero remainder has its
+    leading term first.
 
     The walk reads the keys of `work` in ascending order, which is
     degrevlex order from the top.  A step at the key m with coefficient c
-    adds -c times the other terms of the first element g whose leader
+    subtracts c times the other terms of the first element g whose leader
     divides m, shifted by m - LM(g); their keys are all above m, and g's
-    leading term, which would only cancel c, is skipped.  Over GF(p) a
-    coefficient grows without reduction and is taken mod p when its key is
-    read.  A coefficient that is zero when read is dropped.
+    leading term, which would only cancel c, is skipped.  Over GF(p)
+    (`arith.int_mod`) a coefficient is an int that grows without reduction
+    and is taken mod p when its key is read; over any other field a step
+    adds -c times each term with the arithmetic's `add` and `mul`.  The
+    loop is picked once per call.  A coefficient that is zero when read is
+    dropped.
 
     `divisor` maps a key to the index of that first element, or to ~n when
     none of the first n elements divides it, and the search for the key
@@ -181,82 +186,92 @@ def _reduce_full(work, start, gens, lms, guard, p, divisor, table):
     grow by appending, as in `_run`.
 
     `table` is the run's `_walk_table` at the degree of `work`.  With a
-    rank table, `work` is a list indexed by rank that holds the zero of the
-    coefficient kind up to `start`, and the walk goes up the list from
-    `start`; past `_SHORT_WALK` slots it skips zeros at C speed, with
-    `compress` over a live iterator of the list.  The step at a key is
-    cached in the table's rows as the divisor's shifted tail, (rank,
-    -coefficient) pairs, so that a step is a list multiply-add; a run's
-    elements only grow by appending, so a row, like the divisor map,
-    serves every call of the run.  With the empty table, above the bound,
-    `work` is a dict whose keys are popped from a heap.
+    rank table, `work` is a list indexed by rank that holds 0 up to
+    `start`, and the walk goes up the list from `start`; past `_SHORT_WALK`
+    slots it skips zeros at C speed, with `compress` over a live iterator
+    of the list.  The step at a key is cached in the table's rows as the
+    divisor's shifted tail, (rank, coefficient) pairs, so that a
+    step is a list multiply-add; a run's elements only grow by appending,
+    so a row, like the divisor map, serves every call of the run.  With
+    the empty table, above the bound, `work` is a dict whose keys are
+    popped from a heap.
     """
     n = len(lms)
+    p, add, mul, neg = arith.int_mod, arith.add, arith.mul, arith.neg
     rem = {}
-    if table:
-        keys, ranks, rows = table
-        walk = range(start, len(work))
-        if len(walk) > _SHORT_WALK:
-            walk = compress(walk, islice(work, start, None))
-        for r in walk:
-            c = work[r]
-            if p:
-                c %= p
-            if not c:
-                continue
-            row = rows[r]
-            if row is None:
-                m = keys[r]
-                k = divisor.get(m, -1)
-                if k < 0:
-                    k = ~k
-                    while k < n and (m - lms[k]) & guard:
-                        k += 1
-                    divisor[m] = k if k < n else ~n
-                if k == n:
-                    rem[m] = c
-                    continue
-                shift = m - lms[k]
-                terms = iter(gens[k].items())
-                next(terms)
-                row = rows[r] = [(ranks[t + shift], -gc) for t, gc in terms]
-            for t, gc in row:
-                work[t] += c * gc
-        return rem
-    heap = list(work)
-    heapify(heap)
-    while heap:
-        lm = heappop(heap)
-        c = work.pop(lm)
-        if p:
-            c %= p
-        if not c:
-            continue
-        k = divisor.get(lm, -1)
+
+    def tail(m, r=None):
+        """The tail of the first element whose leader divides m, shifted
+        onto m, as (key, coefficient) pairs, or, given m's rank r, as the
+        (rank, coefficient) pairs of its row; None when none does."""
+        k = divisor.get(m, -1)
         if k < 0:
             k = ~k
-            while k < n and (lm - lms[k]) & guard:
+            while k < n and (m - lms[k]) & guard:
                 k += 1
-            divisor[lm] = k if k < n else ~n
+            divisor[m] = k if k < n else ~n
         if k == n:
-            rem[lm] = c
-            continue
-        c = p - c if p else -c
-        shift = lm - lms[k]
+            return None
+        shift = m - lms[k]
         terms = iter(gens[k].items())
         next(terms)
-        for m, gc in terms:
-            m += shift
-            cur = work.get(m)
-            if cur is None:
-                heappush(heap, m)
-                work[m] = c * gc
-            else:
-                work[m] = cur + c * gc
+        if r is None:
+            return [(t + shift, gc) for t, gc in terms]
+        row = rows[r] = [(ranks[t + shift], gc) for t, gc in terms]
+        return row
+
+    if not table:
+        heap = list(work)
+        heapify(heap)
+        while heap:
+            lm = heappop(heap)
+            c = work.pop(lm)
+            if not c:
+                continue
+            row = tail(lm)
+            if row is None:
+                rem[lm] = c
+                continue
+            c = neg(c)
+            for m, gc in row:
+                cur = work.get(m)
+                if cur is None:
+                    heappush(heap, m)
+                    work[m] = mul(c, gc)
+                else:
+                    work[m] = add(cur, mul(c, gc))
+        return rem
+    keys, ranks, rows = table
+    walk = range(start, len(work))
+    if len(walk) > _SHORT_WALK:
+        walk = compress(walk, islice(work, start, None))
+    if p:
+        for r in walk:
+            c = work[r] % p
+            if c:
+                row = rows[r]
+                if row is None and (divisor.get(keys[r]) == ~n
+                                    or (row := tail(keys[r], r)) is None):
+                    rem[keys[r]] = c
+                    continue
+                for t, gc in row:
+                    work[t] -= c * gc
+        return rem
+    for r in walk:
+        c = work[r]
+        if c:
+            row = rows[r]
+            if row is None and (divisor.get(keys[r]) == ~n
+                                or (row := tail(keys[r], r)) is None):
+                rem[keys[r]] = c
+                continue
+            c = neg(c)
+            for t, gc in row:
+                work[t] = add(work[t], mul(c, gc))
     return rem
 
 
-def _remainder(terms, gens, lms, slots, p, divisor, tables):
+def _remainder(terms, gens, lms, slots, arith, divisor, tables):
     """`_reduce_full` of a nonzero packed homogeneous term map, with the
     run's tables by degree in `tables`."""
     degree = slots.degree(next(iter(terms)))
@@ -264,40 +279,26 @@ def _remainder(terms, gens, lms, slots, p, divisor, tables):
     if table is None:
         table = tables[degree] = _walk_table(slots, degree)
     if not table:
-        return _reduce_full(terms, 0, gens, lms, slots.guard, p, divisor, table)
+        return _reduce_full(terms, 0, gens, lms, slots.guard, arith, divisor, table)
     ranks = table[1]
-    c = next(iter(terms.values()))
-    work = [c - c] * len(ranks)
+    work = [0] * len(ranks)
     for m, c in terms.items():
         work[ranks[m]] = c
-    return _reduce_full(work, ranks[min(terms)], gens, lms, slots.guard, p, divisor, table)
+    return _reduce_full(work, ranks[min(terms)], gens, lms, slots.guard, arith, divisor, table)
 
 
-def _s_poly(f, lf, g, lg, l, p):
-    """S-polynomial of two packed monic polynomials, with coefficients as
-    in `_make_monic`."""
-    shift = l - lf
-    out = {m + shift: c for m, c in f.items()}
-    shift = l - lg
-    for m, c in g.items():
-        mm = m + shift
-        cur = out.get(mm)
-        v = -c if cur is None else cur - c
-        if p:
-            v %= p
-        if v:
-            out[mm] = v
-        elif cur is not None:
-            del out[mm]
-    return out
+def _s_poly(f, lf, g, lg, l, arith):
+    """S-polynomial of two packed monic polynomials, by one `combine` of
+    the field's arithmetic `arith`."""
+    return arith.combine([(1, {m + l - lf: c for m, c in f.items()}),
+                          (arith.neg(1), {m + l - lg: c for m, c in g.items()})])
 
 
-def _s_row(f, lf, g, lg, l, ranks):
+def _s_row(f, lf, g, lg, l, ranks, arith):
     """The S-polynomial of two packed monic polynomials of a run, as the
     list by rank of a `_reduce_full` walk; the two leading terms at l
     cancel and are left out."""
-    one = f[lf]
-    work = [one - one] * len(ranks)
+    work = [0] * len(ranks)
     terms = iter(f.items())
     next(terms)
     shift = l - lf
@@ -306,8 +307,14 @@ def _s_row(f, lf, g, lg, l, ranks):
     terms = iter(g.items())
     next(terms)
     shift = l - lg
-    for m, c in terms:
-        work[ranks[m + shift]] -= c
+    if arith.int_mod:
+        for m, c in terms:
+            work[ranks[m + shift]] -= c
+    else:
+        add, neg = arith.add, arith.neg
+        for m, c in terms:
+            r = ranks[m + shift]
+            work[r] = add(work[r], neg(c))
     return work
 
 
@@ -337,27 +344,31 @@ def normal_form(f, basis, field=None):
     terms = _terms_of(f)
     if not terms:
         return {}
+    arith = field.arithmetic
+    index = arith.index
     components = {}
     for m, c in terms.items():
-        components.setdefault(sum(m), {})[m] = c
+        components.setdefault(sum(m), {})[m] = index(c)
     slots = _Slots.for_degree(len(next(iter(terms))),
                               max([*components, *(_degree(g) for g in gens)]))
-    gens = [_make_monic(slots.pack(g), 0) for g in gens]
+    gens = [_make_monic(slots.pack({m: index(c) for m, c in g.items()}), arith) for g in gens]
     lms = [min(g) for g in gens]
     divisor, tables = {}, {}
     rem = {}
     for d in sorted(components, reverse=True):
-        rem.update(_remainder(slots.pack(components[d]), gens, lms, slots, 0, divisor, tables))
-    return slots.unpack(rem)
+        rem.update(_remainder(slots.pack(components[d]), gens, lms, slots, arith, divisor, tables))
+    return _read(field, slots, rem)
 
 
 def s_polynomial(f, g, field):
     """S-polynomial of two homogeneous term dicts, each scaled by the
     inverse of its leading coefficient."""
+    arith = field.arithmetic
     slots = _Slots.for_degree(len(next(iter(f))), _degree(f) + _degree(g))
-    f, g = _make_monic(slots.pack(f), 0), _make_monic(slots.pack(g), 0)
+    f, g = [_make_monic(slots.pack({m: arith.index(c) for m, c in t.items()}), arith)
+            for t in (f, g)]
     lf, lg = min(f), min(g)
-    return slots.unpack(_s_poly(f, lf, g, lg, slots.lcm(lf, lg), 0))
+    return _read(field, slots, _s_poly(f, lf, g, lg, slots.lcm(lf, lg), arith))
 
 
 class GroebnerBasis(Record):
@@ -391,7 +402,7 @@ class GroebnerBasis(Record):
             slots, packed = self._packed
             if callable(packed):
                 packed = packed()
-            element = self.field.element_from_index if _run_prime(self.field) else None
+            element = self.field.element_from_index if self.field.p else None
             self._elements, self._packed = tuple([
                 {slots.exponents(m): element(c) if element else c for m, c in t.items()}
                 for t in packed]), None
@@ -402,9 +413,17 @@ class GroebnerBasis(Record):
         return tuple(_lead(t) for t in self.elements)
 
 
-def _run(basis, p, slots, step_budget, stop):
+def _read(field, slots, terms):
+    """Packed terms on run coefficients as a map from exponent tuples to
+    elements, read as `GroebnerBasis.elements` reads a run's elements."""
+    basis = GroebnerBasis(field, slots.nvars, None)
+    basis._packed = slots, [terms]
+    return basis.elements[0]
+
+
+def _run(basis, arith, slots, step_budget, stop):
     """The Buchberger loop on packed, monic, homogeneous generators, with
-    coefficients as in `_make_monic`.
+    the indices of the field of `arith` as coefficients (Fractions over Q).
 
     Pairs are processed by normal selection (minimal lcm degree first, ties
     by index).  A popped pair is skipped by the product criterion (coprime
@@ -467,12 +486,12 @@ def _run(basis, p, slots, step_budget, stop):
             table = tables[d] = _walk_table(slots, d)
         if table:
             ranks = table[1]
-            work, start = _s_row(basis[i], li, basis[j], lj, l, ranks), ranks[l] + 1
+            work, start = _s_row(basis[i], li, basis[j], lj, l, ranks, arith), ranks[l] + 1
         else:
-            work, start = _s_poly(basis[i], li, basis[j], lj, l, p), 0
-        r = _reduce_full(work, start, basis, lms, guard, p, divisor, table)
+            work, start = _s_poly(basis[i], li, basis[j], lj, l, arith), 0
+        r = _reduce_full(work, start, basis, lms, guard, arith, divisor, table)
         if r:
-            r = _make_monic(r, p)
+            r = _make_monic(r, arith)
             lm = min(r)
             basis.append(r)
             lms.append(lm)
@@ -483,10 +502,10 @@ def _run(basis, p, slots, step_budget, stop):
                 heappush(heap, (degree(lcm(lms[t], lm)), t, k))
                 pending.add((t, k))
 
-    return partial(_reduced, basis, lms, slots, p, divisor, tables), False
+    return partial(_reduced, basis, lms, slots, arith, divisor, tables), False
 
 
-def _reduced(basis, lms, slots, p, divisor, tables):
+def _reduced(basis, lms, slots, arith, divisor, tables):
     """The reduced basis of the ideal of a finished run, from the run's
     elements, leaders, divisor map and tables, as packed elements."""
     guard, degree = slots.guard, slots.degree
@@ -509,15 +528,8 @@ def _reduced(basis, lms, slots, p, divisor, tables):
         tail = dict(kept[i])
         one = tail.pop(lm)
         if tail:
-            kept[i] = {lm: one, **_remainder(tail, basis, lms, slots, p, divisor, tables)}
+            kept[i] = {lm: one, **_remainder(tail, basis, lms, slots, arith, divisor, tables)}
     return kept
-
-
-def _run_prime(field):
-    """The p of a run over the field: a prime field runs on element indices,
-    plain ints in [0, p); Q and GF(p^e) with e > 1 run on their own
-    coefficients, with p = 0."""
-    return field.p if field.e == 1 else 0
 
 
 def _jacobian(terms, slots, field):
@@ -541,18 +553,15 @@ def _jacobian(terms, slots, field):
 def _packed_run(gens, slots, field, step_budget, stop):
     """`_run` on generators packed in the slots: homogeneous and nonzero,
     with the field's indices as coefficients (`Fraction`s over Q), which it
-    makes monic.  Over GF(p^e) with e > 1 the indices become elements here,
-    the one place a run builds them.  Whenever a run would overflow the
-    slots, the generators are unpacked and packed again with twice the slot
-    width, and the run starts over.  Returns (slots, elements as `_run`
-    returns them, whether the stop fired)."""
-    p = _run_prime(field)
-    if field.p and not p:
-        gens = [{m: field.element_from_index(c) for m, c in g.items()} for g in gens]
-    gens = [_make_monic(g, p) for g in gens]
+    makes monic.  Whenever a run would overflow the slots, the generators
+    are unpacked and packed again with twice the slot width, and the run
+    starts over.  Returns (slots, elements as `_run` returns them, whether
+    the stop fired)."""
+    arith = field.arithmetic
+    gens = [_make_monic(g, arith) for g in gens]
     while True:
         try:
-            return (slots, *_run(list(gens), p, slots, step_budget, stop))
+            return (slots, *_run(list(gens), arith, slots, step_budget, stop))
         except _SlotOverflow:
             wide = _Slots(slots.nvars, 2 * slots.width)
             gens = [wide.pack(slots.unpack(g)) for g in gens]

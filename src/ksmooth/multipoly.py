@@ -15,8 +15,8 @@ element indices for coefficients.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
 
 from .errors import (
@@ -50,7 +50,7 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-@functools.cache
+@cache
 def _monomials(nvars, degree):
     return tuple(sorted(_compositions(degree, nvars), key=monomial_key, reverse=True))
 
@@ -210,18 +210,16 @@ class HomogeneousForm:
         return _raw_form(self.field, self.nvars, max(self.degree - 1, 0), out)
 
     def evaluate(self, point):
-        """Exact value at a coordinate tuple over the form's own field."""
+        """Exact value at a coordinate tuple over the form's own field, by
+        `_evaluate` on indices."""
         point = tuple(point)
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
-        total = None
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * x if e == 1 else v * x ** e
-            total = v if total is None else total + v
-        return self.field.zero() if total is None else total
+        arith = self.field.arithmetic
+        index = arith.index
+        (value,) = _evaluate([{m: index(c) for m, c in self.terms.items()}],
+                             tuple(map(index, point)), arith)
+        return arith.element(value)
 
     def substitute_linear(self, matrix):
         """Replace x_i by the linear form given by row i of the matrix."""
@@ -271,6 +269,29 @@ def _raw_form(field, nvars, degree, terms):
     f = HomogeneousForm.__new__(HomogeneousForm)
     f.field, f.nvars, f.degree, f.terms = field, nvars, degree, terms
     return f
+
+
+def _monomial_values(point, monomials, mul, power):
+    """The value of each monomial, an exponent tuple, at the point, a tuple
+    of element indices, by a field's `mul` and `power` on indices."""
+    values = []
+    for exps in monomials:
+        v = 1
+        for x, e in zip(point, exps):
+            if e:
+                v = power(x, e) if v == 1 else mul(v, power(x, e))
+        values.append(v)
+    return values
+
+
+def _evaluate(forms, point, arith):
+    """The value of each of the forms, maps from exponent tuples to element
+    indices of the field of `arith` (Fractions over Q), at the point, a
+    tuple of such indices: the one evaluation routine, on
+    `_monomial_values`."""
+    add, mul, power = arith.add, arith.mul, arith.power
+    return [reduce(add, map(mul, terms.values(), _monomial_values(point, terms, mul, power)), 0)
+            for terms in forms]
 
 
 class _Slots:

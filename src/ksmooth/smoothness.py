@@ -102,7 +102,7 @@ from .groebner import (
     _run_basis,
     certify_combinations,
 )
-from .multipoly import HomogeneousForm, _compose, _Slots
+from .multipoly import HomogeneousForm, _compose, _evaluate, _monomial_values, _Slots
 from .records import Record
 
 DEFAULT_WITNESS_CAP = 6
@@ -250,14 +250,9 @@ def _line_charts(form):
     F's."""
     if not form:
         raise ValueError("zero form has no smoothness question")
-    mul, p, n = form.field.arithmetic.mul, form.field.p, form.nvars - 1
+    n = form.nvars - 1
     terms = {m: c.idx for m, c in form.terms.items()}
-    rows = [terms]
-    for i in range(n):
-        row = {m[:i] + (m[i] - 1,) + m[i + 1:]: mul(c, m[i] % p)
-               for m, c in terms.items() if m[i] % p}
-        if row:
-            rows.append(row)
+    rows = [terms, *filter(None, _partials(terms, form.field, n))]
     charts = []
     for lead in range(n):
         tails, where, groups = [], {}, []
@@ -273,6 +268,15 @@ def _line_charts(form):
             groups.append([(where[tail], group) for tail, group in by_tail.items()])
         charts.append((tails, groups))
     return charts
+
+
+def _partials(terms, field, count):
+    """The partials in x_0, ..., x_{count-1} of a form over a finite field,
+    its terms a map from exponent tuples to indices, as such maps (empty
+    for a zero partial); the integer e has the index e mod p."""
+    mul, p = field.arithmetic.mul, field.p
+    return [{m[:i] + (m[i] - 1,) + m[i + 1:]: mul(c, m[i] % p)
+             for m, c in terms.items() if m[i] % p} for i in range(count)]
 
 
 def _scan_lines(arith, charts, base=None, lines=None):
@@ -305,7 +309,7 @@ def _scan_lines(arith, charts, base=None, lines=None):
         tails, groups = charts[lead]
         for tail in product(range(field.order), repeat=n - 1 - lead):
             if base is None:
-                gcd = _restricted_gcd(arith, groups, _tail_values(tail, tails, mul, power))
+                gcd = _restricted_gcd(arith, groups, _monomial_values(tail, tails, mul, power))
             else:
                 length = _orbit_length(tail, power, q, k)
                 if not length:
@@ -315,7 +319,7 @@ def _scan_lines(arith, charts, base=None, lines=None):
                     if gcd is None:
                         continue
                 else:
-                    gcd = _restricted_gcd(arith, groups, _tail_values(tail, tails, mul, power))
+                    gcd = _restricted_gcd(arith, groups, _monomial_values(tail, tails, mul, power))
             if len(gcd) == 1:
                 continue
             t = root(gcd)
@@ -324,18 +328,6 @@ def _scan_lines(arith, charts, base=None, lines=None):
             if base is None and lines is not None:
                 lines[head + tail] = gcd
     return None
-
-
-def _tail_values(tail, tails, mul, power):
-    """The value of each tail monomial at the coordinates `tail`."""
-    values = []
-    for exps in tails:
-        v = 1
-        for x, e in zip(tail, exps):
-            if e:
-                v = power(x, e) if v == 1 else mul(v, power(x, e))
-        values.append(v)
-    return values
 
 
 def _derivative(f, mul, p):
@@ -374,7 +366,7 @@ def _abscissa_gcd(chart, p, m):
     tails, groups = chart
     arith = get_descriptor(p, m).arithmetic
     combine, mul = arith.combine, arith.mul
-    values = _tail_values((p,), tails, mul, arith.power)
+    values = _monomial_values((p,), tails, mul, arith.power)
     f, *partials = [_dense(combine([(values[i], group) for i, group in form if values[i]]))
                     for form in groups]
     gcd = get_descriptor(p).arithmetic.gcd
@@ -419,14 +411,19 @@ def _orbit_length(tail, power, q, k):
 
 
 def witness_verifies(form, witness):
-    """Re-check a witness by direct evaluation of `jacobian_generators`, the
-    forms `is_smooth` certifies and the search scans (embedding the form
-    first when the witness lives in an extension)."""
-    target = witness.field
-    g = form
-    if isinstance(form.field, FieldDescriptor) and form.field.key != target.key:
-        g = form.embed(get_embedding(form.field, target))
-    return all(not h.evaluate(witness.point) for h in jacobian_generators(g))
+    """Re-check a witness by direct evaluation of F and its partials, the
+    forms `is_smooth` certifies and the search scans: one `_evaluate` on
+    the indices of the witness's field, into which the form's coefficients
+    are embedded when the witness lies in an extension."""
+    if not form:
+        raise ValueError("zero form has no smoothness question")
+    field = witness.field
+    terms = {m: c.idx for m, c in form.terms.items()}
+    if form.field.key != field.key:
+        up = get_embedding(form.field, field).up_index
+        terms = {m: up(c) for m, c in terms.items()}
+    forms = [terms, *_partials(terms, field, form.nvars)]
+    return not any(_evaluate(forms, tuple(x.idx for x in witness.point), field.arithmetic))
 
 
 def is_smooth(form, witness_cap=DEFAULT_WITNESS_CAP):
@@ -484,11 +481,15 @@ def _certificate_runs(form, slots):
 
 def _certified_witness(form, witness_cap):
     """The first singular point of a form over a finite field whose
-    certificate says singular, searched up to the cap; a miss fails loudly."""
+    certificate says singular, searched up to the cap and checked by
+    `witness_verifies`; a miss or a point that fails the check fails
+    loudly."""
     witness = search_singular_point(form, witness_cap)
     if witness is None:
         raise WitnessNotFoundWithinCap(
             f"certificate says singular but no witness found up to extension degree {witness_cap}")
+    if not witness_verifies(form, witness):
+        raise AssertionError(f"the search's witness {witness!r} fails direct evaluation")
     return witness
 
 

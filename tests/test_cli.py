@@ -14,12 +14,12 @@ from math import gcd
 
 import pytest
 
-from ksmooth import cli, fields
+from ksmooth import cli, fields, smoothness
 from ksmooth.cli import main
 from ksmooth.constructions import construct_smooth_system, lift_to_char_zero
 from ksmooth.errors import BudgetExceeded, WitnessNotFoundWithinCap
 from ksmooth.multipoly import form_to_json, random_system, system_from_json, system_to_json
-from ksmooth.smoothness import verify_system_K_smooth
+from ksmooth.smoothness import SingularWitness, verify_system_K_smooth
 from ksmooth.fields import QQ, FieldDescriptor, get_descriptor
 from ksmooth.multipoly import HomogeneousForm, LinearSystemOfForms
 
@@ -520,6 +520,17 @@ class TestInternalErrors:
         path.write_text(_form_json())
         code, _, err = run(capsys, ["check", str(path)])
         assert (code, err) == (3, "internal error: no witness up to degree 6\n")
+
+    def test_search_witness_failing_evaluation(self, capsys, monkeypatch, tmp_path):
+        # [1:0] is no point of GF4_WITNESS_FORM, whose certificate says singular
+        monkeypatch.setattr(smoothness, "search_singular_point",
+                            lambda form, cap: SingularWitness((F2.one(), F2.zero()), F2))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(form_to_json(GF4_WITNESS_FORM)))
+        code, _, err = run(capsys, ["check", str(path)])
+        assert code == 3
+        assert err.startswith("internal error: the search's witness")
+        assert err.rstrip().endswith("fails direct evaluation")
 
     def test_oracle_disagreement(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "s.json"

@@ -244,15 +244,17 @@ class TestElementOps:
 
     @staticmethod
     def _check_against_coefficients(field, lefts, rights):
-        """a + b, a - b, a * b and a / b for a in lefts and b in rights, and
-        -a and a.inv(), agree with arithmetic on the coefficient digits: a
-        sum digit by digit mod p, and a * b as the sum over the digits a_i
+        """On the field's `arithmetic`, for the indices a in lefts and b in
+        rights: a + b, a - b = a + neg(b), a * b and a / b = a * inv(b), and
+        neg(a) and inv(a), agree with arithmetic on the coefficient digits:
+        a sum digit by digit mod p, and a * b as the sum over the digits a_i
         of a of a_i * (u^i * b), with u^i * b from `_mulmod` (a * b mod p in
         a prime field).  The product is linear in the digits of a, so over
         a whole field (lefts all of it, in order) the column of b is built
         by adding the multiples of u^i * b one digit position at a time."""
         p, e, red = field.p, field.e, field._red
-        els = field.elements()
+        arith = field.arithmetic
+        add, neg, mul, inv = arith.add, arith.neg, arith.mul, arith.inv
         if p == 2:
             def plus(xs, y):
                 return [x ^ y for x in xs]
@@ -272,16 +274,17 @@ class TestElementOps:
             def plus(xs, y):
                 return [table[y][x] for x in xs]
 
-        idx = [a.idx for a in lefts]
+        idx = list(lefts)
         full = idx == list(range(field.order))
         for b in rights:
+            bd = _digits(b, p, e)
             if e == 1:
-                column = [a * b.idx % p for a in idx]
+                column = [a * b % p for a in idx]
             else:
                 # the multiples of u^i * b, by digit position i
                 ub = []
                 for i in range(e):
-                    v = [0, _index(_mulmod(_digits(p ** i, p, e), b.coeffs, red, p), p)]
+                    v = [0, _index(_mulmod(_digits(p ** i, p, e), bd, red, p), p)]
                     while len(v) < p:
                         v += plus(v[-1:], v[1])
                     ub.append(v)
@@ -296,41 +299,37 @@ class TestElementOps:
                         for c, v in zip(_digits(a, p, e), ub):
                             x = plus(x, v[c])
                         column += x
-            same = itertools.repeat(b)
-            assert list(map(operator.mul, lefts, same)) == list(map(els.__getitem__, column))
-            assert list(map(operator.add, lefts, same)) == list(map(els.__getitem__,
-                                                                    plus(idx, b.idx)))
-            minus_b = _index([-d % p for d in b.coeffs], p)
-            assert list(map(operator.sub, lefts, same)) == list(map(els.__getitem__,
-                                                                    plus(idx, minus_b)))
+            assert [mul(a, b) for a in idx] == column
+            assert [add(a, b) for a in idx] == plus(idx, b)
+            minus_b = _index([-d % p for d in bd], p)
+            assert [add(a, neg(b)) for a in idx] == plus(idx, minus_b)
             if b and full:
                 # the product column is a permutation; the quotient inverts it
                 preimage = dict(zip(column, lefts))
-                assert list(map(operator.truediv, lefts, same)) == list(map(preimage.__getitem__,
-                                                                            idx))
+                assert [mul(a, inv(b)) for a in idx] == list(map(preimage.__getitem__, idx))
             elif b:
                 # the product is checked just above, so this pins the quotient
-                assert [(a / b) * b for a in lefts] == lefts
-        for a in lefts:
-            ad = a.coeffs
-            assert -a == els[_index([-x % p for x in ad], p)]
+                assert [mul(mul(a, inv(b)), b) for a in idx] == idx
+        for a in idx:
+            ad = _digits(a, p, e)
+            assert neg(a) == _index([-x % p for x in ad], p)
             if a:
-                assert _mulmod(a.inv().coeffs, ad, red, p) == _digits(1, p, e)
+                assert _mulmod(_digits(inv(a), p, e), ad, red, p) == _digits(1, p, e)
 
     def test_additive_tables_match_coefficient_arithmetic(self):
         # every pair in the 70 fields of order <= 256, then seeded pairs in
-        # fields of order between 256 and the table limit
+        # fields of order between 256 and the table limit, on indices
         orders = [(p, e) for p in range(2, 257) if is_prime(p)
                   for e in range(1, 9) if p ** e <= 256]
         assert len(orders) == 70
         for p, e in orders:
             field = get_descriptor(p, e)
-            self._check_against_coefficients(field, field.elements(), field.elements())
+            self._check_against_coefficients(field, range(field.order), range(field.order))
         rng = random.Random(11)
         for p, e in [(5, 4), (3, 6), (2, 12)]:
             field = get_descriptor(p, e)
             assert field._exp is not None
-            els = field.elements()
+            els = range(field.order)
             self._check_against_coefficients(field, rng.sample(els, 40), rng.sample(els, 200))
 
     @pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
@@ -464,33 +463,35 @@ class TestUntabledFields:
             assert str(x) == ("+".join(powers) or "0")
 
     def test_each_operator_calls_the_index_arithmetic(self, untabled):
-        # one call per operator; `-` is `+ -b` and `/` is `* b.inv()`
-        field = untabled(3, 2)
-        arith = field.arithmetic
-        calls = []
-        for name in ("add", "mul", "inv", "power"):
-            def counting(*args, real=getattr(arith, name), name=name):
-                calls.append(name)
-                return real(*args)
-            setattr(arith, name, counting)
-        a, b = field.element([1, 2]), field.element([2, 1])
-        expected = {
-            "+": ((lambda: a + b), ["add"]),
-            "*": ((lambda: a * b), ["mul"]),
-            "unary -": ((lambda: -a), ["mul"]),
-            "-": ((lambda: a - b), ["mul", "add"]),
-            "/": ((lambda: a / b), ["inv", "mul"]),
-            "inv": (a.inv, ["inv"]),
-            "**": ((lambda: a ** 5), ["power"]),
-        }
+        # one call per operator; `-` is `+ -b` and `/` is `* b.inv()`, in a
+        # tabled field (a fresh GF(9), with its own arithmetic) and above
+        # the table limit
         f9 = get_descriptor(3, 2)
         a9, b9 = f9.element([1, 2]), f9.element([2, 1])
         tabled = {"+": a9 + b9, "*": a9 * b9, "unary -": -a9, "-": a9 - b9, "/": a9 / b9,
                   "inv": a9.inv(), "**": a9 ** 5}
-        for op, (run, names) in expected.items():
-            calls.clear()
-            assert run().idx == tabled[op].idx, op
-            assert calls == names, op
+        for field in (FieldDescriptor(3, 2), untabled(3, 2)):
+            arith = field.arithmetic
+            calls = []
+            for name in ("add", "neg", "mul", "inv", "power"):
+                def counting(*args, real=getattr(arith, name), name=name):
+                    calls.append(name)
+                    return real(*args)
+                setattr(arith, name, counting)
+            a, b = field.element([1, 2]), field.element([2, 1])
+            expected = {
+                "+": ((lambda: a + b), ["add"]),
+                "*": ((lambda: a * b), ["mul"]),
+                "unary -": ((lambda: -a), ["neg"]),
+                "-": ((lambda: a - b), ["neg", "add"]),
+                "/": ((lambda: a / b), ["inv", "mul"]),
+                "inv": (a.inv, ["inv"]),
+                "**": ((lambda: a ** 5), ["power"]),
+            }
+            for op, (run, names) in expected.items():
+                calls.clear()
+                assert run().idx == tabled[op].idx, (field, op)
+                assert calls == names, (field, op)
 
 
 class TestTableBuild:
@@ -523,25 +524,28 @@ class TestTableBuild:
         log = [2 * n] * (n + 1)
         for k, j in enumerate(exp):
             log[j] = k
-        assert [x.idx for x in field._exp] == exp * 2 + [0] * (2 * n + 1)
-        assert [x.log for x in field.elements()] == log
+        assert field._exp == exp * 2 + [0] * (2 * n + 1)
+        assert field._log == log
         # 1 + x adds 1 to the constant digit of x
         plus_one = [_index(((d[0] + 1) % p,) + d[1:], p) for d in (_digits(j, p, e) for j in exp)]
         assert field._zech == [log[j] for j in plus_one] * 2
-        assert field._neg_log == log[_index((p - 1,) + (0,) * (e - 1), p)]
+        # -x moves the log of x by that of -1, whose one digit is p - 1
+        minus_one = log[_index((p - 1,) + (0,) * (e - 1), p)]
+        assert [field.arithmetic.neg(j) for j in exp] == [exp[(k + minus_one) % n]
+                                                          for k in range(n)]
 
     @pytest.mark.parametrize("p, e", [(2, 16), (3, 10)])
     def test_largest_fields_walk_their_generator(self, p, e):
         field = get_descriptor(p, e)
         n, red = field.order - 1, field._red
-        exp = [x.idx for x in field._exp[:n]]
+        exp = field._exp[:n]
         assert sorted(exp) == list(range(1, n + 1))
         gd = _digits(exp[1], p, e)
         rng = random.Random(19)
         for k in rng.sample(range(n), 2000):
             nxt = exp[(k + 1) % n]
             assert _index(_mulmod(gd, _digits(exp[k], p, e), red, p), p) == nxt
-            assert field.element_from_index(nxt).log == (k + 1) % n
+            assert field._log[nxt] == (k + 1) % n
 
     @pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (7, 3), (251, 1), (65521, 1)])
     def test_tables_are_built_without_the_index_arithmetic(self, p, e):
@@ -562,7 +566,7 @@ class TestTableBuild:
         # prime and a multiply by 1 to start each power
         calls = count_mulmod_calls(monkeypatch)
         field = FieldDescriptor(7, 3)
-        assert field._exp[1].idx == 22
+        assert field._exp[1] == 22
         assert calls[0] <= 304
 
 

@@ -22,7 +22,6 @@ from ksmooth.groebner import (
     _make_monic,
     _rank_table,
     _remainder,
-    _run_prime,
     _Slots,
     basis_to_json,
     buchberger,
@@ -422,7 +421,7 @@ class _Kernel:
     `_remainder` picks for their degree."""
 
     def __init__(self, field, nvars, degree):
-        self.field, self.p = field, _run_prime(field)
+        self.field, self.arith = field, field.arithmetic
         self.slots = _Slots.for_degree(nvars, degree)
         self.divisor = {}
 
@@ -431,15 +430,13 @@ class _Kernel:
         return key
 
     def remainder(self, f, divisors):
-        # a prime field's run reduces indices, the others their coefficients
-        pack = lambda t: self.slots.pack({m: c.idx for m, c in t.items()} if self.p else t)
-        gens = [_make_monic(pack(g), self.p) for g in divisors]
-        rem = _remainder(pack(f), gens, [min(g) for g in gens], self.slots, self.p,
+        # a run reduces indices, and over Q the Fractions themselves
+        index = self.arith.index
+        pack = lambda t: self.slots.pack({m: index(c) for m, c in t.items()})
+        gens = [_make_monic(pack(g), self.arith) for g in divisors]
+        rem = _remainder(pack(f), gens, [min(g) for g in gens], self.slots, self.arith,
                          self.divisor, {})
-        rem = self.slots.unpack(rem)
-        if self.p:
-            rem = {m: self.field.element_from_index(c) for m, c in rem.items()}
-        return rem
+        return {m: self.arith.element(c) for m, c in self.slots.unpack(rem).items()}
 
 
 class TestReductionKernel:
@@ -781,9 +778,9 @@ class TestReducedBasisOnRead:
         primes = []
         run = groebner._run
 
-        def recorded(basis, p, *args):
-            primes.append(p)
-            return run(basis, p, *args)
+        def recorded(basis, arith, *args):
+            primes.append(arith.field.p)
+            return run(basis, arith, *args)
 
         monkeypatch.setattr(groebner, "_run", recorded)
         calls = self._count_remainders(monkeypatch)

@@ -373,9 +373,9 @@ class TestModularRoute:
         primes = []
         run = groebner._run
 
-        def recorded(basis, p, *args):
-            primes.append(p)
-            return run(basis, p, *args)
+        def recorded(basis, arith, *args):
+            primes.append(arith.field.p)
+            return run(basis, arith, *args)
 
         monkeypatch.setattr(groebner, "_run", recorded)
         assert is_smooth(self._qq(3, 2, [((2, 0, 0), 1)])) == Singular(None)
@@ -427,13 +427,17 @@ def _hash_or_error(x):
 
 
 def _fixed_members():
-    """The fixed lifted (3,1,3,4) member of the lift_rational benchmark and
-    member #7 of the (3,1,4,3) system over GF(3)."""
+    """The fixed lifted (3,1,3,4) member of the lift_rational benchmark, and
+    member #7 of the (3,1,4,3) system over GF(3), of the r = 2 (2,2,4,4)
+    system over GF(4) and of the (3,2,2,4) system over GF(9)."""
     lifted = lift_to_char_zero(construct_smooth_system(3, 1, 3, 4, 3))
-    system = construct_smooth_system(3, 1, 4, 3, 4)
-    points = enumerate_projective_points(F3, system.dim)
-    return {"lift3134": lifted.member([Fraction(c) for c in (0, -2, 1, 0)]),
-            "gf3-member-3143": system.member(next(itertools.islice(points, 7, None)))}
+    members = {"lift3134": lifted.member([Fraction(c) for c in (0, -2, 1, 0)])}
+    for name, spec in (("gf3-member-3143", (3, 1, 4, 3, 4)), ("gf4-member-2244", (2, 2, 4, 4, 2)),
+                       ("gf9-member-3224", (3, 2, 2, 4, 2))):
+        system = construct_smooth_system(*spec)
+        points = enumerate_projective_points(system.field, system.dim)
+        members[name] = system.member(next(itertools.islice(points, 7, None)))
+    return members
 
 
 class TestCertificateOnRead:
@@ -481,7 +485,8 @@ class TestCertificateOnRead:
                 == json.dumps(basis_to_json(eager)))
         assert is_smooth(form) == Smooth(eager)
 
-    @pytest.mark.parametrize("name", ["lift3134", "gf3-member-3143"])
+    @pytest.mark.parametrize("name", ["lift3134", "gf3-member-3143", "gf4-member-2244",
+                                      "gf9-member-3224"])
     def test_no_field_element_before_the_certificate_is_read(self, name, monkeypatch):
         form = _fixed_members()[name]
         for ell in (2, 3, 5, 7):
@@ -489,7 +494,7 @@ class TestCertificateOnRead:
         built = self._count_elements(monkeypatch)
         verdict = is_smooth(form)
         assert isinstance(verdict, Smooth)
-        assert verdict.certificate.field in (F2, F3)
+        assert verdict.certificate.field in (F2, F3, F4, get_descriptor(3, 2))
         assert built == []
         assert verdict.certificate.elements
         assert built
@@ -588,6 +593,17 @@ class TestWitnessVerifies:
         with pytest.raises(ValueError):
             witness_verifies(HomogeneousForm.zero(F2, 3, 2),
                              SingularWitness((F2.zero(), F2.zero(), F2.one()), F2))
+
+    def test_is_smooth_checks_the_search_witness(self, monkeypatch):
+        # x0*x1 is singular only at [0:0:1]; a search that returned [1:0:0],
+        # a smooth point of it, must not be trusted
+        point = (F2.one(), F2.zero(), F2.zero())
+        monkeypatch.setattr(smoothness, "search_singular_point",
+                            lambda form, cap: SingularWitness(point, F2))
+        with pytest.raises(AssertionError, match="fails direct evaluation"):
+            is_smooth(self.PRODUCT)
+        with pytest.raises(AssertionError, match="fails direct evaluation"):
+            verify_system_K_smooth(LinearSystemOfForms([self.PRODUCT]))
 
 
 def point_scan(form, max_ext, skip_apex=False):
