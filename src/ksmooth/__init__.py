@@ -22,11 +22,8 @@ from .fields import (
 from .multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
-    coefficients_fixed_by_frobenius,
-    euler_combination,
     form_from_json,
     form_to_json,
-    frobenius_twist,
     monomial_key,
     monomials_of_degree,
     random_form,
@@ -54,7 +51,6 @@ from .smoothness import (
     verify_system_K_smooth,
     witness_to_json,
     witness_verifies,
-    x0_truncation,
 )
 from .constructions import (
     ConstructionResult,

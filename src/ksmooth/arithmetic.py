@@ -8,7 +8,8 @@ from math import lcm
 
 from .errors import DescriptorMismatch
 from .fields import (
-    _digits, _digitwise, _index, _monic_gcd, _mulmod, _poly_trim, _powmod, _remainder)
+    FieldElement, _digits, _digitwise, _index, _monic_gcd, _mulmod, _poly_trim, _powmod,
+    _remainder)
 
 
 def _first_root(f, order, mul, add):
@@ -50,9 +51,10 @@ def _resultant(a, b, mul, inv, add, power, minus_one):
 class IndexArithmetic:
     """The operations of a coefficient field on the indices of its elements,
     the only code that does arithmetic in a finite field: FieldElement
-    operators call it, and inner loops and linear algebra keep FieldElement
-    at their boundary, where `index` and `element` convert; over Q an index
-    is the Fraction itself.  `add`, `neg`, `mul`, `inv` (of a nonzero index)
+    operators call it, and inner loops, forms and linear algebra keep
+    FieldElement at their boundary, where `index` and `element` convert (a
+    finite field's `index` refuses anything but its own elements); over Q
+    an index is the Fraction itself.  `add`, `neg`, `mul`, `inv` (of a nonzero index)
     and `power(a, k)` (k >= 0) are functions of indices, and `combine` takes
     (c, terms) pairs, a nonzero index and a map from ints to nonzero
     indices, and returns the map of the sum of c times terms, zeros
@@ -84,7 +86,8 @@ class IndexArithmetic:
         p, e = field.p, field.e
         if p:
             def index(x):
-                if x.field is not field and x.field.key != field.key:
+                if x.__class__ is not FieldElement or (x.field is not field
+                                                      and x.field.key != field.key):
                     raise DescriptorMismatch(f"{x!r} is not an element of {field!r}")
                 return x.idx
 

@@ -35,12 +35,12 @@ from .fields import (
     get_descriptor,
     get_embedding,
     normalize_projective,
-    sqrt_char2,
 )
 from .multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
     _compose,
+    _evaluate,
     _raw_form,
     _Slots,
     system_to_json,
@@ -255,10 +255,8 @@ def galois_descent(raw_generators, moore):
     """Base-field generators G_j = sum_i alpha^(q^(i+j)) * F_i of the span of
     a Frobenius-cyclic family of forms F_0, ..., F_n, by `_descend`."""
     raw = list(raw_generators)
-    index, element = moore.field.arithmetic.index, moore.base.element_from_index
-    gens = _descend([{m: index(c) for m, c in f.terms.items()} for f in raw], moore)
-    return [_raw_form(moore.base, f.nvars, f.degree, {m: element(c) for m, c in g.items()})
-            for f, g in zip(raw, gens)]
+    gens = _descend([f.index_terms for f in raw], moore)
+    return [_raw_form(moore.base, f.nvars, f.degree, g) for f, g in zip(raw, gens)]
 
 
 def _construct(moore, template, degree):
@@ -272,8 +270,7 @@ def _construct(moore, template, degree):
     family = [slots.pack({_shifted(m, j): arith.power(c, base.order ** j) for m, c in template})
               for j in range(nv)]
     raw = _compose(family, _moore_rows(arith, moore.alpha.idx, base.order, nv), slots, arith)
-    return tuple(tuple(_raw_form(field, nv, degree, {slots.exponents(m): field.element_from_index(c)
-                                                     for m, c in h.items()}) for h in maps)
+    return tuple(tuple(_raw_form(field, nv, degree, slots.unpack(h)) for h in maps)
                  for field, maps in ((big, raw), (base, _descend(raw, moore))))
 
 
@@ -335,9 +332,9 @@ def lift_to_char_zero(system):
     field = system.field
     if not isinstance(field, FieldDescriptor) or field.e != 1:
         raise NotPrimeField("the characteristic-zero lift is implemented for prime fields")
-    gens = [g.map_coefficients(lambda c: Fraction(c.idx), QQ)
-            for g in system.generators]
-    return LinearSystemOfForms(gens)
+    return LinearSystemOfForms([_raw_form(QQ, g.nvars, g.degree,
+                                          {m: Fraction(c) for m, c in g.index_terms.items()})
+                                for g in system.generators])
 
 
 def char2_quadric_singular_point(form):
@@ -357,14 +354,12 @@ def char2_quadric_singular_point(form):
         raise EvenN(f"needs an odd number of trailing variables, got n = {n}")
     if form.degree != 2:
         raise ShapeViolated("the form must be a quadric")
-    one = field.one()
-    zero = field.zero()
     x0_square = (2,) + (0,) * n
     g_terms = {}
     saw_x0 = False
-    for exps, c in form.terms.items():
+    for exps, c in form.index_terms.items():
         if exps[0]:
-            if exps != x0_square or c != one:
+            if exps != x0_square or c != 1:
                 raise ShapeViolated("terms involving x0 must be exactly x0^2")
             saw_x0 = True
         else:
@@ -376,15 +371,16 @@ def char2_quadric_singular_point(form):
         nz = [i for i, e in enumerate(exps) if e]
         if len(nz) == 2:
             i, j = nz
-            hessian[i - 1][j - 1] = hessian[j - 1][i - 1] = c.idx
-    kernel = field.arithmetic.kernel(hessian, n)
+            hessian[i - 1][j - 1] = hessian[j - 1][i - 1] = c
+    arith = field.arithmetic
+    kernel = arith.kernel(hessian, n)
     if not kernel:
         raise AssertionError("odd skew-symmetric matrix reported as nonsingular")
-    t = tuple(map(field.element_from_index, kernel[0]))
-    g = HomogeneousForm(field, nv, 2, g_terms)
-    t0 = sqrt_char2(g.evaluate((zero,) + t))
-    witness = SingularWitness(point=normalize_projective((t0,) + t),
-                              field=field)
+    t = kernel[0]
+    # t0 = G(t)^(2^(e-1)), the square root in GF(2^e)
+    t0 = arith.power(_evaluate([g_terms], (0, *t), arith)[0], 2 ** (field.e - 1))
+    point = normalize_projective(tuple(map(field.element_from_index, (t0, *t))))
+    witness = SingularWitness(point=point, field=field)
     if not witness_verifies(form, witness):
         raise AssertionError("constructed point failed re-verification")
     return witness

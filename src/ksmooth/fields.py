@@ -755,9 +755,9 @@ def element_to_json(x):
     return list(x.coeffs)
 
 
-def element_from_json(field, data):
-    """Coefficient from its wire form; a malformed one is a ValueError that
-    names the "coeff" key."""
+def index_from_json(field, data):
+    """The index of a coefficient (over Q the Fraction) from its wire form;
+    a malformed one is a ValueError that names the "coeff" key."""
     if isinstance(field, RationalField):
         if isinstance(data, str) or (isinstance(data, int) and not isinstance(data, bool)):
             try:
@@ -767,4 +767,4 @@ def element_from_json(field, data):
         raise ValueError(f'"coeff" must be a rational number, got {data!r}')
     if len(json_ints(data, "coeff")) != field.e:
         raise ValueError(f'"coeff" over {field!r} needs {field.e} entries, got {data!r}')
-    return field.element(data)
+    return _index([c % field.p for c in data], field.p)

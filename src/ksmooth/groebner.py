@@ -47,7 +47,7 @@ Pearce (J. Symb. Comput. 46, 2011); see `_reduce_full`.
 
 Field elements stay at the boundary of a run, whose input is the field's
 element indices for every finite field and `Fraction`s over Q: `_groebner`
-and `smoothness` take a form's indices when they pack it, `_jacobian`
+and `smoothness` pack a form's `index_terms`, `_jacobian`
 differentiates on the packed keys and indices, and `certify_combinations`
 combines packed index rows.  No run builds a FieldElement: a basis from a
 run unpacks its elements, through `element_from_index`, only when they are
@@ -92,10 +92,22 @@ class _SlotOverflow(Exception):
     """A pair's S-polynomial would have degree above the slot cap."""
 
 
-def _terms_of(f):
+def _field_of(items, field):
+    """`field`, or else the field of the first form among the items."""
+    if field is None:
+        field = next((g.field for g in items if isinstance(g, HomogeneousForm)), None)
+        if field is None:
+            raise ValueError("coefficient field could not be inferred")
+    return field
+
+
+def _index_terms(f, field):
+    """The terms of a form, or of a map from exponent tuples to elements of
+    the field (Fractions or ints over Q), on the field's indices."""
     if isinstance(f, HomogeneousForm):
-        return dict(f.terms)
-    return dict(f)
+        return f.index_terms
+    index = field.arithmetic.index
+    return {m: index(c) for m, c in f.items()}
 
 
 def _lead(terms):
@@ -327,31 +339,21 @@ def normal_form(f, basis, field=None):
     components is reduced on its own.
     """
     if isinstance(basis, GroebnerBasis):
-        gens = [dict(t) for t in basis.elements]
         field = basis.field if field is None else field
-    else:
-        gens = []
-        for g in basis:
-            if isinstance(g, HomogeneousForm) and field is None:
-                field = g.field
-            t = _terms_of(g)
-            if t:
-                gens.append(t)
-    if field is None and isinstance(f, HomogeneousForm):
-        field = f.field
-    if field is None:
-        raise ValueError("coefficient field could not be inferred")
-    terms = _terms_of(f)
+        basis = basis.elements
+    basis = list(basis)
+    field = _field_of([*basis, f], field)
+    gens = [t for g in basis if (t := _index_terms(g, field))]
+    terms = _index_terms(f, field)
     if not terms:
         return {}
     arith = field.arithmetic
-    index = arith.index
     components = {}
     for m, c in terms.items():
-        components.setdefault(sum(m), {})[m] = index(c)
+        components.setdefault(sum(m), {})[m] = c
     slots = _Slots.for_degree(len(next(iter(terms))),
                               max([*components, *(_degree(g) for g in gens)]))
-    gens = [_make_monic(slots.pack({m: index(c) for m, c in g.items()}), arith) for g in gens]
+    gens = [_make_monic(slots.pack(g), arith) for g in gens]
     lms = [min(g) for g in gens]
     divisor, tables = {}, {}
     rem = {}
@@ -365,8 +367,7 @@ def s_polynomial(f, g, field):
     inverse of its leading coefficient."""
     arith = field.arithmetic
     slots = _Slots.for_degree(len(next(iter(f))), _degree(f) + _degree(g))
-    f, g = [_make_monic(slots.pack({m: arith.index(c) for m, c in t.items()}), arith)
-            for t in (f, g)]
+    f, g = [_make_monic(slots.pack(_index_terms(t, field)), arith) for t in (f, g)]
     lf, lg = min(f), min(g)
     return _read(field, slots, _s_poly(f, lf, g, lg, slots.lcm(lf, lg), arith))
 
@@ -598,24 +599,14 @@ def _groebner(generators, field, nvars, step_budget, stop):
     """The basis of `buchberger` or, with `stop`, of `certificate_basis`,
     and whether the pure-power stop fired, which with `stop` is the answer
     of `is_projectively_empty` on that basis."""
-    gens = []
-    for g in generators:
-        if isinstance(g, HomogeneousForm):
-            if field is None:
-                field = g.field
-            if nvars is None:
-                nvars = g.nvars
-        t = _terms_of(g)
-        if t:
-            gens.append(t)
-    if not gens:
+    generators = [g for g in generators if g]
+    if not generators:
         raise ValueError("need at least one nonzero generator")
-    if field is None:
-        raise ValueError("coefficient field could not be inferred")
+    field = _field_of(generators, field)
+    gens = [_index_terms(g, field) for g in generators]
     if nvars is None:
-        nvars = len(next(iter(gens[0])))
-    if field.p:
-        gens = [{m: c.idx for m, c in g.items()} for g in gens]
+        nvars = next((g.nvars for g in generators if isinstance(g, HomogeneousForm)),
+                     len(next(iter(gens[0]))))
     slots = _Slots.for_degree(nvars, max(_degree(g) for g in gens))
     return _run_basis([slots.pack(g) for g in gens], field, slots, step_budget, stop)
 

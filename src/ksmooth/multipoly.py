@@ -1,7 +1,10 @@
 """Sparse homogeneous multivariate forms over a declared coefficient field.
 
-Forms are immutable values: a term map from exponent vectors to nonzero
-coefficients, together with the field, the variable count and the degree.
+Forms are immutable values: a term map from exponent vectors to the
+nonzero coefficients' indices in the field's `IndexArithmetic`, together
+with the field, the variable count and the degree; field elements appear
+only where a form is built from them, in its `terms` view and in its text
+and JSON.
 The monomial order is degrevlex with x0 > x1 > ... > xn everywhere; the
 Groebner engine shares the same key so certificates never disagree about
 leading terms.
@@ -15,6 +18,7 @@ element indices for coefficients.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
@@ -25,12 +29,10 @@ from .errors import (
     DescriptorMismatch,
 )
 from .fields import (
-    FieldDescriptor,
-    element_from_json,
     element_to_json,
     field_from_json,
     field_to_json,
-    frobenius,
+    index_from_json,
     json_get,
     json_ints,
 )
@@ -64,37 +66,24 @@ def monomials_of_degree(nvars, degree):
 
 
 class HomogeneousForm:
-    """Homogeneous polynomial of fixed degree in nvars variables."""
+    """Homogeneous polynomial of fixed degree in nvars variables, its terms
+    kept once, in `index_terms`, as a map from exponent tuples to the
+    nonzero indices of its field's `IndexArithmetic` (over Q the Fractions
+    themselves), on which all of its operations run."""
 
-    # `_primitive`, set on first read of `primitive_integer_terms` or by
-    # `LinearSystemOfForms.member`
-    __slots__ = ("field", "nvars", "degree", "terms", "_primitive")
+    # `_terms` and `_primitive`, set on first read of `terms` and of
+    # `primitive_integer_terms` (or by `LinearSystemOfForms.member`)
+    __slots__ = ("field", "nvars", "degree", "index_terms", "_terms", "_primitive")
 
     def __init__(self, field, nvars, degree, terms=None):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.field = field
-        self.nvars = nvars
-        self.degree = degree
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exps, c in items:
-                exps = tuple(int(v) for v in exps)
-                if len(exps) != nvars or any(v < 0 for v in exps):
-                    raise ValueError(f"bad exponent vector {exps}")
-                if sum(exps) != degree:
-                    raise DegreeMismatch(
-                        f"term {exps} has degree {sum(exps)}, form has degree {degree}")
-                cur = clean.get(exps)
-                v = c if cur is None else cur + c
-                if v:
-                    clean[exps] = v
-                elif cur is not None:
-                    del clean[exps]
-        self.terms = clean
+        """`terms` maps exponent tuples, or is a list of (exponents,
+        coefficient) pairs, with coefficients in `field` (over Q also ints);
+        one from another field raises DescriptorMismatch."""
+        index = field.arithmetic.index
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.field, self.nvars, self.degree = field, nvars, degree
+        self.index_terms = _clean_terms(field, nvars, degree,
+                                        [(exps, index(c)) for exps, c in items])
 
     @classmethod
     def zero(cls, field, nvars, degree):
@@ -117,18 +106,32 @@ class HomogeneousForm:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.index_terms)
+
+    @property
+    def terms(self):
+        """The terms with field elements (Fractions over Q) as
+        coefficients, built from `index_terms` on first read, and not to be
+        changed."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        element = self.field.arithmetic.element
+        self._terms = {m: element(c) for m, c in self.index_terms.items()}
+        return self._terms
 
     @property
     def primitive_integer_terms(self):
         """Over Q, the terms scaled by a positive rational to integers with
-        no common factor; derived from `terms`, and not to be changed."""
+        no common factor; derived from `index_terms`, and not to be changed."""
         try:
             return self._primitive
         except AttributeError:
             pass
-        den = lcm(*[c.denominator for c in self.terms.values()])
-        ints = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+        terms = self.index_terms
+        den = lcm(*[c.denominator for c in terms.values()])
+        ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
         g = gcd(*ints.values())
         self._primitive = {m: v // g for m, v in ints.items()}
         return self._primitive
@@ -137,77 +140,55 @@ class HomogeneousForm:
         if not isinstance(other, HomogeneousForm):
             return NotImplemented
         return (self.field == other.field and self.nvars == other.nvars
-                and self.degree == other.degree and self.terms == other.terms)
+                and self.degree == other.degree and self.index_terms == other.index_terms)
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _like(self, terms, degree=None):
+        """A form over the same field and variables with these index terms."""
+        return _raw_form(self.field, self.nvars, self.degree if degree is None else degree, terms)
+
     def __add__(self, other):
         self._check(other, same_degree=True)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = c
-            else:
-                v = cur + c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return _raw_form(self.field, self.nvars, self.degree, out)
+        # 1 is the index of one over every field
+        return self._like(self.field.arithmetic.combine([(1, other.index_terms)],
+                                                        self.index_terms))
 
     def __neg__(self):
-        return _raw_form(self.field, self.nvars, self.degree,
-                         {m: -c for m, c in self.terms.items()})
+        neg = self.field.arithmetic.neg
+        return self._like({m: neg(c) for m, c in self.index_terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
-        if not s:
-            return HomogeneousForm.zero(self.field, self.nvars, self.degree)
-        return _raw_form(self.field, self.nvars, self.degree,
-                         {m: c * s for m, c in self.terms.items()})
+        arith = self.field.arithmetic
+        s = arith.index(s)
+        return self._like(arith.combine([(s, self.index_terms)]) if s else {})
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = c1 * c2
-                cur = out.get(m)
-                if cur is not None:
-                    v = cur + v
-                if v:
-                    out[m] = v
-                elif cur is not None:
-                    del out[m]
-        return _raw_form(self.field, self.nvars, self.degree + other.degree, out)
+        right = other.index_terms.items()
+        return self._like(self.field.arithmetic.combine(
+            [(c, {tuple(map(operator.add, m, n)): v for n, v in right})
+             for m, c in self.index_terms.items()]), self.degree + other.degree)
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers of forms are not defined")
-        out = HomogeneousForm(self.field, self.nvars, 0,
-                              {(0,) * self.nvars: self.field.one()})
-        for _ in range(k):
+        if not k:
+            return HomogeneousForm.monomial(self.field, self.nvars, (0,) * self.nvars)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
     def partial_derivative(self, i):
-        """Formal partial derivative; terms whose exponent is divisible by
-        the characteristic vanish."""
+        """Formal partial derivative, by `_partial`; terms whose exponent is
+        divisible by the characteristic vanish."""
         if not 0 <= i < self.nvars:
             raise ValueError("variable index out of range")
-        from_int = self.field.from_int
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                v = c * from_int(e)
-                if v:
-                    out[exps[:i] + (e - 1,) + exps[i + 1:]] = v
-        return _raw_form(self.field, self.nvars, max(self.degree - 1, 0), out)
+        return self._like(_partial(self.index_terms, i, self.field), max(self.degree - 1, 0))
 
     def evaluate(self, point):
         """Exact value at a coordinate tuple over the form's own field, by
@@ -216,33 +197,24 @@ class HomogeneousForm:
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
         arith = self.field.arithmetic
-        index = arith.index
-        (value,) = _evaluate([{m: index(c) for m, c in self.terms.items()}],
-                             tuple(map(index, point)), arith)
+        (value,) = _evaluate([self.index_terms], tuple(map(arith.index, point)), arith)
         return arith.element(value)
 
     def substitute_linear(self, matrix):
         """Replace x_i by the linear form given by row i of the matrix."""
         return compose([self], matrix)[0]
 
-    def map_coefficients(self, func, field):
-        """New form over `field` with every coefficient passed through func."""
-        out = {}
-        for m, c in self.terms.items():
-            v = func(c)
-            if v:
-                out[m] = v
-        return HomogeneousForm(field, self.nvars, self.degree, out)
-
     def embed(self, embedding):
         """The same form over the big field; an embedding keeps every
         coefficient nonzero."""
-        up = embedding.up
+        if self.field != embedding.small:
+            raise DescriptorMismatch(f"{self!r} is not over {embedding.small!r}")
+        up = embedding.up_index
         return _raw_form(embedding.big, self.nvars, self.degree,
-                         {m: up(c) for m, c in self.terms.items()})
+                         {m: up(c) for m, c in self.index_terms.items()})
 
     def __str__(self):
-        if not self.terms:
+        if not self.index_terms:
             return "0"
         bits = []
         for exps in sorted(self.terms, key=monomial_key, reverse=True):
@@ -264,11 +236,47 @@ class HomogeneousForm:
         return f"<form deg {self.degree} over {self.field!r}: {self}>"
 
 
-def _raw_form(field, nvars, degree, terms):
-    """Form over an already clean term map, without checks or copying."""
+def _clean_terms(field, nvars, degree, items):
+    """The index terms of a form from (exponents, index) pairs: exponent
+    vectors checked against nvars and degree, repeated monomials added
+    and zeros dropped."""
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    add = field.arithmetic.add
+    clean = {}
+    for exps, c in items:
+        exps = tuple(int(v) for v in exps)
+        if len(exps) != nvars or any(v < 0 for v in exps):
+            raise ValueError(f"bad exponent vector {exps}")
+        if sum(exps) != degree:
+            raise DegreeMismatch(
+                f"term {exps} has degree {sum(exps)}, form has degree {degree}")
+        cur = clean.get(exps)
+        v = c if cur is None else add(cur, c)
+        if v:
+            clean[exps] = v
+        elif cur is not None:
+            del clean[exps]
+    return clean
+
+
+def _raw_form(field, nvars, degree, index_terms):
+    """Form over an already clean index term map, without checks or copying."""
     f = HomogeneousForm.__new__(HomogeneousForm)
-    f.field, f.nvars, f.degree, f.terms = field, nvars, degree, terms
+    f.field, f.nvars, f.degree, f.index_terms = field, nvars, degree, index_terms
     return f
+
+
+def _partial(terms, i, field):
+    """The partial in x_i of a form, its terms a map from exponent tuples to
+    the field's indices, as such a map, empty when it is zero: the one
+    derivative on exponent tuples (`groebner._jacobian` takes it on packed
+    keys).  The integer e has the index e mod p, and over Q is e itself."""
+    mul, p = field.arithmetic.mul, field.p
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: mul(c, e)
+            for m, c in terms.items() if (e := m[i] % p if p else m[i])}
 
 
 def _monomial_values(point, monomials, mul, power):
@@ -357,13 +365,10 @@ def compose(forms, matrix):
     replaced by the linear form given by row i of the matrix; runs
     `_compose` on element indices."""
     arith = forms[0].field.arithmetic
-    index, element = arith.index, arith.element
     slots = _Slots.for_degree(forms[0].nvars, max(f.degree for f in forms))
-    images = _compose([{m: index(c) for m, c in slots.pack(f.terms).items()} for f in forms],
-                      [[index(x) for x in row] for row in matrix], slots, arith)
-    return [_raw_form(f.field, f.nvars, f.degree,
-                      {slots.exponents(m): element(c) for m, c in h.items()})
-            for f, h in zip(forms, images)]
+    images = _compose([slots.pack(f.index_terms) for f in forms],
+                      [list(map(arith.index, row)) for row in matrix], slots, arith)
+    return [f._like(slots.unpack(h)) for f, h in zip(forms, images)]
 
 
 def _compose(packed_gens, rows, slots, arith):
@@ -408,35 +413,6 @@ def _compose(packed_gens, rows, slots, arith):
     return [combine([(c, image(m)) for m, c in g.items()]) for g in packed_gens]
 
 
-def coefficients_fixed_by_frobenius(form, k):
-    """True iff every coefficient satisfies c^(p^k) = c, i.e. lies in the
-    subfield GF(p^k)."""
-    field = form.field
-    if not isinstance(field, FieldDescriptor):
-        raise DescriptorMismatch("Frobenius fixedness is a finite-field notion")
-    if k < 1 or field.e % k:
-        raise ValueError("k must divide the extension degree")
-    return all(frobenius(c, k) == c for c in form.terms.values())
-
-
-def frobenius_twist(form, k):
-    """Apply x -> x^(p^k) to every coefficient."""
-    return form.map_coefficients(lambda c: frobenius(c, k), form.field)
-
-
-def euler_combination(form):
-    """Sum of x_i * df/dx_i, built from the derivative and product operations
-    (so it exercises their interplay; equals (d mod p) * f)."""
-    if form.degree == 0:
-        return HomogeneousForm.zero(form.field, form.nvars, 0)
-    out = HomogeneousForm.zero(form.field, form.nvars, form.degree)
-    for i in range(form.nvars):
-        xi = HomogeneousForm.monomial(
-            form.field, form.nvars, tuple(1 if k == i else 0 for k in range(form.nvars)))
-        out = out + xi * form.partial_derivative(i)
-    return out
-
-
 class LinearSystemOfForms:
     """Linear system spanned by r+1 independent homogeneous generators."""
 
@@ -479,13 +455,12 @@ class LinearSystemOfForms:
         if len(coeffs) != len(self.generators):
             raise ValueError("one coefficient per generator required")
         arith = self.field.arithmetic
-        index, element = arith.index, arith.element
         monomials = self._monomials
+        coeffs = list(map(arith.index, coeffs))
         if self._den is None:
-            terms = arith.combine([(index(a), row) for a, row in zip(coeffs, self._rows) if a])
+            terms = arith.combine([(a, row) for a, row in zip(coeffs, self._rows) if a])
             return _raw_form(self.field, self.nvars, self.degree,
-                             {monomials[k]: element(v) for k, v in terms.items()})
-        coeffs = [index(a) for a in coeffs]
+                             {monomials[k]: v for k, v in terms.items()})
         den = lcm(*[a.denominator for a in coeffs])
         acc = {}
         get = acc.get
@@ -510,9 +485,8 @@ class LinearSystemOfForms:
 def _index_rows(forms):
     """The forms' monomials in order of first use, and each form's
     coefficients as a sparse row of element indices over them."""
-    index = forms[0].field.arithmetic.index
     column = {}
-    rows = [{column.setdefault(m, len(column)): index(c) for m, c in f.terms.items()}
+    rows = [{column.setdefault(m, len(column)): c for m, c in f.index_terms.items()}
             for f in forms]
     return list(column), rows
 
@@ -525,7 +499,7 @@ def random_form(field, nvars, degree, rng):
     """Uniformly random nonzero form (coefficients independent per monomial)."""
     monos = monomials_of_degree(nvars, degree)
     while True:
-        terms = {m: c for m in monos if (c := random_element(field, rng))}
+        terms = {m: c for m in monos if (c := rng.randrange(field.order))}
         if terms:
             return _raw_form(field, nvars, degree, terms)
 
@@ -559,9 +533,9 @@ def form_from_json(obj):
     terms = []
     for t in json_get(obj, "terms", list):
         exps = json_ints(json_get(t, "exps", list), "exps")
-        terms.append((tuple(exps), element_from_json(field, t.get("coeff"))))
-    return HomogeneousForm(field, json_get(obj, "nvars", int),
-                           json_get(obj, "degree", int), terms)
+        terms.append((tuple(exps), index_from_json(field, t.get("coeff"))))
+    nvars, degree = json_get(obj, "nvars", int), json_get(obj, "degree", int)
+    return _raw_form(field, nvars, degree, _clean_terms(field, nvars, degree, terms))
 
 
 def system_to_json(system):

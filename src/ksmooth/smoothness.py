@@ -102,7 +102,7 @@ from .groebner import (
     _run_basis,
     certify_combinations,
 )
-from .multipoly import HomogeneousForm, _compose, _evaluate, _monomial_values, _Slots
+from .multipoly import _compose, _evaluate, _monomial_values, _partial, _Slots
 from .records import Record
 
 DEFAULT_WITNESS_CAP = 6
@@ -203,7 +203,7 @@ def search_singular_point(form, max_ext_degree):
     n = form.nvars - 1
     # at (0, ..., 0, 1), F is its coefficient of x_n^d and dF/dx_i, i < n,
     # that of x_i x_n^(d-1)
-    if all(sum(m[:n]) > 1 for m in form.terms):
+    if all(sum(m[:n]) > 1 for m in form.index_terms):
         return SingularWitness(point=(field.zero(),) * n + (field.one(),), field=field)
     if not n:
         return None
@@ -250,9 +250,8 @@ def _line_charts(form):
     F's."""
     if not form:
         raise ValueError("zero form has no smoothness question")
-    n = form.nvars - 1
-    terms = {m: c.idx for m, c in form.terms.items()}
-    rows = [terms, *filter(None, _partials(terms, form.field, n))]
+    n, terms = form.nvars - 1, form.index_terms
+    rows = [terms, *filter(None, [_partial(terms, i, form.field) for i in range(n)])]
     charts = []
     for lead in range(n):
         tails, where, groups = [], {}, []
@@ -268,15 +267,6 @@ def _line_charts(form):
             groups.append([(where[tail], group) for tail, group in by_tail.items()])
         charts.append((tails, groups))
     return charts
-
-
-def _partials(terms, field, count):
-    """The partials in x_0, ..., x_{count-1} of a form over a finite field,
-    its terms a map from exponent tuples to indices, as such maps (empty
-    for a zero partial); the integer e has the index e mod p."""
-    mul, p = field.arithmetic.mul, field.p
-    return [{m[:i] + (m[i] - 1,) + m[i + 1:]: mul(c, m[i] % p)
-             for m, c in terms.items() if m[i] % p} for i in range(count)]
 
 
 def _scan_lines(arith, charts, base=None, lines=None):
@@ -418,11 +408,11 @@ def witness_verifies(form, witness):
     if not form:
         raise ValueError("zero form has no smoothness question")
     field = witness.field
-    terms = {m: c.idx for m, c in form.terms.items()}
+    terms = form.index_terms
     if form.field.key != field.key:
         up = get_embedding(form.field, field).up_index
         terms = {m: up(c) for m, c in terms.items()}
-    forms = [terms, *_partials(terms, field, form.nvars)]
+    forms = [terms, *[_partial(terms, i, field) for i in range(form.nvars)]]
     return not any(_evaluate(forms, tuple(x.idx for x in witness.point), field.arithmetic))
 
 
@@ -471,12 +461,12 @@ def _certificate_runs(form, slots):
     `is_smooth` tries in turn, F built only when its run comes."""
     field = form.field
     if isinstance(field, FieldDescriptor):
-        yield field, slots.pack({m: c.idx for m, c in form.terms.items()})
+        yield field, slots.pack(form.index_terms)
         return
     integral = slots.pack(form.primitive_integer_terms)
     for ell in _REDUCTION_PRIMES:
         yield get_descriptor(ell), {m: r for m, c in integral.items() if (r := c % ell)}
-    yield field, slots.pack(form.terms)
+    yield field, slots.pack(form.index_terms)
 
 
 def _certified_witness(form, witness_cap):
@@ -493,33 +483,20 @@ def _certified_witness(form, witness_cap):
     return witness
 
 
-def x0_truncation(form):
-    """Keep exactly the monomials with x0-exponent >= d-1.
-
-    The result lies in x0^(d-1) times the linear forms, and the kernel of the
-    map on degree-d forms is precisely the set of forms singular at the base
-    point [1:0:...:0].  For d = 2 it coincides with F - F(0, x1, ..., xn).
-    """
-    cut = form.degree - 1
-    kept = {m: c for m, c in form.terms.items() if m[0] >= cut}
-    return HomogeneousForm(form.field, form.nvars, form.degree, kept)
-
-
 def truncation_matrix(system):
     """Matrix of the base-point truncation on the system's coefficients, as
     index rows: row j maps each generator to the index of its coefficient
     of x0^(d-1)*x_j (j = 0..n), so the kernel is the set of members
     singular at [1:0:...:0]."""
     nv = system.nvars
-    index = system.field.arithmetic.index
     rows = []
     for j in range(nv):
         exps = [0] * nv
         exps[0] = system.degree - 1
         exps[j] += 1
         m = tuple(exps)
-        rows.append({i: index(c) for i, g in enumerate(system.generators)
-                     if (c := g.terms.get(m))})
+        rows.append({i: c for i, g in enumerate(system.generators)
+                     if (c := g.index_terms.get(m))})
     return rows
 
 
@@ -606,9 +583,8 @@ def verify_system_K_smooth(system, symmetries=()):
     if not isinstance(field, FieldDescriptor):
         raise ValueError("member enumeration requires a finite base field")
     slots = _Slots.for_degree(system.nvars, system.degree)
-    certify = certify_combinations([_jacobian(slots.pack({m: c.idx for m, c in g.terms.items()}),
-                                              slots, field) for g in system.generators],
-                                   field, slots)
+    certify = certify_combinations([_jacobian(slots.pack(g.index_terms), slots, field)
+                                    for g in system.generators], field, slots)
     induced = _induced_matrices(system, symmetries) if symmetries else None
     orbit_of = array("l")
     verdicts = []
@@ -642,7 +618,7 @@ def _induced_matrices(system, symmetries):
     arith = field.arithmetic
     combine, index = arith.combine, arith.index
     slots = _Slots.for_degree(nvars, system.degree)
-    gens = [{m: c.idx for m, c in slots.pack(g.terms).items()} for g in system.generators]
+    gens = [slots.pack(g.index_terms) for g in system.generators]
     count = len(gens)
     columns = sorted({m for g in gens for m in g})
     width = len(columns)

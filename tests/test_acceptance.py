@@ -28,11 +28,11 @@ from ksmooth.fields import (
 from ksmooth.groebner import buchberger, is_projectively_empty
 from ksmooth.multipoly import (
     HomogeneousForm,
-    euler_combination,
     random_element,
     random_form,
     random_system,
 )
+from form_helpers import euler_combination, x0_truncation
 from ksmooth.smoothness import (
     Singular,
     Smooth,
@@ -42,7 +42,6 @@ from ksmooth.smoothness import (
     singular_member_at_base_point,
     verify_system_K_smooth,
     witness_verifies,
-    x0_truncation,
 )
 
 F2 = get_descriptor(2)

@@ -46,12 +46,11 @@ from ksmooth.fields import (
     get_embedding,
     is_prime,
 )
+from form_helpers import coefficients_fixed_by_frobenius, frobenius_twist
 from ksmooth import smoothness
 from ksmooth.multipoly import (
     HomogeneousForm,
     LinearSystemOfForms,
-    coefficients_fixed_by_frobenius,
-    frobenius_twist,
     random_system,
 )
 from ksmooth.smoothness import (

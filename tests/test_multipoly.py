@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from form_helpers import coefficients_fixed_by_frobenius, euler_combination
 from ksmooth.errors import (
     DegreeMismatch,
     DependentGenerators,
@@ -20,9 +21,7 @@ from ksmooth.multipoly import (
     LinearSystemOfForms,
     _compose,
     _Slots,
-    coefficients_fixed_by_frobenius,
     compose,
-    euler_combination,
     form_from_json,
     form_to_json,
     monomial_key,
@@ -55,6 +54,19 @@ class TestConstruction:
     def test_accumulates_repeated_monomials(self):
         f = HomogeneousForm(F3, 2, 2, [((1, 1), F3.one()), ((1, 1), F3.from_int(2))])
         assert not f
+
+    def test_rejects_a_coefficient_of_another_field(self):
+        with pytest.raises(DescriptorMismatch):
+            HomogeneousForm(F4, 2, 2, {(1, 1): F3.from_int(2)})
+
+    def test_rejects_an_int_over_a_finite_field(self):
+        with pytest.raises(DescriptorMismatch):
+            HomogeneousForm(F4, 2, 2, {(1, 1): 1})
+
+    def test_takes_ints_over_q_as_fractions(self):
+        f = HomogeneousForm(QQ, 2, 2, {(2, 0): 3, (1, 1): Fraction(1, 2)})
+        assert [type(c) for c in f.terms.values()] == [Fraction, Fraction]
+        assert [t["coeff"] for t in form_to_json(f)["terms"]] == ["3", "1/2"]
 
     def test_term_count_bounded_by_monomial_count(self):
         rng = random.Random(0)

@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from form_helpers import x0_truncation
 from ksmooth.constructions import (
     builtin_example_f3,
     construct_smooth_system,
@@ -66,7 +67,6 @@ from ksmooth.smoothness import (
     verify_system_K_smooth,
     witness_to_json,
     witness_verifies,
-    x0_truncation,
 )
 
 F2 = get_descriptor(2)
@@ -500,6 +500,42 @@ class TestCertificateOnRead:
         assert built
         monkeypatch.undo()
         self._assert_reads_as_certificate_basis(form)
+
+    @staticmethod
+    def _smooth_cubic(field, rng):
+        """A smooth plane cubic among seeded random ones."""
+        while not isinstance(is_smooth(form := random_form(field, 3, 3, rng)), Smooth):
+            pass
+        return form
+
+    @pytest.mark.parametrize("field", [F4, get_descriptor(2, 17)], ids=str)
+    def test_no_field_element_from_wire_to_verdict(self, field, monkeypatch):
+        wire = form_to_json(self._smooth_cubic(field, random.Random(0)))
+        built = self._count_elements(monkeypatch)
+        assert isinstance(is_smooth(form_from_json(wire)), Smooth)
+        assert built == []
+
+    @pytest.mark.parametrize("field", [F4, get_descriptor(2, 17)], ids=str)
+    def test_no_field_element_from_member_to_verdict(self, field, monkeypatch):
+        rng = random.Random(1)
+        system = LinearSystemOfForms([self._smooth_cubic(field, rng) for _ in range(2)])
+        pencil = [(field.one(), field.element_from_index(i)) for i in range(1, 4)]
+        coeffs = next(c for c in pencil if isinstance(is_smooth(system.member(c)), Smooth))
+        built = self._count_elements(monkeypatch)
+        assert isinstance(is_smooth(system.member(coeffs)), Smooth)
+        assert built == []
+
+    @pytest.mark.parametrize("field", [F4, get_descriptor(2, 17)], ids=str)
+    def test_no_field_element_in_products_and_partials(self, field, monkeypatch):
+        rng = random.Random(2)
+        linear, rest = random_form(field, 4, 1, rng), random_form(field, 4, 2, rng)
+        built = self._count_elements(monkeypatch)
+        gens = jacobian_generators(linear ** 2 * rest)
+        assert built == []
+        monkeypatch.undo()
+        # L^2 G is singular along L = 0, so its Jacobian ideal has zeros
+        assert len(gens) > 1
+        assert not is_projectively_empty(buchberger(gens))
 
     @pytest.mark.parametrize("field", [F2, F3, F5, F4, get_descriptor(3, 2)], ids=str)
     def test_seeded_forms_over_finite_fields(self, field):
@@ -1613,7 +1649,9 @@ class TestOrbitWalk:
         def moved(x):
             return field.element_from_index(x.idx)
 
-        copy = LinearSystemOfForms([g.map_coefficients(moved, field) for g in system.generators])
+        copy = LinearSystemOfForms([HomogeneousForm(field, g.nvars, g.degree,
+                                                    {m: moved(c) for m, c in g.terms.items()})
+                                    for g in system.generators])
         moved_symmetries = [[list(map(moved, row)) for row in m] for m in symmetries]
         induced = smoothness._induced_matrices(system, symmetries)
         assert smoothness._induced_matrices(copy, moved_symmetries) == induced
